@@ -17,7 +17,9 @@ from .autodiff import Tensor
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 MAGIC = b"GAPC"
-VERSION = 1
+# Version-1 files name each diffusion weight after the opposite direction,
+# so they are refused rather than loaded with the directions swapped.
+VERSION = 2
 
 
 class CheckpointError(ValueError):

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,92 +30,135 @@ from .data import (
 from .evaluate import collect_predictions, make_report
 from .graph import build_adjacency
 from .model import ModelConfig
-from .sensing import SensingConfig, run_episode
+from .sensing import POLICIES, SensingConfig, run_episode
 from .training import TrainConfig, load_model, save_model, train
 
-GENERATE_DEFAULTS = {
-    "nodes": 20,
-    "steps": 2000,
-    "seed": 0,
-    "noise": 2.0,
-    "diurnal_amp": 12.0,
-    "wave_amp": 8.0,
-    "kappa_hops": 2.5,
-}
 
-TRAIN_DEFAULTS = {
-    "hide_count": 0,
-    "seed": 0,
-    "epochs": 750,
-    "samples": 8,
-    "batch": 4,
-    "lr": 1e-4,
-    "alpha": 1.0,
-    "k_order": 2,
-    "layers": 3,
-    "hidden": 100,
-    "history": 24,
-    "horizon": "30min",
-    "kappa": float("inf"),
-    "sigma": None,
-}
+@dataclass(frozen=True)
+class Option:
+    """One option: the flag ``--name`` (``_`` spelled ``-``), the --config
+    key ``name`` and the run_config.json key ``name``."""
 
-EVAL_DEFAULTS = {"stride": 1}
+    name: str
+    type: Callable[[str], object]
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    choices: tuple[str, ...] = ()
+    repeat: bool = False  # the flag may be given several times; the value is a list
 
-SENSE_DEFAULTS = {
-    "seed": 0,
-    "policy": ["uncertainty", "random"],
-    "budget": 10,
-    "init_sensors": 50,
-    "steps": 5,
-    "train_iters": 200,
-    "lr": 1e-4,
-    "alpha": 1.0,
-    "history": 24,
-    "horizon": "30min",
-    "hidden": 100,
-    "kappa": float("inf"),
-    "eval_stride": 4,
+    def from_config(self, value):
+        """Parse a --config value the way the flag's text would be parsed."""
+        texts = value if self.repeat and not isinstance(value, str) else [value]
+        try:
+            parsed = [self.type(str(text)) for text in texts]
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"config key {self.name!r}: {value!r} is not a {self.type.__name__}"
+            ) from None
+        if self.choices and not set(parsed) <= set(self.choices):
+            raise ValueError(f"config key {self.name!r}: {value!r} is not in {self.choices}")
+        return parsed if self.repeat else parsed[0]
+
+
+TRAIN_SENSE = ("train", "sense")
+
+OPTIONS = (
+    Option("nodes", int, 20, "number of sensor locations", ("generate",)),
+    Option("steps", int, 2000, "number of 5-minute steps", ("generate",)),
+    Option("noise", float, 2.0, "uniform noise amplitude (mph)", ("generate",)),
+    Option("diurnal_amp", float, 12.0, "diurnal dip amplitude", ("generate",)),
+    Option("wave_amp", float, 8.0, "traveling wave amplitude", ("generate",)),
+    Option("kappa_hops", float, 2.5, "adjacency cutoff in hops", ("generate",)),
+    Option("seed", int, 0, "random seed", ("generate", "train", "sense")),
+    Option("hide_count", int, 0, "locations to hide", ("train",)),
+    Option("epochs", int, 750, "training iterations", ("train",)),
+    Option("samples", int, 8, "subgraph samples per iteration", ("train",)),
+    Option("batch", int, 4, "gradient batch size", ("train",)),
+    Option("k_order", int, 2, "Chebyshev order", ("train",)),
+    Option("layers", int, 3, "diffusion layer count", ("train",)),
+    Option("sigma", float, None, "kernel width (default: distance std)", ("train",)),
+    Option("lr", float, 1e-4, "Adam learning rate", TRAIN_SENSE),
+    Option("alpha", float, 1.0, "recovery loss weight", TRAIN_SENSE),
+    Option("hidden", int, 100, "hidden width", TRAIN_SENSE),
+    Option("history", int, 24, "input window length in steps", TRAIN_SENSE),
+    Option("horizon", str, "30min", "prediction horizon ('30min' or steps)", TRAIN_SENSE),
+    Option("kappa", float, float("inf"), "adjacency distance cutoff", TRAIN_SENSE),
+    Option("stride", int, 1, "evaluate every k-th window", ("eval",)),
+    Option(
+        "policy", str, POLICIES, "deployment policy (repeatable; default: both)", ("sense",),
+        choices=POLICIES, repeat=True,
+    ),
+    Option("budget", int, 10, "sensors deployed per step", ("sense",)),
+    Option("init_sensors", int, 50, "starting coverage", ("sense",)),
+    Option("steps", int, 5, "deployment steps", ("sense",)),
+    Option("train_iters", int, 200, "retraining iterations per step", ("sense",)),
+    Option("eval_stride", int, 4, "evaluate every k-th window", ("sense",)),
+)
+
+# Input files each command requires; they are neither config keys nor echoed.
+FILES = (
+    ("checkpoint", "checkpoint path", ("eval",)),
+    ("data", "speed CSV path", ("train", "eval", "sense")),
+    ("distances", "distance CSV path", ("train", "eval", "sense")),
+)
+
+# Resolved option -> TrainConfig / ModelConfig field. A field whose option
+# the command lacks keeps the dataclass default.
+TRAIN_FIELDS = {
+    "epochs": "iterations",
+    "train_iters": "iterations",
+    "samples": "samples_per_iter",
+    "batch": "batch_size",
+    "history": "history",
+    "alpha": "loss_alpha",
+    "lr": "lr",
 }
+MODEL_FIELDS = {"hidden": "hidden_dim", "layers": "layers", "k_order": "cheb_order"}
+
+
+def _options(command: str) -> dict[str, Option]:
+    return {opt.name: opt for opt in OPTIONS if command in opt.commands}
 
 
 def parse_horizon(value, resolution: float) -> int:
     """'30min' -> steps at the series resolution; bare integers are steps."""
-    if isinstance(value, int):
-        steps = value
+    text = str(value).strip().lower()
+    if text.endswith("min"):
+        steps_f = float(text[:-3]) * 60.0 / resolution
+        if abs(steps_f - round(steps_f)) > 1e-9:
+            raise ValueError(
+                f"horizon {value!r} is not a whole number of {resolution:.0f}s steps"
+            )
+        steps = int(round(steps_f))
     else:
-        text = str(value).strip().lower()
-        if text.endswith("min"):
-            seconds = float(text[:-3]) * 60.0
-            steps_f = seconds / resolution
-            if abs(steps_f - round(steps_f)) > 1e-9:
-                raise ValueError(
-                    f"horizon {value!r} is not a whole number of {resolution:.0f}s steps"
-                )
-            steps = int(round(steps_f))
-        else:
-            steps = int(text)
+        steps = int(text)
     if steps < 1:
         raise ValueError(f"horizon must be at least one step, got {value!r}")
     return steps
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
-    """CLI flag > config file > default, for every known option."""
+def _resolve(ns: argparse.Namespace) -> dict:
+    """CLI flag > config file > default, for every option of ns.command.
+
+    A config value of null counts as unset.
+    """
+    options = _options(ns.command)
     config = {}
-    config_path = getattr(ns, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    if ns.config:
+        with open(ns.config) as fh:
             config = json.load(fh)
-        unknown = set(config) - set(defaults)
+        if not isinstance(config, dict):
+            raise ValueError(f"{ns.config} must hold a JSON object")
+        unknown = set(config) - set(options)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, default in defaults.items():
-        value = getattr(ns, key, None)
-        if value is None:
-            value = config.get(key, default)
-        resolved[key] = value
+    for name, opt in options.items():
+        value = getattr(ns, name)
+        if value is None and config.get(name) is not None:
+            value = opt.from_config(config[name])
+        resolved[name] = opt.default if value is None else value
     return resolved
 
 
@@ -131,8 +176,33 @@ def _load_graph(ns_data, ns_distances, sigma, kappa):
     return graph, series
 
 
+def _train_config(cfg: dict, resolution: float) -> TrainConfig:
+    """The TrainConfig that train and sense build from their options."""
+    return TrainConfig(
+        horizon=parse_horizon(cfg["horizon"], resolution),
+        model=ModelConfig(**{f: cfg[k] for k, f in MODEL_FIELDS.items() if k in cfg}),
+        **{f: cfg[k] for k, f in TRAIN_FIELDS.items() if k in cfg},
+    )
+
+
+class NodeIdMismatch(ValueError):
+    """The speed CSV's columns are not the nodes a checkpoint was trained on."""
+
+
+def _check_node_ids(stored, found) -> None:
+    """Raise NodeIdMismatch at the first index where the two id lists differ."""
+    for pos in range(max(len(stored), len(found))):
+        want = stored[pos] if pos < len(stored) else None
+        got = found[pos] if pos < len(found) else None
+        if want != got:
+            raise NodeIdMismatch(
+                f"speed CSV has node {got!r} at node index {pos}, "
+                f"but the checkpoint was trained with {want!r} there"
+            )
+
+
 def cmd_generate(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, GENERATE_DEFAULTS)
+    cfg = _resolve(ns)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg["seed"])
@@ -156,31 +226,19 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         "resolution_seconds": series.resolution,
     }
     (out / "graph.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    _write_run_config(out, "generate", cfg)
+    _write_run_config(out, ns.command, cfg)
     print(f"wrote {series.steps}x{graph.n} series to {out}")
     return 0
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, TRAIN_DEFAULTS)
+    cfg = _resolve(ns)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     graph, series = _load_graph(ns.data, ns.distances, cfg["sigma"], cfg["kappa"])
-    horizon = parse_horizon(cfg["horizon"], series.resolution)
+    train_cfg = _train_config(cfg, series.resolution)
     rng = np.random.default_rng(cfg["seed"])
     graph = hide_locations(graph, cfg["hide_count"], rng)
-    train_cfg = TrainConfig(
-        iterations=cfg["epochs"],
-        samples_per_iter=cfg["samples"],
-        batch_size=cfg["batch"],
-        history=cfg["history"],
-        horizon=horizon,
-        loss_alpha=cfg["alpha"],
-        lr=cfg["lr"],
-        model=ModelConfig(
-            hidden_dim=cfg["hidden"], layers=cfg["layers"], cheb_order=cfg["k_order"]
-        ),
-    )
     min_steps = train_cfg.history + train_cfg.horizon
     train_series, _, _ = split(series, SplitSpec(), min_steps=min_steps)
     result = train(graph, train_series, train_cfg, rng)
@@ -202,25 +260,21 @@ def cmd_train(ns: argparse.Namespace) -> int:
             fh.write(
                 f"{row['iteration']},{row['j_pre']!r},{row['j_rec']!r},{row['j_total']!r}\n"
             )
-    _write_run_config(out, "train", cfg)
+    _write_run_config(out, ns.command, cfg)
     final = result.trace[-1]
     print(f"trained {cfg['epochs']} epochs; final j_total {final['j_total']:.4f}")
     return 0
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, EVAL_DEFAULTS)
+    cfg = _resolve(ns)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     model, extra = load_model(ns.checkpoint)
-    series = load_speed_csv(ns.data)
-    distances = load_distances_csv(ns.distances, series.node_ids)
-    graph = build_adjacency(
-        distances,
-        sigma=extra.get("sigma"),
-        kappa=extra.get("kappa", float("inf")),
-        node_ids=series.node_ids,
+    graph, series = _load_graph(
+        ns.data, ns.distances, extra.get("sigma"), extra.get("kappa", float("inf"))
     )
+    _check_node_ids(extra["node_ids"], series.node_ids)
     graph = graph.with_partition(
         np.asarray(extra["observable"], dtype=np.int64),
         np.asarray(extra["missing"], dtype=np.int64),
@@ -231,35 +285,24 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     report = make_report(wp, graph, horizon=model.horizon)
     report.to_csv(out / "metrics.csv")
     report.per_node_csv(out / "per_node_metrics.csv")
-    _write_run_config(out, "eval", cfg)
+    _write_run_config(out, ns.command, cfg)
     print(report.format_table())
     return 0
 
 
 def cmd_sense(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, SENSE_DEFAULTS)
+    cfg = _resolve(ns)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     graph, series = _load_graph(ns.data, ns.distances, None, cfg["kappa"])
-    horizon = parse_horizon(cfg["horizon"], series.resolution)
     sense_cfg = SensingConfig(
         initial_count=cfg["init_sensors"],
         budget_per_step=cfg["budget"],
         steps=cfg["steps"],
-        train=TrainConfig(
-            iterations=cfg["train_iters"],
-            history=cfg["history"],
-            horizon=horizon,
-            loss_alpha=cfg["alpha"],
-            lr=cfg["lr"],
-            model=ModelConfig(hidden_dim=cfg["hidden"]),
-        ),
+        train=_train_config(cfg, series.resolution),
         eval_stride=cfg["eval_stride"],
     )
-    policies = cfg["policy"]
-    if isinstance(policies, str):
-        policies = [policies]
-    for policy in policies:
+    for policy in cfg["policy"]:
         rng = np.random.default_rng(cfg["seed"])
         episode = run_episode(graph, series, sense_cfg, policy, rng)
         episode.to_csv(out / f"episode_{policy}.csv")
@@ -268,7 +311,7 @@ def cmd_sense(ns: argparse.Namespace) -> int:
             f"{policy}: final coverage {last.n_observable}, "
             f"rmse obs {last.rmse_observable:.3f}, missing {last.rmse_missing:.3f}"
         )
-    _write_run_config(out, "sense", cfg)
+    _write_run_config(out, ns.command, cfg)
     return 0
 
 
@@ -278,73 +321,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Traffic forecasting with uncertainty at sensed and unsensed locations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a synthetic corridor dataset")
-    gen.add_argument("--nodes", type=int, help="number of sensor locations")
-    gen.add_argument("--steps", type=int, help="number of 5-minute steps")
-    gen.add_argument("--seed", type=int, help="generator seed")
-    gen.add_argument("--noise", type=float, help="uniform noise amplitude (mph)")
-    gen.add_argument("--diurnal-amp", type=float, dest="diurnal_amp", help="diurnal dip amplitude")
-    gen.add_argument("--wave-amp", type=float, dest="wave_amp", help="traveling wave amplitude")
-    gen.add_argument("--kappa-hops", type=float, dest="kappa_hops", help="adjacency cutoff in hops")
-    gen.add_argument("--config", help="JSON file with defaults for these flags")
-    gen.add_argument("--out", required=True, help="output directory")
-    gen.set_defaults(func=cmd_generate)
-
-    tr = sub.add_parser("train", help="train a forecaster on a speed CSV")
-    tr.add_argument("--data", required=True, help="speed CSV path")
-    tr.add_argument("--distances", required=True, help="distance CSV path")
-    tr.add_argument("--hide-count", type=int, dest="hide_count", help="locations to hide")
-    tr.add_argument("--seed", type=int, help="run seed")
-    tr.add_argument("--epochs", type=int, help="training iterations")
-    tr.add_argument("--samples", type=int, help="subgraph samples per iteration")
-    tr.add_argument("--batch", type=int, help="gradient batch size")
-    tr.add_argument("--lr", type=float, help="Adam learning rate")
-    tr.add_argument("--alpha", type=float, help="recovery loss weight")
-    tr.add_argument("--k-order", type=int, dest="k_order", help="Chebyshev order")
-    tr.add_argument("--layers", type=int, help="diffusion layer count")
-    tr.add_argument("--hidden", type=int, help="hidden width")
-    tr.add_argument("--history", type=int, help="input window length in steps")
-    tr.add_argument("--horizon", help="prediction horizon ('30min' or steps)")
-    tr.add_argument("--kappa", type=float, help="adjacency distance cutoff")
-    tr.add_argument("--sigma", type=float, help="kernel width (default: distance std)")
-    tr.add_argument("--config", help="JSON file with defaults for these flags")
-    tr.add_argument("--out", required=True, help="output directory")
-    tr.set_defaults(func=cmd_train)
-
-    ev = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    ev.add_argument("--checkpoint", required=True, help="checkpoint path")
-    ev.add_argument("--data", required=True, help="speed CSV path")
-    ev.add_argument("--distances", required=True, help="distance CSV path")
-    ev.add_argument("--stride", type=int, help="evaluate every k-th window")
-    ev.add_argument("--config", help="JSON file with defaults for these flags")
-    ev.add_argument("--out", required=True, help="output directory")
-    ev.set_defaults(func=cmd_eval)
-
-    se = sub.add_parser("sense", help="run active-sensing deployment episodes")
-    se.add_argument("--data", required=True, help="speed CSV path")
-    se.add_argument("--distances", required=True, help="distance CSV path")
-    se.add_argument(
-        "--policy",
-        action="append",
-        choices=["uncertainty", "random"],
-        help="deployment policy (repeatable; default: both)",
+    commands = (
+        ("generate", cmd_generate, "write a synthetic corridor dataset"),
+        ("train", cmd_train, "train a forecaster on a speed CSV"),
+        ("eval", cmd_eval, "evaluate a checkpoint on the test split"),
+        ("sense", cmd_sense, "run active-sensing deployment episodes"),
     )
-    se.add_argument("--budget", type=int, help="sensors deployed per step")
-    se.add_argument("--init-sensors", type=int, dest="init_sensors", help="starting coverage")
-    se.add_argument("--steps", type=int, help="deployment steps")
-    se.add_argument("--train-iters", type=int, dest="train_iters", help="retraining iterations per step")
-    se.add_argument("--seed", type=int, help="episode seed")
-    se.add_argument("--lr", type=float, help="Adam learning rate")
-    se.add_argument("--alpha", type=float, help="recovery loss weight")
-    se.add_argument("--history", type=int, help="input window length in steps")
-    se.add_argument("--horizon", help="prediction horizon ('30min' or steps)")
-    se.add_argument("--hidden", type=int, help="hidden width")
-    se.add_argument("--kappa", type=float, help="adjacency distance cutoff")
-    se.add_argument("--eval-stride", type=int, dest="eval_stride", help="evaluate every k-th window")
-    se.add_argument("--config", help="JSON file with defaults for these flags")
-    se.add_argument("--out", required=True, help="output directory")
-    se.set_defaults(func=cmd_sense)
+    for command, func, help_text in commands:
+        cp = sub.add_parser(command, help=help_text)
+        for name, file_help, takers in FILES:
+            if command in takers:
+                cp.add_argument(f"--{name}", required=True, help=file_help)
+        for opt in _options(command).values():
+            flag = "--" + opt.name.replace("_", "-")
+            if opt.repeat:
+                cp.add_argument(flag, action="append", choices=opt.choices, help=opt.help)
+            else:
+                cp.add_argument(flag, type=opt.type, help=opt.help)
+        cp.add_argument("--config", help="JSON file with defaults for these flags")
+        cp.add_argument("--out", required=True, help="output directory")
+        cp.set_defaults(func=func)
     return parser
 
 

@@ -84,15 +84,13 @@ def build_adjacency(
     distances: np.ndarray,
     sigma: float | None = None,
     kappa: float = np.inf,
-    truncate_near: bool = False,
     node_ids: tuple[str, ...] = (),
 ) -> RoadGraph:
     """Thresholded-Gaussian-kernel adjacency from pairwise road distances.
 
-    Entry (i, j) is exp(-dist(i,j)^2 / sigma^2); by default entries with
+    Entry (i, j) is exp(-dist(i,j)^2 / sigma^2); entries with
     dist >= kappa are truncated to zero (far pairs dropped).
-    ``truncate_near=True`` flips the comparison and drops near pairs
-    instead. ``sigma=None`` uses the standard deviation of all finite
+    ``sigma=None`` uses the standard deviation of all finite
     off-diagonal distances. The diagonal is always 1 and every node starts
     observable.
     """
@@ -112,10 +110,7 @@ def build_adjacency(
 
     a = np.zeros_like(d)
     a[finite] = np.exp(-((d[finite] / sigma) ** 2))
-    if truncate_near:
-        a[finite & (d <= kappa)] = 0.0
-    else:
-        a[finite & (d >= kappa)] = 0.0
+    a[finite & (d >= kappa)] = 0.0
     np.fill_diagonal(a, 1.0)
     n = d.shape[0]
     return RoadGraph(
@@ -129,32 +124,20 @@ def build_adjacency(
     )
 
 
-def normalize(
-    graph: "RoadGraph | np.ndarray", renormalize_backward: bool = False
-) -> TransitionPair:
+def normalize(graph: "RoadGraph | np.ndarray") -> TransitionPair:
     """Row-normalize into forward/backward transition matrices.
 
     Zero-degree rows stay all-zero. The backward matrix is the transpose of
-    the forward one; ``renormalize_backward=True`` row-normalizes the
-    transposed adjacency separately instead.
+    the forward one.
     """
     a = graph.adjacency if isinstance(graph, RoadGraph) else np.asarray(graph, dtype=np.float64)
     if (a < 0).any():
         raise ParameterError("adjacency must be nonnegative")
-    forward = _row_normalize(a)
-    if renormalize_backward:
-        backward = _row_normalize(a.T)
-    else:
-        backward = forward.T.copy()
-    return TransitionPair(forward=forward, backward=backward)
-
-
-def _row_normalize(a: np.ndarray) -> np.ndarray:
     deg = a.sum(axis=1, keepdims=True)
-    out = np.zeros_like(a)
+    forward = np.zeros_like(a)
     nz = deg[:, 0] > 0
-    out[nz] = a[nz] / deg[nz]
-    return out
+    forward[nz] = a[nz] / deg[nz]
+    return TransitionPair(forward=forward, backward=forward.T.copy())
 
 
 def chebyshev_terms(abar: np.ndarray, h: Tensor, order: int) -> list[Tensor]:

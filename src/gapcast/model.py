@@ -9,7 +9,7 @@ prediction) and a linear recovery head that reconstructs the input window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,10 +28,7 @@ __all__ = [
     "forward",
     "nig_nll",
     "nig_nll_values",
-    "uncertainty",
 ]
-
-ACTIVATIONS = {"relu": ad.relu, "softplus": ad.softplus}
 
 # Strictly positive floor added after softplus so nu > 0, alpha > 1, beta > 0
 # hold even when the raw activation underflows.
@@ -45,8 +42,6 @@ class ModelConfig:
     hidden_dim: int = 100
     layers: int = 3
     cheb_order: int = 2
-    activation: str = "relu"
-    recover_unmasked: bool = False
     evidence_reg: float = 0.01
 
     def __post_init__(self):
@@ -54,8 +49,6 @@ class ModelConfig:
             raise ValueError("need at least 2 diffusion layers for the residual")
         if self.cheb_order < 1:
             raise ValueError("Chebyshev order must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 def init_params(
@@ -64,14 +57,17 @@ def init_params(
     """Glorot-initialized parameter dict keyed by stable names.
 
     Layer l maps width_in -> hidden for each Chebyshev order k and both
-    diffusion directions; heads map hidden -> 4 (evidential) and
-    hidden -> history (recovery). Biases start at zero.
+    diffusion directions: ``theta_f_*`` weights the forward-transition
+    terms, ``theta_b_*`` the backward ones. The backward weight of each
+    (layer, k) is drawn first; another draw order changes every seeded run.
+    Heads map hidden -> 4 (evidential) and hidden -> history
+    (recovery). Biases start at zero.
     """
     params: dict[str, Tensor] = {}
     width_in = history
     for layer in range(1, cfg.layers + 1):
         for k in range(1, cfg.cheb_order + 1):
-            for direction in ("f", "b"):
+            for direction in ("b", "f"):
                 name = f"theta_{direction}_l{layer}_k{k}"
                 params[name] = ad.parameter(
                     ad.glorot_uniform(rng, width_in, cfg.hidden_dim)
@@ -125,11 +121,6 @@ class EvidentialOutput:
         )
 
 
-def uncertainty(ev: EvidentialOutput) -> tuple[np.ndarray, np.ndarray]:
-    """(epistemic, aleatoric) variance per location."""
-    return ev.epistemic, ev.aleatoric
-
-
 @dataclass
 class ForwardPass:
     """Differentiable forward results (all tape tensors, nodes x cols)."""
@@ -141,7 +132,6 @@ class ForwardPass:
     recovery: Tensor
     h0: Tensor
     h_first: Tensor
-    h_last: Tensor
 
     def evidential(self) -> EvidentialOutput:
         return EvidentialOutput(
@@ -168,23 +158,22 @@ def dgcn_layer(
     """One diffusion layer: Chebyshev expansion over both transition
     directions, linearly combined through the layer's weights.
 
-    The second layer applies the activation and adds the first layer's
-    output back in, so fully masked rows keep a signal path.
+    The second layer applies relu and adds the first layer's output back
+    in, so fully masked rows keep a signal path.
     """
     terms_f = chebyshev_terms(trans.forward, h, cfg.cheb_order)
     terms_b = chebyshev_terms(trans.backward, h, cfg.cheb_order)
     total: Tensor | None = None
     for k in range(1, cfg.cheb_order + 1):
         part = ad.add(
-            ad.matmul(terms_f[k - 1], params[f"theta_b_l{layer}_k{k}"]),
-            ad.matmul(terms_b[k - 1], params[f"theta_f_l{layer}_k{k}"]),
+            ad.matmul(terms_f[k - 1], params[f"theta_f_l{layer}_k{k}"]),
+            ad.matmul(terms_b[k - 1], params[f"theta_b_l{layer}_k{k}"]),
         )
         total = part if total is None else ad.add(total, part)
     if layer == 2:
         if h_first is None:
             raise ValueError("layer 2 needs the first layer's output for its residual")
-        act = ACTIVATIONS[cfg.activation]
-        return ad.add(act(total), h_first)
+        return ad.add(ad.relu(total), h_first)
     return total
 
 
@@ -221,7 +210,6 @@ def forward(
         recovery=recovery,
         h0=h0,
         h_first=h_first,
-        h_last=h,
     )
 
 

@@ -25,7 +25,7 @@ class SensingConfig:
     """Episode shape: starting coverage, per-step budget, and step count.
 
     ``train`` is the per-step retraining budget (fresh initialization each
-    step unless warm_start).
+    step).
     """
 
     initial_count: int = 50
@@ -34,7 +34,6 @@ class SensingConfig:
     train: TrainConfig = field(default_factory=lambda: TrainConfig(iterations=200))
     split: SplitSpec = field(default_factory=SplitSpec)
     eval_stride: int = 4
-    warm_start: bool = False
 
 
 @dataclass
@@ -118,19 +117,10 @@ def run_episode(
     records: list[StepRecord] = []
     added: list[int] = []
     truncated = False
-    prev_params = None
     for step in range(cfg.steps + 1):
         missing = np.setdiff1d(np.arange(n), observable)
         current = graph.with_partition(observable, missing)
-        result = train(
-            current,
-            train_series,
-            cfg.train,
-            np.random.default_rng([base, 1, step]),
-            init=prev_params if cfg.warm_start else None,
-        )
-        if cfg.warm_start:
-            prev_params = result.model.params
+        result = train(current, train_series, cfg.train, np.random.default_rng([base, 1, step]))
         wp = collect_predictions(
             result.model, current, test_series, test_series, stride=cfg.eval_stride
         )

@@ -5,7 +5,7 @@ full-network prediction with per-location uncertainty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,8 +186,7 @@ def compute_loss(
     """(prediction loss, recovery loss, total) for one sample.
 
     The prediction loss covers every sampled node, reserved and masked
-    alike. Recovery reconstructs the masked input window by default, or
-    the raw window with recover_unmasked.
+    alike. Recovery reconstructs the masked input window.
     """
     target = ad.constant(sample.target)
     if cfg.point_loss == "nll":
@@ -197,8 +196,7 @@ def compute_loss(
         )
     else:
         j_pre = ad.reduce_mean(ad.square(ad.sub(fwd.gamma, target)))
-    rec_target = ad.constant(sample.features) if cfg.model.recover_unmasked else fwd.h0
-    j_rec = ad.reduce_mean(ad.square(ad.sub(fwd.recovery, rec_target)))
+    j_rec = ad.reduce_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)))
     j_total = ad.add(j_pre, ad.scale(j_rec, cfg.loss_alpha))
     return j_pre, j_rec, j_total
 
@@ -226,24 +224,19 @@ def train(
     series: SpeedSeries,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    init: dict[str, Tensor] | None = None,
 ) -> TrainResult:
     """Run the sampling/masking loop: I iterations of S subgraph draws,
     batched with gradient averaging into Adam steps.
 
     Deterministic for a fixed rng. Raises TrainingDiverged on a non-finite
     loss. The returned trace has one row per iteration with the mean
-    prediction/recovery/total losses. ``init`` warm-starts from existing
-    parameters (copied, not shared) instead of a fresh initialization.
+    prediction/recovery/total losses.
     """
     scaler = Scaler.fit(series.values, graph.observable)
     values = scaler.transform(fill_small_gaps(series.values))
     valid_steps = valid_time_steps(values, cfg.history, cfg.horizon, graph.observable)
 
-    if init is None:
-        params = init_params(cfg.model, cfg.history, rng)
-    else:
-        params = {k: ad.parameter(v.values.copy()) for k, v in init.items()}
+    params = init_params(cfg.model, cfg.history, rng)
     opt = Adam(params, lr=cfg.lr)
     trace: list[dict] = []
     for iteration in range(cfg.iterations):
@@ -340,8 +333,6 @@ def save_model(path, model: TrainedModel, extra_meta: dict | None = None) -> Non
             "hidden_dim": model.model_cfg.hidden_dim,
             "layers": model.model_cfg.layers,
             "cheb_order": model.model_cfg.cheb_order,
-            "activation": model.model_cfg.activation,
-            "recover_unmasked": model.model_cfg.recover_unmasked,
             "evidence_reg": model.model_cfg.evidence_reg,
         },
         "history": model.history,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,30 @@ class TestTrain:
         )
         assert code == 1
 
+    def test_config_values_parsed_like_flags(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        base = [
+            "train",
+            "--data", str(data / "speed.csv"),
+            "--distances", str(data / "distances.csv"),
+            "--config", str(cfg_file),
+            "--epochs", "2",
+            "--history", "8",
+            "--horizon", "2",
+            "--hidden", "6",
+        ]
+        cfg_file.write_text(json.dumps({"lr": "0.003", "samples": "2", "kappa": 2.5}))
+        out = tmp_path / "textcfg"
+        assert run([*base, "--out", str(out)]) == 0
+        resolved = json.loads((out / "run_config.json").read_text())
+        assert resolved["lr"] == 0.003 and resolved["samples"] == 2
+        for bad in ({"lr": "fast"}, {"batch": 2.5}, {"k_order": True}):
+            cfg_file.write_text(json.dumps(bad))
+            assert run([*base, "--out", str(tmp_path / "bad")]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(next(iter(bad))) in err
+
     def test_reproducible_outputs(self, tmp_path):
         data = dataset(tmp_path)
         out = tmp_path / "repro"
@@ -195,6 +220,25 @@ class TestEval:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_reordered_csv_columns_rejected(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        out = train_run(tmp_path, data)
+        rows = [line.split(",") for line in (data / "speed.csv").read_text().splitlines()]
+        flipped = tmp_path / "flipped.csv"
+        flipped.write_text("".join(",".join([r[0], *r[:0:-1]]) + "\n" for r in rows))
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(out / "checkpoint.bin"),
+                "--data", str(flipped),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "node index 0" in err
 
     def test_eval_writes_reports(self, tmp_path):
         data = dataset(tmp_path)
@@ -335,3 +379,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code != 0
+
+
+class TestOptionTable:
+    FILE_FLAGS = {"help", "data", "distances", "checkpoint", "config", "out"}
+
+    def test_run_config_keys_match_help_flags(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        model = train_run(tmp_path, data, extra=["--epochs", "1"])
+        files = ["--data", str(data / "speed.csv"), "--distances", str(data / "distances.csv")]
+        evaluated, sensed = tmp_path / "e", tmp_path / "s"
+        ckpt = str(model / "checkpoint.bin")
+        assert run(["eval", "--checkpoint", ckpt, *files, "--out", str(evaluated)]) == 0
+        assert run(["sense", *files, "--policy", "random", *SENSE_ARGS, "--out", str(sensed)]) == 0
+        outputs = {"generate": data, "train": model, "eval": evaluated, "sense": sensed}
+        for command, folder in outputs.items():
+            keys = set(json.loads((folder / "run_config.json").read_text())) - {"command"}
+            capsys.readouterr()
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+            assert {key.replace("_", "-") for key in keys} == flags - self.FILE_FLAGS, command

@@ -38,12 +38,6 @@ class TestBuildAdjacency:
         assert g.adjacency[0, 2] == 0.0  # distance 2 >= kappa
         assert g.adjacency[0, 1] > 0.0
 
-    def test_truncate_near_flag_flips_comparison(self):
-        g = build_adjacency(ring_distances(8), sigma=3.0, kappa=2.0, truncate_near=True)
-        assert g.adjacency[0, 1] == 0.0  # near pair dropped
-        assert g.adjacency[0, 3] > 0.0  # far pair kept
-        assert g.adjacency[0, 0] == 1.0  # diagonal always restored
-
     def test_default_sigma_is_distance_std(self):
         d = ring_distances(7)
         g = build_adjacency(d)
@@ -89,11 +83,6 @@ class TestNormalize:
         a = rng.uniform(0, 1, (5, 5))
         pair = normalize(a)
         np.testing.assert_array_equal(pair.backward, pair.forward.T)
-
-    def test_renormalize_backward_option(self):
-        a = np.array([[1.0, 3.0], [0.5, 1.0]])
-        pair = normalize(a, renormalize_backward=True)
-        np.testing.assert_allclose(pair.backward.sum(axis=1), 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(0, 10)))

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy import integrate, stats
 
 from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
-from gapcast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from gapcast.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from gapcast.graph import TransitionPair, normalize
 from gapcast.model import (
     EvidentialOutput,
@@ -19,7 +21,6 @@ from gapcast.model import (
     input_layer,
     nig_nll,
     nig_nll_values,
-    uncertainty,
 )
 
 from conftest import finite_difference_gradient, relative_error
@@ -110,12 +111,12 @@ class TestDgcnLayer:
                             naive[i, j] += (
                                 tf[k][i, p]
                                 * h.values[p, q]
-                                * params[f"theta_b_l1_k{k}"].values[q, j]
+                                * params[f"theta_f_l1_k{k}"].values[q, j]
                             )
                             naive[i, j] += (
                                 tb[k][i, p]
                                 * h.values[p, q]
-                                * params[f"theta_f_l1_k{k}"].values[q, j]
+                                * params[f"theta_b_l1_k{k}"].values[q, j]
                             )
         out = dgcn_layer(h, trans, 1, params, cfg)
         np.testing.assert_allclose(out.values, naive, atol=1e-10)
@@ -279,12 +280,12 @@ class TestNigNll:
 class TestUncertainty:
     def test_unit_example(self):
         ev = EvidentialOutput(gamma=[0.0], nu=[1.0], alpha_nig=[2.0], beta=[1.0])
-        epi, ale = uncertainty(ev)
+        epi, ale = ev.epistemic, ev.aleatoric
         assert epi[0] == pytest.approx(1.0) and ale[0] == pytest.approx(1.0)
 
     def test_large_evidence_kills_epistemic(self):
         ev = EvidentialOutput(gamma=[0.0], nu=[1e9], alpha_nig=[2.0], beta=[1.0])
-        epi, ale = uncertainty(ev)
+        epi, ale = ev.epistemic, ev.aleatoric
         assert epi[0] < 1e-8 and ale[0] == pytest.approx(1.0)
 
     @settings(max_examples=50, deadline=None)
@@ -335,4 +336,12 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # version 1 named each diffusion weight after the opposite direction
+        header = json.dumps({"version": 1, "arrays": [], "meta": {}}).encode()
+        path = tmp_path / "v1.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 1, len(header)) + header)
+        with pytest.raises(CheckpointError, match="version 1"):
             load_checkpoint(path)

@@ -136,7 +136,6 @@ def fake_forward(gamma, recovery, h0):
         recovery=ad.constant(recovery),
         h0=ad.constant(h0),
         h_first=ad.constant(h0),
-        h_last=ad.constant(h0),
     )
 
 
@@ -170,7 +169,7 @@ class TestComputeLoss:
         window = np.array([[0.5], [0.25]])
         sample = fake_sample(target, window, np.ones((2, 1)))
         fwd = fake_forward(target, window, window)
-        cfg = tiny_cfg(history=1, point_loss="mse", model=ModelConfig(recover_unmasked=True))
+        cfg = tiny_cfg(history=1, point_loss="mse")
         j_pre, j_rec, _ = compute_loss(sample, fwd, cfg)
         assert j_pre.item() == 0.0 and j_rec.item() == 0.0
 
@@ -238,19 +237,6 @@ class TestTrain:
         cfg = tiny_cfg(iterations=30, lr=1e154, point_loss="mse")
         with pytest.raises(TrainingDiverged):
             train(graph, series, cfg, np.random.default_rng(0))
-
-    def test_warm_start_reuses_parameters(self, small_world):
-        graph, series = small_world
-        cfg = tiny_cfg(iterations=1, samples_per_iter=1)
-        first = train(graph, series, cfg, np.random.default_rng(0))
-        again = train(
-            graph, series, tiny_cfg(iterations=1, samples_per_iter=1),
-            np.random.default_rng(1), init=first.model.params,
-        )
-        # warm-started params copied, not shared
-        assert all(
-            again.model.params[k] is not first.model.params[k] for k in first.model.params
-        )
 
 
 class TestScaler:
