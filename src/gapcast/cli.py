@@ -27,6 +27,7 @@ from .data import (
     save_speed_csv,
     split,
 )
+from .checkpoint import CheckpointError
 from .evaluate import collect_predictions, make_report
 from .graph import build_adjacency
 from .model import ModelConfig
@@ -185,6 +186,10 @@ def _train_config(cfg: dict, resolution: float) -> TrainConfig:
     )
 
 
+# Metadata cmd_train stores with a checkpoint and cmd_eval reads back.
+EVAL_META = ("node_ids", "observable", "missing", "sigma", "kappa")
+
+
 class NodeIdMismatch(ValueError):
     """The speed CSV's columns are not the nodes a checkpoint was trained on."""
 
@@ -271,9 +276,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     model, extra = load_model(ns.checkpoint)
-    graph, series = _load_graph(
-        ns.data, ns.distances, extra.get("sigma"), extra.get("kappa", float("inf"))
-    )
+    for key in EVAL_META:
+        if key not in extra:
+            raise CheckpointError(
+                f"{ns.checkpoint} has no {key!r} in its metadata; "
+                "eval needs a checkpoint written by 'gapcast train'"
+            )
+    graph, series = _load_graph(ns.data, ns.distances, extra["sigma"], extra["kappa"])
     _check_node_ids(extra["node_ids"], series.node_ids)
     graph = graph.with_partition(
         np.asarray(extra["observable"], dtype=np.int64),

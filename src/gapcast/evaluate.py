@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataError, SpeedSeries, SplitSpec, split
-from .graph import RoadGraph
+from .graph import RoadGraph, normalize
 from .model import nig_nll_values
-from .training import TrainConfig, TrainedModel, predict_full, train
+from .training import TrainConfig, TrainedModel, predict_window, train
 
 __all__ = [
     "MetricReport",
@@ -136,8 +136,10 @@ def collect_predictions(
 
     ``eval_graph``'s partition controls the input mask (missing rows are
     zeroed), while the truth may cover all nodes; window t predicts
-    t + horizon.
+    t + horizon. The graph is normalized once for all windows.
     """
+    if stride < 1:
+        raise DataError(f"stride must be >= 1, got {stride}")
     t_hist, dt = model.history, model.horizon
     values = input_series.values
     steps = values.shape[0]
@@ -145,11 +147,12 @@ def collect_predictions(
         raise DataError(f"evaluation series too short: {steps} < {t_hist + dt}")
     finite_in = np.isfinite(values[:, eval_graph.observable]).all(axis=1)
     finite_truth = np.isfinite(truth_series.values).all(axis=1)
+    trans = normalize(eval_graph)
     rows = []
     for t in range(t_hist - 1, steps - dt, stride):
         if not (finite_in[t - t_hist + 1 : t + 1].all() and finite_truth[t + dt]):
             continue
-        fp = predict_full(eval_graph, values[t - t_hist + 1 : t + 1], model)
+        fp = predict_window(eval_graph, trans, values[t - t_hist + 1 : t + 1], model)
         ev = fp.evidential
         rows.append((t + dt, ev.gamma, ev.nu, ev.alpha_nig, ev.beta))
     if not rows:

@@ -1,16 +1,21 @@
 """Road-network graphs: Gaussian-kernel adjacency, transition matrices,
 and Chebyshev diffusion operators.
 
-All functions here are pure; graphs are treated as immutable once built.
+Transition matrices are ``scipy.sparse`` CSR arrays: a kernel graph has a
+handful of neighbours per node, so every diffusion product costs
+O(edges), not O(n^2). All functions here are pure; graphs are treated as
+immutable once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
-from .autodiff import Tensor, constant, matmul, scale, sub
+from .autodiff import Tensor, scale, spmm, sub
 
 __all__ = [
     "RoadGraph",
@@ -20,6 +25,7 @@ __all__ = [
     "normalize",
     "chebyshev_terms",
     "subgraph",
+    "block_diagonal",
 ]
 
 
@@ -64,6 +70,11 @@ class RoadGraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def csr(self) -> sparse.csr_array:
+        """The adjacency as CSR (its zero entries dropped), built on first use."""
+        return sparse.csr_array(self.adjacency)
+
     def with_partition(self, observable: np.ndarray, missing: np.ndarray) -> "RoadGraph":
         return replace(
             self,
@@ -74,10 +85,14 @@ class RoadGraph:
 
 @dataclass(frozen=True)
 class TransitionPair:
-    """Forward (row-normalized) and backward transition matrices."""
+    """Forward (row-normalized) and backward transition matrices.
 
-    forward: np.ndarray
-    backward: np.ndarray
+    Each is the other's transpose, so either serves as the other's
+    backward-pass operator in :func:`chebyshev_terms`.
+    """
+
+    forward: sparse.csr_array
+    backward: sparse.csr_array
 
 
 def build_adjacency(
@@ -107,6 +122,8 @@ def build_adjacency(
         sigma = float(d[off].std())
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
+    if not kappa > 0:
+        raise ParameterError(f"kappa must be positive, got {kappa}")
 
     a = np.zeros_like(d)
     a[finite] = np.exp(-((d[finite] / sigma) ** 2))
@@ -124,53 +141,98 @@ def build_adjacency(
     )
 
 
-def normalize(graph: "RoadGraph | np.ndarray") -> TransitionPair:
-    """Row-normalize into forward/backward transition matrices.
+def _as_csr(graph) -> sparse.csr_array:
+    """A RoadGraph's cached CSR adjacency, or any dense/sparse matrix as CSR."""
+    if isinstance(graph, RoadGraph):
+        return graph.csr
+    return sparse.csr_array(graph, dtype=np.float64)
 
+
+def normalize(graph) -> TransitionPair:
+    """Row-normalize into CSR forward/backward transition matrices.
+
+    ``graph`` is a RoadGraph or an adjacency matrix, dense or sparse.
     Zero-degree rows stay all-zero. The backward matrix is the transpose of
     the forward one.
     """
-    a = graph.adjacency if isinstance(graph, RoadGraph) else np.asarray(graph, dtype=np.float64)
-    if (a < 0).any():
+    a = _as_csr(graph)
+    if (a.data < 0).any():
         raise ParameterError("adjacency must be nonnegative")
-    deg = a.sum(axis=1, keepdims=True)
-    forward = np.zeros_like(a)
-    nz = deg[:, 0] > 0
-    forward[nz] = a[nz] / deg[nz]
-    return TransitionPair(forward=forward, backward=forward.T.copy())
+    deg = np.repeat(a.sum(axis=1), np.diff(a.indptr))
+    data = np.divide(a.data, deg, out=np.zeros_like(a.data), where=deg > 0)
+    forward = sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
+    return TransitionPair(forward=forward, backward=forward.T.tocsr())
 
 
-def chebyshev_terms(abar: np.ndarray, h: Tensor, order: int) -> list[Tensor]:
+def chebyshev_terms(abar, h: Tensor, order: int, abar_t=None) -> list[Tensor]:
     """[T_k(abar) @ h for k = 1..order] by the three-term recursion.
 
     Uses Z_0 = h, Z_1 = abar @ h, Z_k = 2 abar Z_{k-1} - Z_{k-2}; the
-    polynomial of the matrix is never materialized. Gradients flow
-    through h (abar is a constant).
+    polynomial of the matrix is never materialized. ``abar`` is a constant
+    matrix, sparse or dense; ``abar_t`` is its transpose, which defaults to
+    ``abar.T``. Gradients flow through h.
     """
     if order < 1:
         raise ParameterError(f"Chebyshev order must be >= 1, got {order}")
-    abar = np.asarray(abar, dtype=np.float64)
     if abar.ndim != 2 or abar.shape[0] != abar.shape[1]:
         raise ParameterError("transition matrix must be square")
     if abar.shape[1] != h.shape[0]:
         raise ParameterError(f"shape mismatch: {abar.shape} @ {h.shape}")
-    a = constant(abar)
+    if abar_t is None:
+        abar_t = abar.T
     z_prev = h
-    z_cur = matmul(a, h)
+    z_cur = spmm(abar, abar_t, h)
     terms = [z_cur]
     for _ in range(2, order + 1):
-        z_next = sub(scale(matmul(a, z_cur), 2.0), z_prev)
+        z_next = sub(scale(spmm(abar, abar_t, z_cur), 2.0), z_prev)
         terms.append(z_next)
         z_prev, z_cur = z_cur, z_next
     return terms
 
 
-def subgraph(graph: "RoadGraph | np.ndarray", indices) -> np.ndarray:
-    """Extract the adjacency submatrix at ``indices`` (order preserved)."""
-    a = graph.adjacency if isinstance(graph, RoadGraph) else np.asarray(graph)
+def subgraph(graph, indices) -> sparse.csr_array:
+    """The adjacency submatrix at ``indices`` (order preserved), as CSR.
+
+    Gathers the CSR rows of the chosen nodes and keeps the entries whose
+    column is chosen too: O(len(indices) * degree), with no dense copy.
+    """
+    a = _as_csr(graph)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"subgraph index out of range for {a.shape[0]} nodes")
-    if len(set(idx.tolist())) != idx.size:
+    order = np.argsort(idx, kind="stable")
+    chosen = idx[order]
+    if (np.diff(chosen) == 0).any():
         raise ParameterError("subgraph indices must be unique")
-    return a[np.ix_(idx, idx)].copy()
+    starts = a.indptr[idx]
+    counts = a.indptr[idx + 1] - starts
+    # Position in a.data of every entry of the gathered rows, row by row.
+    pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    cols = a.indices[pos]
+    slot = np.minimum(np.searchsorted(chosen, cols), idx.size - 1)
+    keep = chosen[slot] == cols
+    rows = np.repeat(np.arange(idx.size), counts)[keep]
+    indptr = np.zeros(idx.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
+    return sparse.csr_array(
+        (a.data[pos[keep]], order[slot[keep]], indptr), shape=(idx.size, idx.size)
+    )
+
+
+def block_diagonal(mats) -> sparse.csr_array:
+    """The disjoint union of square CSR graphs: one block-diagonal CSR
+    matrix whose node order is the blocks' concatenated node order."""
+    sizes = np.array([m.shape[0] for m in mats])
+    node_offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    nnz_offsets = np.concatenate([[0], np.cumsum([m.nnz for m in mats])[:-1]])
+    indptr = np.concatenate(
+        [[0]] + [m.indptr[1:] + off for m, off in zip(mats, nnz_offsets)]
+    )
+    return sparse.csr_array(
+        (
+            np.concatenate([m.data for m in mats]),
+            np.concatenate([m.indices + off for m, off in zip(mats, node_offsets)]),
+            indptr,
+        ),
+        shape=(sizes.sum(), sizes.sum()),
+    )

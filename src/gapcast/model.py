@@ -28,6 +28,7 @@ __all__ = [
     "forward",
     "nig_nll",
     "nig_nll_values",
+    "weighted_mean",
 ]
 
 # Strictly positive floor added after softplus so nu > 0, alpha > 1, beta > 0
@@ -45,6 +46,8 @@ class ModelConfig:
     evidence_reg: float = 0.01
 
     def __post_init__(self):
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.layers < 2:
             raise ValueError("need at least 2 diffusion layers for the residual")
         if self.cheb_order < 1:
@@ -161,8 +164,8 @@ def dgcn_layer(
     The second layer applies relu and adds the first layer's output back
     in, so fully masked rows keep a signal path.
     """
-    terms_f = chebyshev_terms(trans.forward, h, cfg.cheb_order)
-    terms_b = chebyshev_terms(trans.backward, h, cfg.cheb_order)
+    terms_f = chebyshev_terms(trans.forward, h, cfg.cheb_order, trans.backward)
+    terms_b = chebyshev_terms(trans.backward, h, cfg.cheb_order, trans.forward)
     total: Tensor | None = None
     for k in range(1, cfg.cheb_order + 1):
         part = ad.add(
@@ -213,6 +216,14 @@ def forward(
     )
 
 
+def weighted_mean(x: Tensor, weights: Tensor | None = None) -> Tensor:
+    """Mean of x; with per-row weights w (rows x 1), sum_i w_i * mean_j x_ij."""
+    if weights is None:
+        return ad.reduce_mean(x)
+    total = ad.reduce_sum(ad.hadamard(x, weights))
+    return total if x.shape[1] == 1 else ad.scale(total, 1.0 / x.shape[1])
+
+
 def nig_nll(
     gamma: Tensor,
     nu: Tensor,
@@ -220,9 +231,11 @@ def nig_nll(
     beta: Tensor,
     target: Tensor,
     evidence_reg: float = 0.01,
+    weights: Tensor | None = None,
 ) -> Tensor:
     """Mean NIG marginal (Student-t) negative log-likelihood plus the
-    evidence penalty evidence_reg * |y - gamma| * (2 nu + alpha).
+    evidence penalty evidence_reg * |y - gamma| * (2 nu + alpha); both
+    means are weighted by ``weights`` (nodes x 1) when given.
 
     Omega = 2 beta (1 + nu); per-node NLL is
     0.5 log(pi/nu) - alpha log(Omega)
@@ -245,12 +258,12 @@ def nig_nll(
         ad.sub(ad.lgamma(alpha), ad.lgamma(ad.add_scalar(alpha, 0.5))),
     )
     nll = ad.add_scalar(nll, 0.5 * math.log(math.pi))
-    loss = ad.reduce_mean(nll)
+    loss = weighted_mean(nll, weights)
     if evidence_reg:
         penalty = ad.hadamard(
             ad.absval(resid), ad.add(ad.scale(nu, 2.0), alpha)
         )
-        loss = ad.add(loss, ad.scale(ad.reduce_mean(penalty), evidence_reg))
+        loss = ad.add(loss, ad.scale(weighted_mean(penalty, weights), evidence_reg))
     return loss
 
 

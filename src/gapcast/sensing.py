@@ -35,6 +35,10 @@ class SensingConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     eval_stride: int = 4
 
+    def __post_init__(self):
+        if self.eval_stride < 1:
+            raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
+
 
 @dataclass
 class StepRecord:

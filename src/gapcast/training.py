@@ -8,17 +8,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DataError, SpeedSeries, fill_small_gaps
-from .graph import RoadGraph, normalize, subgraph
-from .model import EvidentialOutput, ForwardPass, ModelConfig, forward, init_params, nig_nll
+from .graph import RoadGraph, TransitionPair, block_diagonal, normalize, subgraph
+from .model import (
+    EvidentialOutput,
+    ForwardPass,
+    ModelConfig,
+    forward,
+    init_params,
+    nig_nll,
+    weighted_mean,
+)
 
 __all__ = [
     "TrainConfig",
     "SubgraphSample",
+    "SampleBatch",
     "Scaler",
     "TrainResult",
     "TrainedModel",
@@ -28,6 +38,7 @@ __all__ = [
     "draw_sample",
     "compute_loss",
     "train",
+    "predict_window",
     "predict_full",
     "save_model",
     "load_model",
@@ -98,17 +109,51 @@ class SubgraphSample:
     ``node_indices`` are graph-level indices; ``reserved`` keep their
     features, ``masked`` have them zeroed through the mask. ``features``
     is (n_s, history) with columns oldest-to-newest; ``target`` is the
-    horizon-ahead value per node.
+    horizon-ahead value per node; ``adjacency`` is the CSR subgraph.
     """
 
     node_indices: np.ndarray
     reserved: np.ndarray
     masked: np.ndarray
     mask: np.ndarray
-    adjacency: np.ndarray
+    adjacency: sparse.csr_array
     features: np.ndarray
     target: np.ndarray
     t: int
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Per-node loss weights (n_s x 1) that make the loss a plain mean."""
+        n = self.target.shape[0]
+        return np.full((n, 1), 1.0 / n)
+
+
+@dataclass
+class SampleBatch:
+    """Subgraph samples stacked into one disjoint-union graph.
+
+    Rows follow the samples in order and ``adjacency`` is block-diagonal,
+    so one forward pass serves the whole batch. A node of a sample with
+    n_s nodes weighs 1 / (B n_s): the weighted loss is the mean over the B
+    samples of their per-sample losses, and a large sample counts no more
+    than a small one.
+    """
+
+    features: np.ndarray
+    mask: np.ndarray
+    target: np.ndarray
+    adjacency: sparse.csr_array
+    weights: np.ndarray
+
+    @classmethod
+    def stack(cls, samples: list[SubgraphSample]) -> "SampleBatch":
+        return cls(
+            features=np.vstack([s.features for s in samples]),
+            mask=np.vstack([s.mask for s in samples]),
+            target=np.vstack([s.target for s in samples]),
+            adjacency=block_diagonal([s.adjacency for s in samples]),
+            weights=np.vstack([s.weights for s in samples]) / len(samples),
+        )
 
 
 def valid_time_steps(
@@ -181,22 +226,24 @@ def draw_sample(
 
 
 def compute_loss(
-    sample: SubgraphSample, fwd: ForwardPass, cfg: TrainConfig
+    sample: SubgraphSample | SampleBatch, fwd: ForwardPass, cfg: TrainConfig
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """(prediction loss, recovery loss, total) for one sample.
+    """(prediction loss, recovery loss, total) for one sample or batch.
 
     The prediction loss covers every sampled node, reserved and masked
-    alike. Recovery reconstructs the masked input window.
+    alike. Recovery reconstructs the masked input window. Node means are
+    weighted by ``sample.weights``, so a batch gets its samples' mean.
     """
     target = ad.constant(sample.target)
+    weights = ad.constant(sample.weights)
     if cfg.point_loss == "nll":
         j_pre = nig_nll(
             fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, target,
-            evidence_reg=cfg.model.evidence_reg,
+            evidence_reg=cfg.model.evidence_reg, weights=weights,
         )
     else:
-        j_pre = ad.reduce_mean(ad.square(ad.sub(fwd.gamma, target)))
-    j_rec = ad.reduce_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)))
+        j_pre = weighted_mean(ad.square(ad.sub(fwd.gamma, target)), weights)
+    j_rec = weighted_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)), weights)
     j_total = ad.add(j_pre, ad.scale(j_rec, cfg.loss_alpha))
     return j_pre, j_rec, j_total
 
@@ -226,7 +273,8 @@ def train(
     rng: np.random.Generator,
 ) -> TrainResult:
     """Run the sampling/masking loop: I iterations of S subgraph draws,
-    batched with gradient averaging into Adam steps.
+    batched with gradient averaging into Adam steps. Each batch runs as
+    one forward pass over the disjoint union of its samples.
 
     Deterministic for a fixed rng. Raises TrainingDiverged on a non-finite
     loss. The returned trace has one row per iteration with the mean
@@ -246,29 +294,25 @@ def train(
         ]
         sums = {"j_pre": 0.0, "j_rec": 0.0, "j_total": 0.0}
         for start in range(0, len(samples), cfg.batch_size):
-            batch = samples[start : start + cfg.batch_size]
+            members = samples[start : start + cfg.batch_size]
+            batch = SampleBatch.stack(members)
             opt.zero_grad()
             with Tape() as tape:
-                total: Tensor | None = None
-                for sample in batch:
-                    trans = normalize(sample.adjacency)
-                    fwd = forward(
-                        params,
-                        cfg.model,
-                        ad.constant(sample.features),
-                        ad.constant(sample.mask),
-                        trans,
-                    )
-                    j_pre, j_rec, j_total = compute_loss(sample, fwd, cfg)
-                    sums["j_pre"] += j_pre.item()
-                    sums["j_rec"] += j_rec.item()
-                    sums["j_total"] += j_total.item()
-                    total = j_total if total is None else ad.add(total, j_total)
-                batch_loss = ad.scale(total, 1.0 / len(batch))
-                if not np.isfinite(batch_loss.item()):
-                    raise TrainingDiverged(iteration, batch_loss.item())
-                tape.backward(batch_loss)
+                fwd = forward(
+                    params,
+                    cfg.model,
+                    ad.constant(batch.features),
+                    ad.constant(batch.mask),
+                    normalize(batch.adjacency),
+                )
+                losses = compute_loss(batch, fwd, cfg)
+                j_total = losses[2]
+                if not np.isfinite(j_total.item()):
+                    raise TrainingDiverged(iteration, j_total.item())
+                tape.backward(j_total)
             opt.step()
+            for key, loss in zip(("j_pre", "j_rec", "j_total"), losses):
+                sums[key] += loss.item() * len(members)
         trace.append(
             {
                 "iteration": iteration,
@@ -297,14 +341,11 @@ class FullPrediction:
     evidential: EvidentialOutput
 
 
-def predict_full(
-    graph: RoadGraph, window: np.ndarray, model: TrainedModel
+def predict_window(
+    graph: RoadGraph, trans: TransitionPair, window: np.ndarray, model: TrainedModel
 ) -> FullPrediction:
-    """Predict every node from the last ``history`` observed steps.
-
-    ``window`` is (history, n) in speed units; missing-location columns are
-    ignored (their input rows are zeroed and their mask rows are 0).
-    """
+    """:func:`predict_full` with the graph's transition pair supplied, so a
+    caller predicting many windows normalizes the graph once."""
     window = np.asarray(window, dtype=np.float64)
     if window.shape != (model.history, graph.n):
         raise DataError(
@@ -316,7 +357,6 @@ def predict_full(
     x[graph.observable] = model.scaler.transform(window[:, graph.observable]).T
     mask = np.zeros((graph.n, model.history))
     mask[graph.observable] = 1.0
-    trans = normalize(graph.adjacency)
     fwd = forward(model.params, model.model_cfg, ad.constant(x), ad.constant(mask), trans)
     ev = fwd.evidential().rescaled(model.scaler.mean, model.scaler.std)
     return FullPrediction(
@@ -325,6 +365,17 @@ def predict_full(
         aleatoric=ev.aleatoric,
         evidential=ev,
     )
+
+
+def predict_full(
+    graph: RoadGraph, window: np.ndarray, model: TrainedModel
+) -> FullPrediction:
+    """Predict every node from the last ``history`` observed steps.
+
+    ``window`` is (history, n) in speed units; missing-location columns are
+    ignored (their input rows are zeroed and their mask rows are 0).
+    """
+    return predict_window(graph, normalize(graph), window, model)
 
 
 def save_model(path, model: TrainedModel, extra_meta: dict | None = None) -> None:

@@ -240,6 +240,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err and "node index 0" in err
 
+    def test_checkpoint_without_cli_metadata_rejected(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        out = train_run(tmp_path, data)
+        model, _ = load_model(out / "checkpoint.bin")
+        bare = tmp_path / "bare.bin"
+        save_model(bare, model)  # the public API writes no CLI metadata
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(bare),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'node_ids'" in err
+
     def test_eval_writes_reports(self, tmp_path):
         data = dataset(tmp_path)
         out = train_run(tmp_path, data)
@@ -358,6 +377,47 @@ class TestSense:
         blob = (out / "episode_random.csv").read_bytes()
         assert run(args) == 0
         assert (out / "episode_random.csv").read_bytes() == blob
+
+
+class TestRejectedValues:
+    """Out-of-range option values exit 1 with a message naming the option."""
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--hidden", "0", "hidden"), ("--kappa", "-1", "kappa"), ("--kappa", "0", "kappa")],
+    )
+    def test_train(self, tmp_path, capsys, flag, value, name):
+        data = dataset(tmp_path)
+        files = ["--data", str(data / "speed.csv"), "--distances", str(data / "distances.csv")]
+        code = run(["train", *files, *TRAIN_ARGS, flag, value, "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+
+    def test_eval_stride(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        model = train_run(tmp_path, data, extra=["--epochs", "1"])
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(model / "checkpoint.bin"),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--stride", "0",
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "stride" in err
+
+    def test_sense_eval_stride(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        files = ["--data", str(data / "speed.csv"), "--distances", str(data / "distances.csv")]
+        code = run(["sense", *files, *SENSE_ARGS, "--eval-stride", "0", "--out", str(tmp_path / "s")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "eval_stride" in err
 
 
 class TestParser:

@@ -200,6 +200,12 @@ class TestReports:
         per_node = [r["nll"] for r in report.per_node if r["group"] == "missing"]
         assert report.groups["missing"]["nll"] == pytest.approx(np.mean(per_node), rel=1e-12)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, trained_world, stride):
+        graph, _, te, _, model = trained_world
+        with pytest.raises(DataError, match="stride"):
+            collect_predictions(model, graph, te, te, stride=stride)
+
     def test_csv_outputs(self, trained_world, tmp_path):
         graph, _, te, cfg, model = trained_world
         wp = collect_predictions(model, graph, te, te, stride=2)

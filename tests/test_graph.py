@@ -10,6 +10,7 @@ from gapcast import autodiff as ad
 from gapcast.graph import (
     ParameterError,
     RoadGraph,
+    block_diagonal,
     build_adjacency,
     chebyshev_terms,
     normalize,
@@ -48,6 +49,11 @@ class TestBuildAdjacency:
         with pytest.raises(ParameterError):
             build_adjacency(ring_distances(5), sigma=0.0)
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
+    def test_nonpositive_kappa_rejected(self, kappa):
+        with pytest.raises(ParameterError, match="kappa"):
+            build_adjacency(ring_distances(5), sigma=2.0, kappa=kappa)
+
     def test_infinite_distance_gives_zero_weight(self):
         d = np.array([[0.0, np.inf], [np.inf, 0.0]])
         g = build_adjacency(d, sigma=1.0)
@@ -67,28 +73,28 @@ class TestBuildAdjacency:
 class TestNormalize:
     def test_identity(self):
         pair = normalize(np.eye(3))
-        np.testing.assert_array_equal(pair.forward, np.eye(3))
-        np.testing.assert_array_equal(pair.backward, np.eye(3))
+        np.testing.assert_array_equal(pair.forward.toarray(), np.eye(3))
+        np.testing.assert_array_equal(pair.backward.toarray(), np.eye(3))
 
     def test_row_definition(self):
         pair = normalize(np.array([[2.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]))
-        np.testing.assert_allclose(pair.forward[0], [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(pair.forward.toarray()[0], [0.5, 0.5, 0.0])
 
     def test_zero_row_stays_zero(self):
         pair = normalize(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        np.testing.assert_array_equal(pair.forward[0], [0.0, 0.0])
+        np.testing.assert_array_equal(pair.forward.toarray()[0], [0.0, 0.0])
 
     def test_backward_is_transpose(self):
         rng = np.random.default_rng(3)
         a = rng.uniform(0, 1, (5, 5))
         pair = normalize(a)
-        np.testing.assert_array_equal(pair.backward, pair.forward.T)
+        np.testing.assert_array_equal(pair.backward.toarray(), pair.forward.toarray().T)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(0, 10)))
     def test_nonzero_rows_sum_to_one(self, a):
         pair = normalize(a)
-        sums = pair.forward.sum(axis=1)
+        sums = pair.forward.toarray().sum(axis=1)
         degrees = a.sum(axis=1)
         for s, deg in zip(sums, degrees):
             if deg > 0:
@@ -110,7 +116,7 @@ class TestChebyshev:
         h = ad.constant(rng.normal(size=(5, 3)))
         terms = chebyshev_terms(abar, h, 1)
         assert len(terms) == 1
-        np.testing.assert_allclose(terms[0].values, abar @ h.values, atol=1e-12)
+        np.testing.assert_allclose(terms[0].values, abar.toarray() @ h.values, atol=1e-12)
 
     def test_identity_transition_keeps_h(self, rng):
         h = ad.constant(rng.normal(size=(4, 2)))
@@ -155,21 +161,30 @@ class TestChebyshev:
 class TestSubgraph:
     def test_full_selection_is_identity(self):
         g = build_adjacency(ring_distances(6), sigma=2.0)
-        np.testing.assert_array_equal(subgraph(g, np.arange(6)), g.adjacency)
+        np.testing.assert_array_equal(subgraph(g, np.arange(6)).toarray(), g.adjacency)
 
     def test_single_index(self):
         g = build_adjacency(ring_distances(6), sigma=2.0)
-        np.testing.assert_array_equal(subgraph(g, [3]), [[1.0]])
+        np.testing.assert_array_equal(subgraph(g, [3]).toarray(), [[1.0]])
 
     def test_permuted_matches_naive_gather(self, rng):
         a = rng.uniform(0, 1, (15, 15))
         idx = rng.permutation(15)[:7]
-        got = subgraph(a, idx)
+        got = subgraph(a, idx).toarray()
         naive = np.empty((7, 7))
         for p in range(7):
             for q in range(7):
                 naive[p, q] = a[idx[p], idx[q]]
         np.testing.assert_array_equal(got, naive)
+
+    def test_csr_gather_matches_dense_oracle_on_permuted_indices(self, rng):
+        g = build_adjacency(ring_distances(30), sigma=2.0, kappa=4.0)
+        assert g.csr.nnz < 30 * 30  # a sparse graph, so the gather drops columns
+        for size in (0, 1, 7, 19, 30):
+            idx = rng.permutation(30)[:size]
+            got = subgraph(g, idx)
+            assert got.format == "csr" and got.shape == (size, size)
+            np.testing.assert_array_equal(got.toarray(), g.adjacency[np.ix_(idx, idx)])
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -178,6 +193,22 @@ class TestSubgraph:
     def test_duplicates_rejected(self):
         with pytest.raises(ParameterError):
             subgraph(np.eye(3), [0, 0])
+
+
+def test_block_diagonal_is_disjoint_union(rng):
+    g = build_adjacency(ring_distances(12), sigma=2.0, kappa=3.0)
+    parts = [subgraph(g, rng.permutation(12)[:size]) for size in (5, 1, 12)]
+    union = block_diagonal(parts)
+    dense = np.zeros((18, 18))
+    dense[:5, :5] = parts[0].toarray()
+    dense[5:6, 5:6] = parts[1].toarray()
+    dense[6:, 6:] = parts[2].toarray()
+    np.testing.assert_array_equal(union.toarray(), dense)
+    # Row normalization acts row by row, so it commutes with the union.
+    np.testing.assert_array_equal(
+        normalize(union).forward.toarray(),
+        block_diagonal([normalize(p).forward for p in parts]).toarray(),
+    )
 
 
 def test_normalize_after_subgraph_differs_from_before():
@@ -191,8 +222,8 @@ def test_normalize_after_subgraph_differs_from_before():
         ]
     )
     idx = [0, 1]
-    after = normalize(subgraph(a, idx)).forward
-    before = normalize(a).forward[np.ix_(idx, idx)]
+    after = normalize(subgraph(a, idx)).forward.toarray()
+    before = normalize(a).forward.toarray()[np.ix_(idx, idx)]
     assert not np.allclose(after, before)
     np.testing.assert_allclose(after.sum(axis=1), 1.0)
     assert (before.sum(axis=1) < 1.0).any()

@@ -345,3 +345,10 @@ class TestCheckpoint:
         path.write_bytes(MAGIC + struct.pack("<II", 1, len(header)) + header)
         with pytest.raises(CheckpointError, match="version 1"):
             load_checkpoint(path)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_hidden_dim_below_one_rejected(self, hidden):
+        with pytest.raises(ValueError, match="hidden_dim"):
+            ModelConfig(hidden_dim=hidden)

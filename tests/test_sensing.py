@@ -59,6 +59,12 @@ def tiny_sensing_cfg(**kw):
     return SensingConfig(**defaults)
 
 
+@pytest.mark.parametrize("stride", [0, -2])
+def test_eval_stride_below_one_rejected(stride):
+    with pytest.raises(ValueError, match="eval_stride"):
+        tiny_sensing_cfg(eval_stride=stride)
+
+
 @pytest.fixture(scope="module")
 def world():
     return generate_synthetic(10, 300, np.random.default_rng(0))

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from gapcast import autodiff as ad
+from gapcast.autodiff import Tape
 from gapcast.data import DataError, SplitSpec, generate_synthetic, hide_locations, split
-from gapcast.model import ForwardPass, ModelConfig
+from gapcast.graph import normalize
+from gapcast.model import ForwardPass, ModelConfig, forward, init_params, nig_nll
 from gapcast.training import (
+    SampleBatch,
     Scaler,
     SubgraphSample,
     TrainConfig,
@@ -189,6 +192,84 @@ class TestComputeLoss:
             cfg = tiny_cfg(history=1, point_loss="mse", loss_alpha=alpha)
             totals.append(compute_loss(sample, fwd, cfg)[2].item())
         assert totals[0] < totals[1] < totals[2]
+
+
+def per_sample_mean_loss(params, samples, cfg):
+    """The batch loss as the mean over samples of plain per-node means,
+    one forward pass per sample: the oracle for the disjoint-union batch."""
+    total = None
+    for s in samples:
+        fwd = forward(
+            params, cfg.model, ad.constant(s.features), ad.constant(s.mask),
+            normalize(s.adjacency),
+        )
+        j_pre = nig_nll(
+            fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, ad.constant(s.target),
+            evidence_reg=cfg.model.evidence_reg,
+        )
+        j_rec = ad.reduce_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)))
+        j = ad.add(j_pre, ad.scale(j_rec, cfg.loss_alpha))
+        total = j if total is None else ad.add(total, j)
+    return ad.scale(total, 1.0 / len(samples))
+
+
+def union_loss(params, samples, cfg):
+    batch = SampleBatch.stack(samples)
+    fwd = forward(
+        params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
+        normalize(batch.adjacency),
+    )
+    return compute_loss(batch, fwd, cfg)[2]
+
+
+def loss_and_grads(loss_fn, params, samples, cfg):
+    with Tape() as tape:
+        loss = loss_fn(params, samples, cfg)
+    tape.backward(loss)
+    grads = {k: p.grad.copy() for k, p in params.items()}
+    for p in params.values():
+        p.zero_grad()
+    return loss.item(), grads, len(tape.nodes)
+
+
+class TestSampleBatch:
+    def test_union_matches_per_sample_means(self, small_world):
+        graph, series = small_world
+        cfg = tiny_cfg(loss_alpha=0.7)
+        values = Scaler.fit(series.values, graph.observable).transform(series.values)
+        params = init_params(cfg.model, cfg.history, np.random.default_rng(3))
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            samples = [draw_sample(graph, values, cfg, rng) for _ in range(4)]
+            assert len({s.node_indices.size for s in samples}) > 1  # unequal sizes
+            want, want_grads, _ = loss_and_grads(per_sample_mean_loss, params, samples, cfg)
+            got, got_grads, _ = loss_and_grads(union_loss, params, samples, cfg)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            for name, ref in want_grads.items():
+                err = np.max(np.abs(got_grads[name] - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_tape_size_independent_of_batch_size(self, small_world):
+        graph, series = small_world
+        cfg = tiny_cfg()
+        params = init_params(cfg.model, cfg.history, np.random.default_rng(3))
+        rng = np.random.default_rng(5)
+        samples = [draw_sample(graph, series.values, cfg, rng) for _ in range(4)]
+        ops_one = loss_and_grads(union_loss, params, samples[:1], cfg)[2]
+        ops_four = loss_and_grads(union_loss, params, samples, cfg)[2]
+        assert ops_one == ops_four
+        assert ops_four < loss_and_grads(per_sample_mean_loss, params, samples, cfg)[2] / 3
+
+    def test_stacked_rows_follow_sample_order(self, small_world):
+        graph, series = small_world
+        rng = np.random.default_rng(9)
+        samples = [draw_sample(graph, series.values, tiny_cfg(), rng) for _ in range(3)]
+        batch = SampleBatch.stack(samples)
+        sizes = [s.node_indices.size for s in samples]
+        np.testing.assert_array_equal(batch.target, np.vstack([s.target for s in samples]))
+        for s, block in zip(samples, np.split(batch.weights[:, 0], np.cumsum(sizes)[:-1])):
+            np.testing.assert_allclose(block, 1.0 / (3 * s.node_indices.size))
+        assert batch.weights.sum() == pytest.approx(1.0)
 
 
 class TestTrain:
