@@ -212,11 +212,13 @@ def save_distances_csv(distances: np.ndarray, node_ids, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["from", "to", "distance"])
-        n = len(node_ids)
-        for i in range(n):
-            for j in range(n):
-                if i != j and np.isfinite(distances[i, j]):
-                    writer.writerow([node_ids[i], node_ids[j], _fmt(float(distances[i, j]))])
+        keep = np.isfinite(distances)
+        np.fill_diagonal(keep, False)
+        rows, cols = np.nonzero(keep)
+        writer.writerows(
+            [node_ids[i], node_ids[j], _fmt(d)]
+            for i, j, d in zip(rows.tolist(), cols.tolist(), distances[rows, cols].tolist())
+        )
 
 
 def split(
@@ -265,24 +267,20 @@ def fill_small_gaps(values: np.ndarray, max_gap: int = 2) -> np.ndarray:
     those windows.
     """
     out = values.copy()
-    steps = out.shape[0]
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        isnan = np.isnan(v)
-        i = 0
-        while i < steps:
-            if not isnan[i]:
-                i += 1
-                continue
-            j = i
-            while j < steps and isnan[j]:
-                j += 1
-            run = j - i
-            if 0 < i and j < steps and run <= max_gap:
-                left, right = v[i - 1], v[j]
-                for k in range(run):
-                    v[i + k] = left + (right - left) * (k + 1) / (run + 1)
-            i = j
+    # Per column, the NaN flag flips where a run starts and one step past
+    # its end, so the flips come in (start, stop) pairs.
+    flips = np.diff(np.isnan(out.T), axis=1, prepend=False, append=False)
+    cols, at_step = np.nonzero(flips)
+    cols, start, stop = cols[::2], at_step[::2], at_step[1::2]
+    run = stop - start
+    fill = (start > 0) & (stop < out.shape[0]) & (run <= max_gap)
+    cols, start, stop, run = cols[fill], start[fill], stop[fill], run[fill]
+    left, right = out[start - 1, cols], out[stop, cols]
+    for k in range(run.max(initial=0)):
+        at = run > k
+        out[start[at] + k, cols[at]] = (
+            left[at] + (right[at] - left[at]) * (k + 1) / (run[at] + 1)
+        )
     return out
 
 

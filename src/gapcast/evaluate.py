@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import DataError, SpeedSeries, SplitSpec, split
 from .graph import RoadGraph, normalize
-from .model import nig_nll_values
+from .model import EvidentialOutput, nig_nll_values
 from .training import TrainConfig, TrainedModel, predict_window, train
 
 __all__ = [
@@ -93,25 +93,20 @@ def knn_impute(series: SpeedSeries, graph: RoadGraph, k: int = 3) -> SpeedSeries
 
 @dataclass
 class WindowPredictions:
-    """Stacked per-window, per-node predictions in speed units.
-
-    ``beta`` is already rescaled, so epistemic/aleatoric derived here are
-    speed-variance units.
+    """Per-window, per-node predictions in speed units: ``evidential`` is
+    the (W, N) stack of the windows' rescaled NIG outputs, so its
+    uncertainties are speed variances.
     """
 
     target_steps: np.ndarray  # (W,) target time indices into the series
-    gamma: np.ndarray  # (W, N)
-    nu: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     truth: np.ndarray  # (W, N)
+    evidential: EvidentialOutput
 
-    @property
-    def epistemic(self) -> np.ndarray:
-        return self.beta / (self.nu * (self.alpha - 1.0))
-
-    def nll(self) -> np.ndarray:
-        return nig_nll_values(self.gamma, self.nu, self.alpha, self.beta, self.truth)
+    # Read-only views of ``evidential``, named as callers index them.
+    gamma = property(lambda self: self.evidential.gamma)
+    nu = property(lambda self: self.evidential.nu)
+    alpha = property(lambda self: self.evidential.alpha_nig)
+    beta = property(lambda self: self.evidential.beta)
 
     def group_rmse(self, nodes: np.ndarray) -> float:
         if nodes.size == 0:
@@ -119,7 +114,7 @@ class WindowPredictions:
         return rmse(self.gamma[:, nodes], self.truth[:, nodes])
 
     def per_node_epistemic(self) -> np.ndarray:
-        return self.epistemic.mean(axis=0)
+        return self.evidential.epistemic.mean(axis=0)
 
     def per_node_rmse(self) -> np.ndarray:
         return np.sqrt(np.mean((self.gamma - self.truth) ** 2, axis=0))
@@ -148,23 +143,20 @@ def collect_predictions(
     finite_in = np.isfinite(values[:, eval_graph.observable]).all(axis=1)
     finite_truth = np.isfinite(truth_series.values).all(axis=1)
     trans = normalize(eval_graph)
-    rows = []
+    target_steps, outputs = [], []
     for t in range(t_hist - 1, steps - dt, stride):
         if not (finite_in[t - t_hist + 1 : t + 1].all() and finite_truth[t + dt]):
             continue
-        fp = predict_window(eval_graph, trans, values[t - t_hist + 1 : t + 1], model)
-        ev = fp.evidential
-        rows.append((t + dt, ev.gamma, ev.nu, ev.alpha_nig, ev.beta))
-    if not rows:
+        window = values[t - t_hist + 1 : t + 1]
+        outputs.append(predict_window(eval_graph, trans, window, model).evidential)
+        target_steps.append(t + dt)
+    if not outputs:
         raise DataError("no evaluable windows in the series")
-    target_steps = np.array([r[0] for r in rows], dtype=np.int64)
+    target_steps = np.array(target_steps, dtype=np.int64)
     return WindowPredictions(
         target_steps=target_steps,
-        gamma=np.stack([r[1] for r in rows]),
-        nu=np.stack([r[2] for r in rows]),
-        alpha=np.stack([r[3] for r in rows]),
-        beta=np.stack([r[4] for r in rows]),
         truth=truth_series.values[target_steps],
+        evidential=EvidentialOutput.stack(outputs),
     )
 
 
@@ -213,8 +205,9 @@ def make_report(
 ) -> MetricReport:
     """Per-group and per-node metrics. R^2 uses each group's (or node's)
     own truth mean."""
-    nll = wp.nll()
-    epi = wp.epistemic
+    ev = wp.evidential
+    nll = nig_nll_values(wp.gamma, ev.nu, ev.alpha_nig, ev.beta, wp.truth)
+    epi = ev.epistemic
     groups = {}
     for name, nodes in (("observable", graph.observable), ("missing", graph.missing)):
         if nodes.size == 0:

@@ -9,10 +9,9 @@ prediction) and a linear recovery head that reconstructs the input window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -26,6 +25,7 @@ __all__ = [
     "input_layer",
     "dgcn_layer",
     "forward",
+    "nig_nll_elements",
     "nig_nll",
     "nig_nll_values",
     "weighted_mean",
@@ -88,7 +88,9 @@ class EvidentialOutput:
     """Per-location NIG parameters with derived uncertainty decomposition.
 
     gamma is the predicted mean (point prediction), nu the evidence
-    strength, alpha_nig > 1 the shape, beta > 0 the scale.
+    strength, alpha_nig > 1 the shape, beta > 0 the scale. The four arrays
+    share one shape and keep it: (nodes,) for one window, (windows, nodes)
+    for a stack of windows.
     """
 
     gamma: np.ndarray
@@ -97,12 +99,21 @@ class EvidentialOutput:
     beta: np.ndarray
 
     def __post_init__(self):
-        for name in ("gamma", "nu", "alpha_nig", "beta"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64).reshape(-1))
+        arrays = [np.asarray(getattr(self, f.name), dtype=np.float64) for f in fields(self)]
+        if len({a.shape for a in arrays}) != 1:
+            raise ad.DimensionError(f"NIG parameter shapes differ: {[a.shape for a in arrays]}")
+        self.gamma, self.nu, self.alpha_nig, self.beta = arrays
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ad.DomainError("NIG parameters must be finite")
         if (self.nu <= 0).any() or (self.beta <= 0).any():
             raise ad.DomainError("nu and beta must be strictly positive")
         if (self.alpha_nig <= 1).any():
             raise ad.DomainError("alpha_nig must exceed 1")
+
+    @classmethod
+    def stack(cls, outputs: "list[EvidentialOutput]") -> "EvidentialOutput":
+        """Stack same-shape outputs along a new leading axis."""
+        return cls(*(np.stack([getattr(o, f.name) for o in outputs]) for f in fields(cls)))
 
     @property
     def epistemic(self) -> np.ndarray:
@@ -224,25 +235,15 @@ def weighted_mean(x: Tensor, weights: Tensor | None = None) -> Tensor:
     return total if x.shape[1] == 1 else ad.scale(total, 1.0 / x.shape[1])
 
 
-def nig_nll(
-    gamma: Tensor,
-    nu: Tensor,
-    alpha: Tensor,
-    beta: Tensor,
-    target: Tensor,
-    evidence_reg: float = 0.01,
-    weights: Tensor | None = None,
-) -> Tensor:
-    """Mean NIG marginal (Student-t) negative log-likelihood plus the
-    evidence penalty evidence_reg * |y - gamma| * (2 nu + alpha); both
-    means are weighted by ``weights`` (nodes x 1) when given.
+def nig_nll_elements(resid: Tensor, nu: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
+    """Per-element NIG marginal (Student-t) negative log-likelihood of the
+    residual y - gamma.
 
-    Omega = 2 beta (1 + nu); per-node NLL is
+    Omega = 2 beta (1 + nu); the NLL is
     0.5 log(pi/nu) - alpha log(Omega)
     + (alpha + 0.5) log(nu (y - gamma)^2 + Omega)
     + lgamma(alpha) - lgamma(alpha + 0.5).
     """
-    resid = ad.sub(target, gamma)
     omega = ad.scale(ad.hadamard(beta, ad.add_scalar(nu, 1.0)), 2.0)
     nll = ad.add(
         ad.add(
@@ -257,8 +258,24 @@ def nig_nll(
         ),
         ad.sub(ad.lgamma(alpha), ad.lgamma(ad.add_scalar(alpha, 0.5))),
     )
-    nll = ad.add_scalar(nll, 0.5 * math.log(math.pi))
-    loss = weighted_mean(nll, weights)
+    return ad.add_scalar(nll, 0.5 * math.log(math.pi))
+
+
+def nig_nll(
+    gamma: Tensor,
+    nu: Tensor,
+    alpha: Tensor,
+    beta: Tensor,
+    target: Tensor,
+    evidence_reg: float = 0.01,
+    weights: Tensor | None = None,
+) -> Tensor:
+    """Mean of :func:`nig_nll_elements` plus the evidence penalty
+    evidence_reg * |y - gamma| * (2 nu + alpha); both means are weighted by
+    ``weights`` (nodes x 1) when given.
+    """
+    resid = ad.sub(target, gamma)
+    loss = weighted_mean(nig_nll_elements(resid, nu, alpha, beta), weights)
     if evidence_reg:
         penalty = ad.hadamard(
             ad.absval(resid), ad.add(ad.scale(nu, 2.0), alpha)
@@ -274,21 +291,19 @@ def nig_nll_values(
     beta: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """Per-element NIG marginal NLL (no evidence penalty), plain arrays.
+    """:func:`nig_nll_elements` of y over plain arrays (no evidence penalty).
 
-    Used by evaluation; agrees exactly with the differentiable path's
-    likelihood term.
+    The arrays broadcast to one shape, which the result keeps. They enter
+    as constants, so no tape records the ops.
     """
-    gamma, nu, alpha, beta, y = (
-        np.asarray(a, dtype=np.float64) for a in (gamma, nu, alpha, beta, y)
+    arrays = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64) for a in (gamma, nu, alpha, beta, y))
     )
-    if (nu <= 0).any() or (beta <= 0).any() or (alpha <= 1).any():
+    _, nu, alpha, beta, _ = arrays
+    if not ((nu > 0).all() and (alpha > 1).all() and (beta > 0).all()):
         raise ad.DomainError("NIG parameters violate nu>0, alpha>1, beta>0")
-    omega = 2.0 * beta * (1.0 + nu)
-    return (
-        0.5 * np.log(np.pi / nu)
-        - alpha * np.log(omega)
-        + (alpha + 0.5) * np.log(nu * (y - gamma) ** 2 + omega)
-        + gammaln(alpha)
-        - gammaln(alpha + 0.5)
+    gamma, nu, alpha, beta, y = (
+        ad.constant(a if a.ndim == 2 else a.reshape(1, -1)) for a in arrays
     )
+    nll = nig_nll_elements(ad.sub(y, gamma), nu, alpha, beta)
+    return nll.values.reshape(arrays[0].shape)

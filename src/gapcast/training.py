@@ -64,7 +64,6 @@ class TrainConfig:
     horizon: int = 6
     loss_alpha: float = 1.0
     lr: float = 1e-4
-    point_loss: str = "nll"  # "nll" or "mse" (ablation)
     mask_training: bool = True
     model: ModelConfig = field(default_factory=ModelConfig)
 
@@ -75,8 +74,6 @@ class TrainConfig:
             raise ValueError("iterations and samples_per_iter must be >= 1")
         if self.loss_alpha < 0:
             raise ValueError("loss_alpha must be >= 0")
-        if self.point_loss not in ("nll", "mse"):
-            raise ValueError(f"unknown point loss {self.point_loss!r}")
 
 
 @dataclass(frozen=True)
@@ -230,19 +227,17 @@ def compute_loss(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(prediction loss, recovery loss, total) for one sample or batch.
 
-    The prediction loss covers every sampled node, reserved and masked
-    alike. Recovery reconstructs the masked input window. Node means are
-    weighted by ``sample.weights``, so a batch gets its samples' mean.
+    The prediction loss is the NIG NLL with its evidence penalty over
+    every sampled node, reserved and masked alike. Recovery reconstructs
+    the masked input window. Node means are weighted by
+    ``sample.weights``, so a batch gets its samples' mean.
     """
     target = ad.constant(sample.target)
     weights = ad.constant(sample.weights)
-    if cfg.point_loss == "nll":
-        j_pre = nig_nll(
-            fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, target,
-            evidence_reg=cfg.model.evidence_reg, weights=weights,
-        )
-    else:
-        j_pre = weighted_mean(ad.square(ad.sub(fwd.gamma, target)), weights)
+    j_pre = nig_nll(
+        fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, target,
+        evidence_reg=cfg.model.evidence_reg, weights=weights,
+    )
     j_rec = weighted_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)), weights)
     j_total = ad.add(j_pre, ad.scale(j_rec, cfg.loss_alpha))
     return j_pre, j_rec, j_total
@@ -333,11 +328,8 @@ def train(
 
 @dataclass
 class FullPrediction:
-    """Per-node outputs in speed units; uncertainties are variances."""
+    """Per-node NIG outputs in speed units, so uncertainties are variances."""
 
-    gamma: np.ndarray
-    epistemic: np.ndarray
-    aleatoric: np.ndarray
     evidential: EvidentialOutput
 
 
@@ -358,13 +350,7 @@ def predict_window(
     mask = np.zeros((graph.n, model.history))
     mask[graph.observable] = 1.0
     fwd = forward(model.params, model.model_cfg, ad.constant(x), ad.constant(mask), trans)
-    ev = fwd.evidential().rescaled(model.scaler.mean, model.scaler.std)
-    return FullPrediction(
-        gamma=ev.gamma,
-        epistemic=ev.epistemic,
-        aleatoric=ev.aleatoric,
-        evidential=ev,
-    )
+    return FullPrediction(fwd.evidential().rescaled(model.scaler.mean, model.scaler.std))
 
 
 def predict_full(

@@ -120,7 +120,7 @@ class TestTrain:
         graph = build_adjacency(d, sigma=extra["sigma"], kappa=extra["kappa"], node_ids=series.node_ids)
         graph = graph.with_partition(np.array(extra["observable"]), np.array(extra["missing"]))
         fp = predict_full(graph, window, model)
-        assert np.isfinite(fp.gamma).all()
+        assert np.isfinite(fp.evidential.gamma).all()
 
     def test_config_file_precedence(self, tmp_path):
         data = dataset(tmp_path)

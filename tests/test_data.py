@@ -113,6 +113,12 @@ class TestDistanceCsv:
         save_distances_csv(d, ids, path)
         np.testing.assert_array_equal(load_distances_csv(path, ids), d)
 
+    def test_rows_in_row_major_order(self, tmp_path):
+        d = np.array([[0.0, 2.0, np.inf], [0.5, 7.0, 1.25], [np.inf, 3.0, 0.0]])
+        path = tmp_path / "d.csv"
+        save_distances_csv(d, ("a", "b", "c"), path)
+        assert path.read_text() == "from,to,distance\na,b,2\nb,a,0.5\nb,c,1.25\nc,b,3\n"
+
 
 def make_series(steps, n=2):
     return SpeedSeries(
@@ -199,6 +205,41 @@ class TestFillSmallGaps:
         v = np.array([[np.nan], [1.0], [np.nan]])
         out = fill_small_gaps(v, max_gap=2)
         assert np.isnan(out[0, 0]) and np.isnan(out[2, 0])
+
+    @pytest.mark.parametrize("max_gap", [0, 1, 2, 4])
+    def test_matches_loop_oracle_on_random_runs(self, rng, max_gap):
+        for _ in range(20):
+            v = rng.uniform(10.0, 70.0, (60, 5))
+            for col in range(5):
+                t = int(rng.integers(0, 4))  # may start a leading run at step 0
+                while t < 60:
+                    v[t : t + int(rng.integers(1, 5)), col] = np.nan  # may run off the end
+                    t += int(rng.integers(3, 12))
+            out = fill_small_gaps(v, max_gap=max_gap)
+            np.testing.assert_array_equal(out, naive_fill(v, max_gap))
+
+
+def naive_fill(values, max_gap):
+    """Column-by-column loop over every cell: the oracle for fill_small_gaps."""
+    out = values.copy()
+    steps = out.shape[0]
+    for col in range(out.shape[1]):
+        v = out[:, col]
+        i = 0
+        while i < steps:
+            if not np.isnan(v[i]):
+                i += 1
+                continue
+            j = i
+            while j < steps and np.isnan(v[j]):
+                j += 1
+            run = j - i
+            if 0 < i and j < steps and run <= max_gap:
+                left, right = v[i - 1], v[j]
+                for k in range(run):
+                    v[i + k] = left + (right - left) * (k + 1) / (run + 1)
+            i = j
+    return out
 
 
 class TestGenerateSynthetic:

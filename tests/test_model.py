@@ -253,8 +253,17 @@ class TestNigNll:
             ad.constant(gamma), ad.constant(nu), ad.constant(alpha), ad.constant(beta),
             ad.constant(y), evidence_reg=0.0,
         )
-        expected = nig_nll_values(gamma, nu, alpha, beta, y).mean()
-        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        # one formula behind both paths, so the values agree exactly
+        assert loss.item() == nig_nll_values(gamma, nu, alpha, beta, y).mean()
+
+    def test_values_keep_the_broadcast_shape(self, rng):
+        gamma = rng.normal(size=(3, 4))
+        y = rng.normal(size=(3, 4))
+        got = nig_nll_values(gamma, 1.5, 2.0, 0.8, y)
+        assert got.shape == (3, 4)
+        for w in range(3):
+            row = nig_nll_values(gamma[w], [1.5] * 4, [2.0] * 4, [0.8] * 4, y[w])
+            np.testing.assert_allclose(got[w], row, rtol=1e-14)
 
     def test_evidence_regularizer_added(self, rng):
         gamma = np.zeros((3, 1))
@@ -301,6 +310,29 @@ class TestUncertainty:
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ad.DomainError):
             EvidentialOutput(gamma=[0.0], nu=[1.0], alpha_nig=[1.0], beta=[1.0])
+
+    @pytest.mark.parametrize("field", ["gamma", "nu", "alpha_nig", "beta"])
+    def test_non_finite_rejected(self, field):
+        for bad in (np.nan, np.inf):
+            params = dict(gamma=[0.0, 0.0], nu=[1.0, 1.0], alpha_nig=[2.0, 2.0], beta=[1.0, 1.0])
+            params[field] = [1.5, bad]
+            with pytest.raises(ad.DomainError, match="finite"):
+                EvidentialOutput(**params)
+
+    def test_stack_keeps_the_window_axis(self):
+        rows = [
+            EvidentialOutput(gamma=[g, -g], nu=[1.0, 2.0], alpha_nig=[2.0, 3.0], beta=[1.0, 4.0])
+            for g in (0.5, 1.5, 2.5)
+        ]
+        ev = EvidentialOutput.stack(rows)
+        assert ev.gamma.shape == ev.beta.shape == (3, 2)
+        for w, row in enumerate(rows):
+            np.testing.assert_array_equal(ev.gamma[w], row.gamma)
+            np.testing.assert_array_equal(ev.epistemic[w], row.epistemic)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ad.DimensionError):
+            EvidentialOutput(gamma=[0.0, 1.0], nu=[1.0], alpha_nig=[2.0], beta=[1.0])
 
     def test_rescaling_to_speed_units(self):
         ev = EvidentialOutput(gamma=[1.0], nu=[2.0], alpha_nig=[3.0], beta=[4.0])

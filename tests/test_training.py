@@ -5,7 +5,14 @@ from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
 from gapcast.data import DataError, SplitSpec, generate_synthetic, hide_locations, split
 from gapcast.graph import normalize
-from gapcast.model import ForwardPass, ModelConfig, forward, init_params, nig_nll
+from gapcast.model import (
+    ForwardPass,
+    ModelConfig,
+    forward,
+    init_params,
+    nig_nll,
+    nig_nll_values,
+)
 from gapcast.training import (
     SampleBatch,
     Scaler,
@@ -51,10 +58,6 @@ class TestConfigValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_alpha=-0.1)
-
-    def test_bad_point_loss(self):
-        with pytest.raises(ValueError):
-            TrainConfig(point_loss="huber")
 
 
 class TestValidTimeSteps:
@@ -161,25 +164,29 @@ class TestComputeLoss:
         # recovery [[1],[2]] against an all-zero window: mean squared error 2.5
         sample = fake_sample([[0.0], [0.0]], np.zeros((2, 1)), np.ones((2, 1)))
         fwd = fake_forward(np.zeros((2, 1)), np.array([[1.0], [2.0]]), np.zeros((2, 1)))
-        cfg = tiny_cfg(history=1, point_loss="mse", loss_alpha=1.0)
+        cfg = tiny_cfg(history=1, loss_alpha=1.0)
         j_pre, j_rec, j_total = compute_loss(sample, fwd, cfg)
         assert j_rec.item() == pytest.approx(2.5)
-        assert j_pre.item() == pytest.approx(0.0)
-        assert j_total.item() == pytest.approx(2.5)
+        # zero residual: the NLL at nu=1, alpha=2, beta=1 and no penalty
+        assert j_pre.item() == pytest.approx(nig_nll_values(0.0, 1.0, 2.0, 1.0, 0.0))
+        assert j_total.item() == pytest.approx(j_pre.item() + 2.5)
 
     def test_perfect_outputs_hit_floor(self):
         target = np.array([[1.0], [2.0]])
         window = np.array([[0.5], [0.25]])
         sample = fake_sample(target, window, np.ones((2, 1)))
         fwd = fake_forward(target, window, window)
-        cfg = tiny_cfg(history=1, point_loss="mse")
+        cfg = tiny_cfg(history=1)
         j_pre, j_rec, _ = compute_loss(sample, fwd, cfg)
-        assert j_pre.item() == 0.0 and j_rec.item() == 0.0
+        assert j_rec.item() == 0.0
+        # gamma = y is the NLL's minimum over gamma, and the penalty vanishes
+        floor = nig_nll_values(target, 1.0, 2.0, 1.0, target).mean()
+        assert j_pre.item() == pytest.approx(floor, rel=1e-12)
 
     def test_alpha_zero_drops_recovery(self):
         sample = fake_sample([[0.0]], np.zeros((1, 1)), np.ones((1, 1)))
         fwd = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
-        cfg = tiny_cfg(history=1, point_loss="mse", loss_alpha=0.0)
+        cfg = tiny_cfg(history=1, loss_alpha=0.0)
         j_pre, j_rec, j_total = compute_loss(sample, fwd, cfg)
         assert j_total.item() == pytest.approx(j_pre.item())
         assert j_rec.item() > 0
@@ -189,7 +196,7 @@ class TestComputeLoss:
         fwd = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
         totals = []
         for alpha in (0.1, 0.5, 2.0):
-            cfg = tiny_cfg(history=1, point_loss="mse", loss_alpha=alpha)
+            cfg = tiny_cfg(history=1, loss_alpha=alpha)
             totals.append(compute_loss(sample, fwd, cfg)[2].item())
         assert totals[0] < totals[1] < totals[2]
 
@@ -315,7 +322,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self, small_world):
         graph, series = small_world
-        cfg = tiny_cfg(iterations=30, lr=1e154, point_loss="mse")
+        cfg = tiny_cfg(iterations=30, lr=1e154)
         with pytest.raises(TrainingDiverged):
             train(graph, series, cfg, np.random.default_rng(0))
 
@@ -344,18 +351,18 @@ class TestPredictFull:
         graph, series = generate_synthetic(8, 120, rng)
         cfg = tiny_cfg()
         res = train(graph, series, cfg, np.random.default_rng(0))
-        fp = predict_full(graph, series.values[-cfg.history :], res.model)
-        assert fp.gamma.shape == (8,)
-        assert np.isfinite(fp.gamma).all()
+        ev = predict_full(graph, series.values[-cfg.history :], res.model).evidential
+        assert ev.gamma.shape == (8,)
+        assert np.isfinite(ev.gamma).all()
 
     def test_output_covers_all_nodes(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg()
         res = train(graph, series, cfg, np.random.default_rng(0))
-        fp = predict_full(graph, series.values[-cfg.history :], res.model)
-        assert fp.gamma.shape == (graph.n,)
-        assert fp.epistemic.shape == (graph.n,)
-        assert (fp.epistemic > 0).all() and (fp.aleatoric > 0).all()
+        ev = predict_full(graph, series.values[-cfg.history :], res.model).evidential
+        assert ev.gamma.shape == (graph.n,)
+        assert ev.epistemic.shape == (graph.n,)
+        assert (ev.epistemic > 0).all() and (ev.aleatoric > 0).all()
 
     def test_window_shape_checked(self, small_world):
         graph, series = small_world
@@ -382,7 +389,7 @@ class TestPredictFull:
         w2[:, graph.missing] = -999.0
         f1 = predict_full(graph, w1, res.model)
         f2 = predict_full(graph, w2, res.model)
-        np.testing.assert_array_equal(f1.gamma, f2.gamma)
+        np.testing.assert_array_equal(f1.evidential.gamma, f2.evidential.gamma)
 
 
 class TestModelIO:
@@ -396,6 +403,6 @@ class TestModelIO:
         assert extra == {"seed": 0}
         window = series.values[-cfg.history :]
         np.testing.assert_array_equal(
-            predict_full(graph, window, res.model).gamma,
-            predict_full(graph, window, loaded).gamma,
+            predict_full(graph, window, res.model).evidential.gamma,
+            predict_full(graph, window, loaded).evidential.gamma,
         )
