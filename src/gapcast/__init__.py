@@ -13,6 +13,7 @@ from .training import (
     draw_sample,
     load_model,
     predict_full,
+    predict_windows,
     save_model,
     train,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "draw_sample",
     "load_model",
     "predict_full",
+    "predict_windows",
     "save_model",
     "train",
     "__version__",

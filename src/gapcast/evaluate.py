@@ -5,14 +5,14 @@ two-step baselines.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .data import DataError, SpeedSeries, SplitSpec, split
 from .graph import RoadGraph, normalize
 from .model import EvidentialOutput, nig_nll_values
-from .training import TrainConfig, TrainedModel, predict_window, train
+from .training import TrainConfig, TrainedModel, predict_windows, train
 
 __all__ = [
     "MetricReport",
@@ -94,8 +94,8 @@ def knn_impute(series: SpeedSeries, graph: RoadGraph, k: int = 3) -> SpeedSeries
 @dataclass
 class WindowPredictions:
     """Per-window, per-node predictions in speed units: ``evidential`` is
-    the (W, N) stack of the windows' rescaled NIG outputs, so its
-    uncertainties are speed variances.
+    the (W, N) NIG record of the windows, so its uncertainties are speed
+    variances.
     """
 
     target_steps: np.ndarray  # (W,) target time indices into the series
@@ -116,8 +116,12 @@ class WindowPredictions:
     def per_node_epistemic(self) -> np.ndarray:
         return self.evidential.epistemic.mean(axis=0)
 
-    def per_node_rmse(self) -> np.ndarray:
-        return np.sqrt(np.mean((self.gamma - self.truth) ** 2, axis=0))
+
+# Rows (windows x nodes) of one stacked inference pass. It bounds the
+# working set: at hidden width 48 one activation is 0.4 MB. On 2 CPUs with
+# OpenBLAS, 1024 rows ran as fast as 2048 at n=200 and faster at n=40, with
+# half the extra peak memory; 4096 rows ran slower.
+INFERENCE_ROWS = 1024
 
 
 def collect_predictions(
@@ -131,32 +135,47 @@ def collect_predictions(
 
     ``eval_graph``'s partition controls the input mask (missing rows are
     zeroed), while the truth may cover all nodes; window t predicts
-    t + horizon. The graph is normalized once for all windows.
+    t + horizon. The truth must have the input's steps and node ids. The
+    graph is normalized once, and the windows run in stacks of at most
+    ``INFERENCE_ROWS // n`` windows (at least one) through
+    :func:`predict_windows`.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
+    if input_series.n != eval_graph.n:
+        raise DataError(f"input series has {input_series.n} nodes, the graph {eval_graph.n}")
+    if truth_series.steps != input_series.steps:
+        raise DataError(f"truth has {truth_series.steps} steps, the input {input_series.steps}")
+    if tuple(truth_series.node_ids) != tuple(input_series.node_ids):
+        raise DataError("truth and input series have different node ids")
     t_hist, dt = model.history, model.horizon
     values = input_series.values
     steps = values.shape[0]
     if steps < t_hist + dt:
         raise DataError(f"evaluation series too short: {steps} < {t_hist + dt}")
-    finite_in = np.isfinite(values[:, eval_graph.observable]).all(axis=1)
+    gaps = np.concatenate(
+        [[0], np.cumsum(~np.isfinite(values[:, eval_graph.observable]).all(axis=1))]
+    )
     finite_truth = np.isfinite(truth_series.values).all(axis=1)
-    trans = normalize(eval_graph)
-    target_steps, outputs = [], []
-    for t in range(t_hist - 1, steps - dt, stride):
-        if not (finite_in[t - t_hist + 1 : t + 1].all() and finite_truth[t + dt]):
-            continue
-        window = values[t - t_hist + 1 : t + 1]
-        outputs.append(predict_window(eval_graph, trans, window, model).evidential)
-        target_steps.append(t + dt)
-    if not outputs:
+    ends = np.arange(t_hist - 1, steps - dt, stride)
+    ends = ends[(gaps[ends + 1] == gaps[ends + 1 - t_hist]) & finite_truth[ends + dt]]
+    if ends.size == 0:
         raise DataError("no evaluable windows in the series")
-    target_steps = np.array(target_steps, dtype=np.int64)
+    trans = normalize(eval_graph)
+    per_pass = max(1, INFERENCE_ROWS // eval_graph.n)
+    offsets = np.arange(1 - t_hist, 1)
+    parts = [
+        predict_windows(eval_graph, trans, values[chunk[:, None] + offsets], model)
+        for chunk in np.split(ends, np.arange(per_pass, ends.size, per_pass))
+    ]
+    stacked = {
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(EvidentialOutput)
+    }
     return WindowPredictions(
-        target_steps=target_steps,
-        truth=truth_series.values[target_steps],
-        evidential=EvidentialOutput.stack(outputs),
+        target_steps=ends + dt,
+        truth=truth_series.values[ends + dt],
+        evidential=EvidentialOutput(**stacked),
     )
 
 
@@ -221,22 +240,31 @@ def make_report(
             "r2": r2(pred, truth),
             "nll": float(nll[:, nodes].mean()),
         }
-    missing_set = set(graph.missing.tolist())
-    per_node = []
-    for i in range(graph.n):
-        node_id = graph.node_ids[i] if graph.node_ids else f"n{i}"
-        per_node.append(
-            {
-                "node_id": node_id,
-                "node_index": i,
-                "group": "missing" if i in missing_set else "observable",
-                "rmse": rmse(wp.gamma[:, i], wp.truth[:, i]),
-                "mae": mae(wp.gamma[:, i], wp.truth[:, i]),
-                "r2": r2(wp.gamma[:, i], wp.truth[:, i]),
-                "nll": float(nll[:, i].mean()),
-                "epistemic": float(epi[:, i].mean()),
-            }
-        )
+    # Each node's metrics reduce a contiguous row of a (nodes, windows)
+    # transpose, which rounds exactly like the 1-D metric functions above.
+    pred, truth = np.ascontiguousarray(wp.gamma.T), np.ascontiguousarray(wp.truth.T)
+    sq_err = (pred - truth) ** 2
+    sst = np.sum((truth - truth.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        node_r2 = np.where(sst == 0.0, np.nan, 1.0 - np.sum(sq_err, axis=1) / sst)
+    columns = {
+        "rmse": np.sqrt(np.mean(sq_err, axis=1)),
+        "mae": np.mean(np.abs(pred - truth), axis=1),
+        "r2": node_r2,
+        "nll": np.ascontiguousarray(nll.T).mean(axis=1),
+        "epistemic": np.ascontiguousarray(epi.T).mean(axis=1),
+    }
+    is_missing = np.zeros(graph.n, dtype=bool)
+    is_missing[graph.missing] = True
+    per_node = [
+        {
+            "node_id": graph.node_ids[i] if graph.node_ids else f"n{i}",
+            "node_index": i,
+            "group": "missing" if is_missing[i] else "observable",
+            **{name: float(col[i]) for name, col in columns.items()},
+        }
+        for i in range(graph.n)
+    ]
     return MetricReport(horizon=horizon, groups=groups, per_node=per_node)
 
 

@@ -110,11 +110,6 @@ class EvidentialOutput:
         if (self.alpha_nig <= 1).any():
             raise ad.DomainError("alpha_nig must exceed 1")
 
-    @classmethod
-    def stack(cls, outputs: "list[EvidentialOutput]") -> "EvidentialOutput":
-        """Stack same-shape outputs along a new leading axis."""
-        return cls(*(np.stack([getattr(o, f.name) for o in outputs]) for f in fields(cls)))
-
     @property
     def epistemic(self) -> np.ndarray:
         """Model-knowledge variance beta / (nu (alpha - 1)); shrinks with evidence."""
@@ -124,15 +119,6 @@ class EvidentialOutput:
     def aleatoric(self) -> np.ndarray:
         """Irreducible data-noise variance beta / (alpha - 1)."""
         return self.beta / (self.alpha_nig - 1.0)
-
-    def rescaled(self, mean: float, std: float) -> "EvidentialOutput":
-        """Map parameters from standardized space back to speed units."""
-        return EvidentialOutput(
-            gamma=self.gamma * std + mean,
-            nu=self.nu,
-            alpha_nig=self.alpha_nig,
-            beta=self.beta * std * std,
-        )
 
 
 @dataclass
@@ -146,14 +132,6 @@ class ForwardPass:
     recovery: Tensor
     h0: Tensor
     h_first: Tensor
-
-    def evidential(self) -> EvidentialOutput:
-        return EvidentialOutput(
-            gamma=self.gamma.values[:, 0],
-            nu=self.nu.values[:, 0],
-            alpha_nig=self.alpha.values[:, 0],
-            beta=self.beta.values[:, 0],
-        )
 
 
 def input_layer(x: Tensor, mask: Tensor) -> Tensor:

@@ -38,7 +38,7 @@ __all__ = [
     "draw_sample",
     "compute_loss",
     "train",
-    "predict_window",
+    "predict_windows",
     "predict_full",
     "save_model",
     "load_model",
@@ -333,24 +333,48 @@ class FullPrediction:
     evidential: EvidentialOutput
 
 
-def predict_window(
-    graph: RoadGraph, trans: TransitionPair, window: np.ndarray, model: TrainedModel
-) -> FullPrediction:
-    """:func:`predict_full` with the graph's transition pair supplied, so a
-    caller predicting many windows normalizes the graph once."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (model.history, graph.n):
+def predict_windows(
+    graph: RoadGraph, trans: TransitionPair, windows: np.ndarray, model: TrainedModel
+) -> EvidentialOutput:
+    """Predict every node for each of a (W, history, n) stack of windows.
+
+    ``trans`` is the graph's transition pair, so a caller predicting many
+    stacks normalizes the graph once. The W windows run as one tapeless
+    forward pass over the block-diagonal union of W copies of the graph.
+    Missing-location columns are ignored (their input rows are zeroed and
+    their mask rows are 0). Returns a (W, n) record in speed units.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1:] != (model.history, graph.n) or not len(windows):
         raise DataError(
-            f"window must be ({model.history}, {graph.n}), got {window.shape}"
+            f"windows must be (W >= 1, {model.history}, {graph.n}), got {windows.shape}"
         )
-    if not np.isfinite(window[:, graph.observable]).all():
+    observed = windows[:, :, graph.observable]
+    if not np.isfinite(observed).all():
         raise DataError("window has gaps at observable locations")
-    x = np.zeros((graph.n, model.history))
-    x[graph.observable] = model.scaler.transform(window[:, graph.observable]).T
-    mask = np.zeros((graph.n, model.history))
+    count, n = windows.shape[0], graph.n
+    x = np.zeros((count, n, model.history))
+    x[:, graph.observable] = model.scaler.transform(observed).transpose(0, 2, 1)
+    mask = np.zeros((n, model.history))
     mask[graph.observable] = 1.0
-    fwd = forward(model.params, model.model_cfg, ad.constant(x), ad.constant(mask), trans)
-    return FullPrediction(fwd.evidential().rescaled(model.scaler.mean, model.scaler.std))
+    union = trans if count == 1 else TransitionPair(
+        forward=block_diagonal([trans.forward] * count),
+        backward=block_diagonal([trans.backward] * count),
+    )
+    fwd = forward(
+        model.params,
+        model.model_cfg,
+        ad.constant(x.reshape(count * n, model.history)),
+        ad.constant(np.tile(mask, (count, 1))),
+        union,
+    )
+    std = model.scaler.std
+    return EvidentialOutput(
+        gamma=model.scaler.inverse(fwd.gamma.values).reshape(count, n),
+        nu=fwd.nu.values.reshape(count, n),
+        alpha_nig=fwd.alpha.values.reshape(count, n),
+        beta=(fwd.beta.values * std * std).reshape(count, n),
+    )
 
 
 def predict_full(
@@ -358,10 +382,11 @@ def predict_full(
 ) -> FullPrediction:
     """Predict every node from the last ``history`` observed steps.
 
-    ``window`` is (history, n) in speed units; missing-location columns are
-    ignored (their input rows are zeroed and their mask rows are 0).
+    ``window`` is (history, n) in speed units; this is
+    :func:`predict_windows` on a stack of one window.
     """
-    return predict_window(graph, normalize(graph), window, model)
+    ev = predict_windows(graph, normalize(graph), np.asarray(window)[None], model)
+    return FullPrediction(EvidentialOutput(ev.gamma[0], ev.nu[0], ev.alpha_nig[0], ev.beta[0]))
 
 
 def save_model(path, model: TrainedModel, extra_meta: dict | None = None) -> None:

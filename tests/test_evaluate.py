@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gapcast import evaluate
 from gapcast.data import DataError, SpeedSeries, SplitSpec, generate_synthetic, hide_locations, split
 from gapcast.evaluate import (
     ImputationError,
+    WindowPredictions,
     collect_predictions,
     knn_impute,
     make_report,
@@ -18,10 +21,11 @@ from gapcast.evaluate import (
     rmse,
     two_step_pipeline,
 )
-from gapcast.model import ModelConfig, nig_nll_values
-from gapcast.training import TrainConfig, train
+from gapcast.model import EvidentialOutput, ModelConfig, nig_nll_values
+from gapcast.training import TrainConfig, predict_full, train
 
 from test_model import nig_marginal_nll_quadrature
+from test_training import nig_rows, per_window_forward
 
 
 class TestPointMetrics:
@@ -218,6 +222,169 @@ class TestReports:
         pn = (tmp_path / "pn.csv").read_text().strip().splitlines()
         assert len(pn) == graph.n + 1
         assert report.format_table().count("\n") == 2
+
+
+def collect_oracle(model, graph, series, stride):
+    """The per-window loop: every window with a gap-free observable history
+    and a finite truth row, each through its own forward pass."""
+    h, dt = model.history, model.horizon
+    targets, rows = [], []
+    for t in range(h - 1, series.steps - dt, stride):
+        window = series.values[t - h + 1 : t + 1]
+        if np.isfinite(window[:, graph.observable]).all() and np.isfinite(series.values[t + dt]).all():
+            targets.append(t + dt)
+            rows.append(per_window_forward(graph, window, model))
+    return np.array(targets), np.stack(rows, axis=1)
+
+
+class TestStackedCollection:
+    """collect_predictions against the per-window loop it replaced."""
+
+    def check(self, model, graph, series, stride):
+        wp = collect_predictions(model, graph, series, series, stride=stride)
+        targets, want = collect_oracle(model, graph, series, stride)
+        np.testing.assert_array_equal(wp.target_steps, targets)
+        np.testing.assert_array_equal(wp.truth, series.values[targets])
+        np.testing.assert_allclose(nig_rows(wp.evidential), want, rtol=1e-12)
+        return wp
+
+    def test_last_chunk_partial(self, trained_world, monkeypatch):
+        graph, _, te, _, model = trained_world
+        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 4 * graph.n)
+        wp = self.check(model, graph, te, stride=1)
+        assert wp.target_steps.size % 4 != 0
+
+    def test_default_row_budget_one_pass(self, trained_world):
+        graph, _, te, _, model = trained_world
+        wp = self.check(model, graph, te, stride=1)
+        assert wp.target_steps.size <= evaluate.INFERENCE_ROWS // graph.n
+
+    def test_stride_three(self, trained_world, monkeypatch):
+        graph, _, te, _, model = trained_world
+        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 5 * graph.n)
+        self.check(model, graph, te, stride=3)
+
+    def test_observable_gap_skips_windows_mid_chunk(self, trained_world, monkeypatch):
+        graph, _, te, _, model = trained_world
+        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 8 * graph.n)
+        values = te.values.copy()
+        values[20, graph.observable[0]] = np.nan
+        gappy = replace(te, values=values)
+        wp = self.check(model, graph, gappy, stride=1)
+        # every window holding step 20 is gone, and the neighbours stay
+        ends = wp.target_steps - model.horizon
+        assert not ((ends >= 20) & (ends < 20 + model.history)).any()
+        assert {19, 20 + model.history} <= set(ends.tolist())
+
+    def test_single_window(self, trained_world):
+        graph, _, te, _, model = trained_world
+        short = replace(
+            te,
+            timestamps=te.timestamps[: model.history + model.horizon],
+            values=te.values[: model.history + model.horizon],
+        )
+        wp = self.check(model, graph, short, stride=1)
+        assert wp.evidential.gamma.shape == (1, graph.n)
+
+    def test_predict_full_equals_its_row(self, trained_world):
+        graph, _, te, _, model = trained_world
+        wp = collect_predictions(model, graph, te, te, stride=5)
+        for row, target in enumerate(wp.target_steps):
+            end = target - model.horizon
+            one = predict_full(graph, te.values[end - model.history + 1 : end + 1], model)
+            assert one.evidential.gamma.shape == (graph.n,)
+            np.testing.assert_allclose(
+                nig_rows(one.evidential), nig_rows(wp.evidential)[:, row], rtol=1e-12
+            )
+
+
+class TestMismatchedTruth:
+    def test_shorter_truth_rejected(self, trained_world):
+        graph, _, te, _, model = trained_world
+        short = replace(te, timestamps=te.timestamps[:-5], values=te.values[:-5])
+        with pytest.raises(DataError, match="steps"):
+            collect_predictions(model, graph, te, short)
+
+    def test_reordered_truth_rejected(self, trained_world):
+        graph, _, te, _, model = trained_world
+        flipped = replace(te, node_ids=te.node_ids[::-1], values=te.values[:, ::-1])
+        with pytest.raises(DataError, match="node ids"):
+            collect_predictions(model, graph, te, flipped)
+
+    def test_wider_truth_rejected(self, trained_world):
+        graph, _, te, _, model = trained_world
+        wide = replace(
+            te,
+            node_ids=te.node_ids + tuple(f"x{i}" for i in range(te.n)),
+            values=np.hstack([te.values, te.values]),
+        )
+        with pytest.raises(DataError, match="node ids"):
+            collect_predictions(model, graph, te, wide)
+
+    def test_input_wider_than_graph_rejected(self, trained_world):
+        graph, _, te, _, model = trained_world
+        wide = replace(
+            te,
+            node_ids=te.node_ids + tuple(f"x{i}" for i in range(te.n)),
+            values=np.hstack([te.values, te.values]),
+        )
+        with pytest.raises(DataError, match="nodes"):
+            collect_predictions(model, graph, wide, wide)
+
+
+def make_report_oracle(wp, graph):
+    """The per-node loop: three metric calls and two means per node."""
+    ev = wp.evidential
+    nll = nig_nll_values(wp.gamma, ev.nu, ev.alpha_nig, ev.beta, wp.truth)
+    epi = ev.epistemic
+    return [
+        {
+            "rmse": rmse(wp.gamma[:, i], wp.truth[:, i]),
+            "mae": mae(wp.gamma[:, i], wp.truth[:, i]),
+            "r2": r2(wp.gamma[:, i], wp.truth[:, i]),
+            "nll": float(nll[:, i].mean()),
+            "epistemic": float(epi[:, i].mean()),
+        }
+        for i in range(graph.n)
+    ]
+
+
+class TestVectorisedReport:
+    @pytest.mark.parametrize("windows", [1, 2, 37, 571])
+    def test_per_node_equals_loop_oracle_exactly(self, windows):
+        gen = np.random.default_rng(windows)
+        graph, _ = generate_synthetic(9, 30, gen)
+        graph = hide_locations(graph, 3, np.random.default_rng(1))
+        shape = (windows, graph.n)
+        truth = gen.uniform(20, 70, shape)
+        truth[:, 4] = 55.0  # constant truth: R^2 is NaN
+        wp = WindowPredictions(
+            target_steps=np.arange(windows),
+            truth=truth,
+            evidential=EvidentialOutput(
+                gamma=truth + gen.normal(0, 3, shape),
+                nu=gen.uniform(0.1, 5, shape),
+                alpha_nig=gen.uniform(1.1, 6, shape),
+                beta=gen.uniform(0.5, 30, shape),
+            ),
+        )
+        report = make_report(wp, graph, horizon=2)
+        want = make_report_oracle(wp, graph)
+        missing = set(graph.missing.tolist())
+        for i, (got, row) in enumerate(zip(report.per_node, want)):
+            assert got["node_index"] == i and got["node_id"] == graph.node_ids[i]
+            assert got["group"] == ("missing" if i in missing else "observable")
+            for name, value in row.items():
+                assert type(got[name]) is float
+                assert got[name] == value or (math.isnan(value) and math.isnan(got[name])), (
+                    name, i, got[name], value)
+
+    def test_trained_model_report_equals_loop_oracle(self, trained_world):
+        graph, _, te, cfg, model = trained_world
+        wp = collect_predictions(model, graph, te, te)
+        report = make_report(wp, graph, horizon=cfg.horizon)
+        for got, row in zip(report.per_node, make_report_oracle(wp, graph)):
+            assert {k: got[k] for k in row} == row
 
 
 class TestTwoStepPipeline:

@@ -180,8 +180,8 @@ class TestForward:
         for extreme in (-1000.0, 0.0, 1000.0):
             params["head_b"].values[:] = extreme
             fp = forward(params, cfg, ad.constant(x), ad.constant(mask), normalize(a))
-            ev = fp.evidential()
-            assert (ev.nu > 0).all() and (ev.beta > 0).all() and (ev.alpha_nig > 1).all()
+            assert (fp.nu.values > 0).all() and (fp.beta.values > 0).all()
+            assert (fp.alpha.values > 1).all()
 
     def test_full_model_gradcheck(self, rng):
         cfg, params, x, mask, a = small_setup(rng, n=4, history=3, hidden=4)
@@ -319,27 +319,9 @@ class TestUncertainty:
             with pytest.raises(ad.DomainError, match="finite"):
                 EvidentialOutput(**params)
 
-    def test_stack_keeps_the_window_axis(self):
-        rows = [
-            EvidentialOutput(gamma=[g, -g], nu=[1.0, 2.0], alpha_nig=[2.0, 3.0], beta=[1.0, 4.0])
-            for g in (0.5, 1.5, 2.5)
-        ]
-        ev = EvidentialOutput.stack(rows)
-        assert ev.gamma.shape == ev.beta.shape == (3, 2)
-        for w, row in enumerate(rows):
-            np.testing.assert_array_equal(ev.gamma[w], row.gamma)
-            np.testing.assert_array_equal(ev.epistemic[w], row.epistemic)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ad.DimensionError):
             EvidentialOutput(gamma=[0.0, 1.0], nu=[1.0], alpha_nig=[2.0], beta=[1.0])
-
-    def test_rescaling_to_speed_units(self):
-        ev = EvidentialOutput(gamma=[1.0], nu=[2.0], alpha_nig=[3.0], beta=[4.0])
-        out = ev.rescaled(mean=50.0, std=5.0)
-        assert out.gamma[0] == pytest.approx(55.0)
-        assert out.beta[0] == pytest.approx(100.0)
-        assert out.epistemic[0] == pytest.approx(ev.epistemic[0] * 25.0)
 
 
 class TestCheckpoint:

@@ -1,4 +1,5 @@
-"""The benchmark's span tracer still finds every function it wraps.
+"""The benchmark's span tracer still finds every function it wraps, and
+``scripts/bench_compare.py`` pairs and summarises benchmark results.
 
 ``gapbench/spans.py`` patches gapcast functions by name; a rename or a
 deletion would otherwise surface only in a traced benchmark run.
@@ -6,6 +7,7 @@ deletion would otherwise surface only in a traced benchmark run.
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 import sys
 from pathlib import Path
@@ -49,3 +51,48 @@ def test_tracer_installs_on_every_gapcast_module():
     finally:
         tracer.uninstall()
     assert replaced() == []
+
+
+def load_bench_compare():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_compare.py"
+    spec = importlib.util.spec_from_file_location("bench_compare", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_result(directory, workload, seed, op_ms, failed=0):
+    result = {
+        "workload": workload, "seed": seed, "seconds": 30.0, "trace": 0,
+        "attempted": 100, "failed": failed,
+        "metrics": {
+            "op_ms": {"value": op_ms, "unit": "ms"},
+            "setup_s": {"value": 1.0, "unit": "s"},
+            "peak_rss_mb": {"value": 100.0 + seed, "unit": "MB"},
+        },
+        "machine": {"nproc": 2, "blas_threads": 2,
+                    "host_probe_ms_before": 15.0 + seed, "host_probe_ms_after": 16.0},
+    }
+    directory.mkdir(exist_ok=True)
+    (directory / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(result))
+
+
+def test_bench_compare_pairs_runs_by_workload_and_seed(tmp_path):
+    bench = load_bench_compare()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (before, after) in enumerate([(10, 8), (11, 12), (12, 9), (13, 9)], start=1):
+        write_result(parent, "eval-n200", seed, before)
+        write_result(change, "eval-n200", seed, after, failed=seed == 4)
+    write_result(parent, "eval-n200", 9, 1.0)  # unpaired: ignored
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    record = bench.compare(bench.load_runs(parent), bench.load_runs(change), spec)
+    op = record["workloads"]["eval-n200"]["op_ms"]
+    assert op["pairs"] == 4 and op["change_wins"] == 3
+    assert op["parent"] == {"q1": 10.75, "median": 11.5, "q3": 12.25}
+    assert op["change"]["median"] == 9.0
+    assert op["median_gain_exceeds_parent_iqr"]  # 2.5 > 1.5
+    # equal values are ties, counted for neither side
+    assert record["workloads"]["eval-n200"]["setup_s"]["change_wins"] == 0
+    assert record["workloads"]["eval-n200"]["failed_frac"]["change"]["q3"] > 0
+    assert record["machine"]["parent"]["nproc"] == 2
+    assert record["machine"]["parent"]["runs"] == 4

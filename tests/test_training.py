@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
 from gapcast.data import DataError, SplitSpec, generate_synthetic, hide_locations, split
-from gapcast.graph import normalize
+from gapcast.graph import build_adjacency, normalize
 from gapcast.model import (
     ForwardPass,
     ModelConfig,
@@ -23,6 +25,7 @@ from gapcast.training import (
     draw_sample,
     load_model,
     predict_full,
+    predict_windows,
     save_model,
     train,
     valid_time_steps,
@@ -327,6 +330,28 @@ class TestTrain:
             train(graph, series, cfg, np.random.default_rng(0))
 
 
+def per_window_forward(graph, window, model):
+    """Oracle: one window's forward pass on the graph alone, rescaled to
+    speed units; rows gamma, nu, alpha, beta."""
+    x = np.zeros((graph.n, model.history))
+    x[graph.observable] = model.scaler.transform(window[:, graph.observable]).T
+    mask = np.zeros((graph.n, model.history))
+    mask[graph.observable] = 1.0
+    fwd = forward(model.params, model.model_cfg, ad.constant(x), ad.constant(mask), normalize(graph))
+    mean, std = model.scaler.mean, model.scaler.std
+    return np.stack([
+        fwd.gamma.values[:, 0] * std + mean,
+        fwd.nu.values[:, 0],
+        fwd.alpha.values[:, 0],
+        fwd.beta.values[:, 0] * std * std,
+    ])
+
+
+def nig_rows(ev):
+    """(4, ...) stack of an EvidentialOutput's gamma, nu, alpha, beta."""
+    return np.stack([ev.gamma, ev.nu, ev.alpha_nig, ev.beta])
+
+
 class TestScaler:
     def test_round_trip(self, rng):
         values = rng.uniform(10, 70, (50, 4))
@@ -390,6 +415,73 @@ class TestPredictFull:
         f1 = predict_full(graph, w1, res.model)
         f2 = predict_full(graph, w2, res.model)
         np.testing.assert_array_equal(f1.evidential.gamma, f2.evidential.gamma)
+
+
+class TestPredictWindows:
+    @pytest.fixture
+    def world(self, small_world):
+        graph, series = small_world
+        cfg = tiny_cfg()
+        model = train(graph, series, cfg, np.random.default_rng(0)).model
+        starts = np.array([0, 7, 50, 51, 120])
+        windows = np.stack([series.values[s : s + cfg.history] for s in starts])
+        return graph, model, windows
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_per_window_forward(self, world, directed):
+        graph, model, windows = world
+        if directed:  # forward and backward transitions differ
+            dist = np.random.default_rng(3).uniform(0.2, 3.0, (graph.n, graph.n))
+            graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
+                graph.observable, graph.missing
+            )
+            trans = normalize(graph)
+            assert abs(trans.forward - trans.backward).max() > 0.1
+        ev = predict_windows(graph, normalize(graph), windows, model)
+        assert ev.gamma.shape == ev.beta.shape == (len(windows), graph.n)
+        for row, window in enumerate(windows):
+            np.testing.assert_allclose(
+                nig_rows(ev)[:, row], per_window_forward(graph, window, model), rtol=1e-12
+            )
+
+    def test_speed_units(self, world):
+        # A scaler (m, s) on speed windows gives m + s * (the unit-scaler
+        # prediction on standardized windows), and variances times s^2.
+        graph, model, windows = world
+        trans = normalize(graph)
+        m, s = model.scaler.mean, model.scaler.std
+        unit = replace(model, scaler=Scaler(mean=0.0, std=1.0))
+        speed = predict_windows(graph, trans, windows, model)
+        plain = predict_windows(graph, trans, (windows - m) / s, unit)
+        np.testing.assert_allclose(speed.gamma, plain.gamma * s + m, rtol=1e-12)
+        np.testing.assert_allclose(speed.nu, plain.nu, rtol=1e-12)
+        np.testing.assert_allclose(speed.epistemic, plain.epistemic * s * s, rtol=1e-12)
+        np.testing.assert_allclose(speed.aleatoric, plain.aleatoric * s * s, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "take", [lambda w: w[0], lambda w: w[:, 1:], lambda w: w[:, :, 1:], lambda w: w[:0]]
+    )
+    def test_stack_shape_checked(self, world, take):
+        graph, model, windows = world
+        with pytest.raises(DataError, match="windows must be"):
+            predict_windows(graph, normalize(graph), take(windows), model)
+
+    def test_gap_in_any_window_rejected(self, world):
+        graph, model, windows = world
+        windows = windows.copy()
+        windows[-1, 2, graph.missing] = np.nan
+        predict_windows(graph, normalize(graph), windows, model)  # ignored column
+        windows[3, 0, graph.observable[-1]] = np.nan
+        with pytest.raises(DataError, match="gaps at observable"):
+            predict_windows(graph, normalize(graph), windows, model)
+
+    def test_predict_full_is_the_one_window_row(self, world):
+        graph, model, windows = world
+        ev = predict_windows(graph, normalize(graph), windows, model)
+        for row, window in enumerate(windows):
+            one = predict_full(graph, window, model).evidential
+            assert one.gamma.shape == one.epistemic.shape == (graph.n,)
+            np.testing.assert_allclose(nig_rows(one), nig_rows(ev)[:, row], rtol=1e-12)
 
 
 class TestModelIO:
