@@ -8,6 +8,7 @@ byte-identical for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -53,20 +54,45 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
-    """Read back (params, meta); arrays come out as trainable tensors."""
+    """Read back (params, meta); arrays come out as trainable tensors.
+
+    A truncated file, a header that is not JSON or lacks a field, an array
+    whose bytes disagree with its shape, or a parameter that is not finite
+    raises CheckpointError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        preamble = fh.read(8)
+        if len(preamble) != 8:
+            raise CheckpointError(f"truncated checkpoint: {len(preamble)} of 8 preamble bytes")
+        version, header_len = struct.unpack("<II", preamble)
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode())
+        try:
+            header = json.loads(fh.read(header_len).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise CheckpointError(f"checkpoint header is not JSON: {err}") from None
         payload = fh.read()
     params: dict[str, Tensor] = {}
-    for spec in header["arrays"]:
-        start = spec["offset"]
-        raw = payload[start : start + spec["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.float64).reshape(spec["shape"]).copy()
-        params[spec["name"]] = Tensor(arr, requires_grad=True)
-    return params, header["meta"]
+    try:
+        for spec in header["arrays"]:
+            name, start, nbytes = spec["name"], spec["offset"], spec["nbytes"]
+            if nbytes != 8 * math.prod(spec["shape"]):
+                raise CheckpointError(
+                    f"array {name!r}: {nbytes} bytes for shape {spec['shape']}"
+                )
+            if not 0 <= start <= len(payload) - nbytes:
+                raise CheckpointError(
+                    f"array {name!r} runs past the {len(payload)}-byte payload"
+                )
+            raw = payload[start : start + nbytes]
+            arr = np.frombuffer(raw, dtype=np.float64).reshape(spec["shape"]).copy()
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"array {name!r} has non-finite values")
+            params[name] = Tensor(arr, requires_grad=True)
+        meta = header["meta"]
+    except (KeyError, TypeError) as err:
+        raise CheckpointError(f"malformed checkpoint header: {err!r}") from None
+    return params, meta

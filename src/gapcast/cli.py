@@ -18,7 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .data import (
+    NodeIdMismatch,  # noqa: F401  (re-exported: callers catch cli.NodeIdMismatch)
     SplitSpec,
+    check_node_ids,
     generate_synthetic,
     hide_locations,
     load_distances_csv,
@@ -190,22 +192,6 @@ def _train_config(cfg: dict, resolution: float) -> TrainConfig:
 EVAL_META = ("node_ids", "observable", "missing", "sigma", "kappa")
 
 
-class NodeIdMismatch(ValueError):
-    """The speed CSV's columns are not the nodes a checkpoint was trained on."""
-
-
-def _check_node_ids(stored, found) -> None:
-    """Raise NodeIdMismatch at the first index where the two id lists differ."""
-    for pos in range(max(len(stored), len(found))):
-        want = stored[pos] if pos < len(stored) else None
-        got = found[pos] if pos < len(found) else None
-        if want != got:
-            raise NodeIdMismatch(
-                f"speed CSV has node {got!r} at node index {pos}, "
-                f"but the checkpoint was trained with {want!r} there"
-            )
-
-
 def cmd_generate(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns)
     out = Path(ns.out)
@@ -283,7 +269,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 "eval needs a checkpoint written by 'gapcast train'"
             )
     graph, series = _load_graph(ns.data, ns.distances, extra["sigma"], extra["kappa"])
-    _check_node_ids(extra["node_ids"], series.node_ids)
+    check_node_ids(extra["node_ids"], series.node_ids, "the checkpoint")
     graph = graph.with_partition(
         np.asarray(extra["observable"], dtype=np.int64),
         np.asarray(extra["missing"], dtype=np.int64),

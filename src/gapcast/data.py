@@ -24,7 +24,9 @@ __all__ = [
     "SpeedSeries",
     "SplitSpec",
     "DataError",
+    "NodeIdMismatch",
     "SeriesFormatError",
+    "check_node_ids",
     "load_speed_csv",
     "save_speed_csv",
     "load_distances_csv",
@@ -38,6 +40,23 @@ __all__ = [
 
 class DataError(ValueError):
     """Dataset does not satisfy a precondition (too short, bad count, ...)."""
+
+
+class NodeIdMismatch(DataError):
+    """A series' columns are not the nodes of the graph or model it meets."""
+
+
+def check_node_ids(stored, found, owner: str) -> None:
+    """Raise NodeIdMismatch at the first index where a series' node ids
+    (``found``) differ from the ``stored`` ids of ``owner``."""
+    for pos in range(max(len(stored), len(found))):
+        want = stored[pos] if pos < len(stored) else None
+        got = found[pos] if pos < len(found) else None
+        if want != got:
+            raise NodeIdMismatch(
+                f"series has node {got!r} at node index {pos}, "
+                f"but {owner} has {want!r} there"
+            )
 
 
 class SeriesFormatError(ValueError):

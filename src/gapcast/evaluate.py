@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import DataError, SpeedSeries, SplitSpec, split
+from .data import DataError, SpeedSeries, SplitSpec, check_node_ids, split
 from .graph import RoadGraph, normalize
 from .model import EvidentialOutput, nig_nll_values
 from .training import TrainConfig, TrainedModel, predict_windows, train
@@ -135,7 +135,8 @@ def collect_predictions(
 
     ``eval_graph``'s partition controls the input mask (missing rows are
     zeroed), while the truth may cover all nodes; window t predicts
-    t + horizon. The truth must have the input's steps and node ids. The
+    t + horizon. The truth must have the input's steps and node ids, and a
+    graph with node ids must name the input's columns in order. The
     graph is normalized once, and the windows run in stacks of at most
     ``INFERENCE_ROWS // n`` windows (at least one) through
     :func:`predict_windows`.
@@ -144,6 +145,8 @@ def collect_predictions(
         raise DataError(f"stride must be >= 1, got {stride}")
     if input_series.n != eval_graph.n:
         raise DataError(f"input series has {input_series.n} nodes, the graph {eval_graph.n}")
+    if eval_graph.node_ids:
+        check_node_ids(eval_graph.node_ids, input_series.node_ids, "the graph")
     if truth_series.steps != input_series.steps:
         raise DataError(f"truth has {truth_series.steps} steps, the input {input_series.steps}")
     if tuple(truth_series.node_ids) != tuple(input_series.node_ids):
@@ -161,7 +164,7 @@ def collect_predictions(
     ends = ends[(gaps[ends + 1] == gaps[ends + 1 - t_hist]) & finite_truth[ends + dt]]
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
-    trans = normalize(eval_graph)
+    trans = normalize(eval_graph.adjacency)
     per_pass = max(1, INFERENCE_ROWS // eval_graph.n)
     offsets = np.arange(1 - t_hist, 1)
     parts = [

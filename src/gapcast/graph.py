@@ -1,16 +1,15 @@
 """Road-network graphs: Gaussian-kernel adjacency, transition matrices,
 and Chebyshev diffusion operators.
 
-Transition matrices are ``scipy.sparse`` CSR arrays: a kernel graph has a
-handful of neighbours per node, so every diffusion product costs
-O(edges), not O(n^2). All functions here are pure; graphs are treated as
-immutable once built.
+Adjacency and transition matrices are ``scipy.sparse`` CSR arrays: a
+kernel graph has a handful of neighbours per node, so every diffusion
+product costs O(edges), not O(n^2). All functions here are pure; graphs
+are treated as immutable once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -37,12 +36,14 @@ class ParameterError(ValueError):
 class RoadGraph:
     """Sensor network: kernel adjacency plus the observable/missing split.
 
-    ``distances`` keeps the pairwise road distances the adjacency was built
-    from (np.inf for unreachable pairs); nearest-neighbor imputation needs
-    them. ``observable`` and ``missing`` partition ``range(n)``.
+    ``adjacency`` is a CSR array holding only the kept kernel entries.
+    ``distances`` keeps the dense pairwise road distances it was built from
+    (np.inf for unreachable pairs); nearest-neighbor imputation needs them.
+    ``observable`` and ``missing`` partition ``range(n)``. ``node_ids`` is
+    empty or names every node.
     """
 
-    adjacency: np.ndarray
+    adjacency: sparse.csr_array
     distances: np.ndarray
     observable: np.ndarray
     missing: np.ndarray
@@ -51,31 +52,31 @@ class RoadGraph:
     node_ids: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        n = self.adjacency.shape[0]
-        if self.adjacency.shape != (n, n) or self.distances.shape != (n, n):
+        a = self.adjacency
+        if not isinstance(a, sparse.csr_array):
+            raise ParameterError(f"adjacency must be a scipy.sparse.csr_array, got {type(a)}")
+        n = a.shape[0]
+        if a.shape != (n, n) or self.distances.shape != (n, n):
             raise ParameterError("adjacency and distances must be square and same size")
+        if len(self.node_ids) not in (0, n):
+            raise ParameterError(f"{len(self.node_ids)} node ids for {n} nodes")
         obs = set(self.observable.tolist())
         mis = set(self.missing.tolist())
         if obs & mis:
             raise ParameterError("observable and missing sets overlap")
         if obs | mis != set(range(n)):
             raise ParameterError("observable and missing must partition all nodes")
-        a = self.adjacency
-        if a.min() < 0.0 or a.max() > 1.0:
+        if not ((a.data >= 0.0) & (a.data <= 1.0)).all():
             raise ParameterError("adjacency entries must lie in [0, 1]")
-        if not np.allclose(np.diag(a), 1.0):
+        if not np.allclose(a.diagonal(), 1.0):
             raise ParameterError("adjacency diagonal must be 1 (self-distance 0)")
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @cached_property
-    def csr(self) -> sparse.csr_array:
-        """The adjacency as CSR (its zero entries dropped), built on first use."""
-        return sparse.csr_array(self.adjacency)
-
     def with_partition(self, observable: np.ndarray, missing: np.ndarray) -> "RoadGraph":
+        """A copy with a new observable/missing split; it shares the adjacency."""
         return replace(
             self,
             observable=np.sort(np.asarray(observable, dtype=np.int64)),
@@ -103,8 +104,8 @@ def build_adjacency(
 ) -> RoadGraph:
     """Thresholded-Gaussian-kernel adjacency from pairwise road distances.
 
-    Entry (i, j) is exp(-dist(i,j)^2 / sigma^2); entries with
-    dist >= kappa are truncated to zero (far pairs dropped).
+    Entry (i, j) is exp(-dist(i,j)^2 / sigma^2), evaluated only for pairs
+    with dist < kappa; the CSR adjacency stores the non-zero entries.
     ``sigma=None`` uses the standard deviation of all finite
     off-diagonal distances. The diagonal is always 1 and every node starts
     observable.
@@ -125,13 +126,18 @@ def build_adjacency(
     if not kappa > 0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
 
-    a = np.zeros_like(d)
-    a[finite] = np.exp(-((d[finite] / sigma) ** 2))
-    a[finite & (d >= kappa)] = 0.0
-    np.fill_diagonal(a, 1.0)
     n = d.shape[0]
+    keep = finite & (d < kappa)
+    np.fill_diagonal(keep, True)
+    flat = np.flatnonzero(keep)  # row-major, so already in CSR order
+    weights = np.exp(-((d.ravel()[flat] / sigma) ** 2))
+    weights[np.searchsorted(flat, np.arange(n) * (n + 1))] = 1.0  # self pairs
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    cols = np.remainder(flat, n, out=flat)  # in place: no second index array
+    adjacency = sparse.csr_array((weights, cols, indptr), shape=(n, n))
+    adjacency.eliminate_zeros()  # kernel values that underflow to 0
     return RoadGraph(
-        adjacency=a,
+        adjacency=adjacency,
         distances=d,
         observable=np.arange(n, dtype=np.int64),
         missing=np.empty(0, dtype=np.int64),
@@ -141,21 +147,14 @@ def build_adjacency(
     )
 
 
-def _as_csr(graph) -> sparse.csr_array:
-    """A RoadGraph's cached CSR adjacency, or any dense/sparse matrix as CSR."""
-    if isinstance(graph, RoadGraph):
-        return graph.csr
-    return sparse.csr_array(graph, dtype=np.float64)
+def normalize(adjacency) -> TransitionPair:
+    """Row-normalize an adjacency matrix into CSR forward/backward
+    transition matrices.
 
-
-def normalize(graph) -> TransitionPair:
-    """Row-normalize into CSR forward/backward transition matrices.
-
-    ``graph`` is a RoadGraph or an adjacency matrix, dense or sparse.
     Zero-degree rows stay all-zero. The backward matrix is the transpose of
     the forward one.
     """
-    a = _as_csr(graph)
+    a = sparse.csr_array(adjacency, dtype=np.float64)
     if (a.data < 0).any():
         raise ParameterError("adjacency must be nonnegative")
     deg = np.repeat(a.sum(axis=1), np.diff(a.indptr))
@@ -190,13 +189,13 @@ def chebyshev_terms(abar, h: Tensor, order: int, abar_t=None) -> list[Tensor]:
     return terms
 
 
-def subgraph(graph, indices) -> sparse.csr_array:
+def subgraph(adjacency, indices) -> sparse.csr_array:
     """The adjacency submatrix at ``indices`` (order preserved), as CSR.
 
     Gathers the CSR rows of the chosen nodes and keeps the entries whose
     column is chosen too: O(len(indices) * degree), with no dense copy.
     """
-    a = _as_csr(graph)
+    a = sparse.csr_array(adjacency, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"subgraph index out of range for {a.shape[0]} nodes")

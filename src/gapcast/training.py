@@ -13,7 +13,7 @@ from scipy import sparse
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import DataError, SpeedSeries, fill_small_gaps
+from .data import DataError, SpeedSeries, check_node_ids, fill_small_gaps
 from .graph import RoadGraph, TransitionPair, block_diagonal, normalize, subgraph
 from .model import (
     EvidentialOutput,
@@ -215,7 +215,7 @@ def draw_sample(
         reserved=reserved,
         masked=masked,
         mask=mask,
-        adjacency=subgraph(graph, nodes),
+        adjacency=subgraph(graph.adjacency, nodes),
         features=features,
         target=target,
         t=t,
@@ -273,8 +273,11 @@ def train(
 
     Deterministic for a fixed rng. Raises TrainingDiverged on a non-finite
     loss. The returned trace has one row per iteration with the mean
-    prediction/recovery/total losses.
+    prediction/recovery/total losses. A graph with node ids must name the
+    series' columns in order.
     """
+    if graph.node_ids:
+        check_node_ids(graph.node_ids, series.node_ids, "the graph")
     scaler = Scaler.fit(series.values, graph.observable)
     values = scaler.transform(fill_small_gaps(series.values))
     valid_steps = valid_time_steps(values, cfg.history, cfg.horizon, graph.observable)
@@ -385,7 +388,7 @@ def predict_full(
     ``window`` is (history, n) in speed units; this is
     :func:`predict_windows` on a stack of one window.
     """
-    ev = predict_windows(graph, normalize(graph), np.asarray(window)[None], model)
+    ev = predict_windows(graph, normalize(graph.adjacency), np.asarray(window)[None], model)
     return FullPrediction(EvidentialOutput(ev.gamma[0], ev.nu[0], ev.alpha_nig[0], ev.beta[0]))
 
 

@@ -259,6 +259,27 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err and "'node_ids'" in err
 
+    @pytest.mark.parametrize(
+        "cut, message", [(6, "preamble"), (20, "not JSON"), (-1, "runs past")]
+    )
+    def test_truncated_checkpoint_exits_1(self, tmp_path, capsys, cut, message):
+        data = dataset(tmp_path)
+        blob = (train_run(tmp_path, data) / "checkpoint.bin").read_bytes()
+        cut_path = tmp_path / "cut.bin"
+        cut_path.write_bytes(blob[:cut])
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(cut_path),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_eval_writes_reports(self, tmp_path):
         data = dataset(tmp_path)
         out = train_run(tmp_path, data)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from gapcast import cli
 from gapcast.data import (
     DataError,
+    NodeIdMismatch,
     SeriesFormatError,
     SpeedSeries,
     SplitSpec,
+    check_node_ids,
     fill_small_gaps,
     generate_synthetic,
     hide_locations,
@@ -126,6 +129,20 @@ def make_series(steps, n=2):
         np.arange(float(steps)) * 300,
         np.arange(float(steps * n)).reshape(steps, n),
     )
+
+
+class TestCheckNodeIds:
+    @pytest.mark.parametrize(
+        "found, pos",
+        [(("a", "c", "b"), 1), (("a", "b"), 2), (("a", "b", "c", "d"), 3), (("c", "b", "a"), 0)],
+    )
+    def test_names_first_differing_index(self, found, pos):
+        with pytest.raises(NodeIdMismatch, match=f"node index {pos},.* the graph"):
+            check_node_ids(("a", "b", "c"), found, "the graph")
+
+    def test_is_a_data_error_importable_from_cli(self):
+        assert issubclass(NodeIdMismatch, DataError)
+        assert cli.NodeIdMismatch is NodeIdMismatch
 
 
 class TestSplit:
@@ -278,7 +295,7 @@ class TestGenerateSynthetic:
             12, 300, rng, spacing_km=0.25, kappa_hops=4.5, districts=[6, 3, 3], district_gap_km=2.0
         )
         labels = np.repeat(np.arange(3), [6, 3, 3])
-        cross = ((g.adjacency > 0) & (labels[:, None] != labels[None, :])).sum()
+        cross = ((g.adjacency.toarray() > 0) & (labels[:, None] != labels[None, :])).sum()
         assert cross == 0
         # members of one district share a phase: near-perfect correlation
         v = s.values - s.values.mean(axis=0)

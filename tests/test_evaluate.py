@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gapcast import evaluate
-from gapcast.data import DataError, SpeedSeries, SplitSpec, generate_synthetic, hide_locations, split
+from gapcast.data import (
+    DataError,
+    NodeIdMismatch,
+    SpeedSeries,
+    SplitSpec,
+    generate_synthetic,
+    hide_locations,
+    split,
+)
 from gapcast.evaluate import (
     ImputationError,
     WindowPredictions,
@@ -310,6 +318,12 @@ class TestMismatchedTruth:
         flipped = replace(te, node_ids=te.node_ids[::-1], values=te.values[:, ::-1])
         with pytest.raises(DataError, match="node ids"):
             collect_predictions(model, graph, te, flipped)
+
+    def test_input_permuted_against_graph_rejected(self, trained_world):
+        graph, _, te, _, model = trained_world
+        flipped = replace(te, node_ids=te.node_ids[::-1], values=te.values[:, ::-1])
+        with pytest.raises(NodeIdMismatch, match="node index 0"):
+            collect_predictions(model, graph, flipped, flipped)
 
     def test_wider_truth_rejected(self, trained_world):
         graph, _, te, _, model = trained_world

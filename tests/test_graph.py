@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from gapcast import autodiff as ad
 from gapcast.graph import (
@@ -68,6 +70,79 @@ class TestBuildAdjacency:
         g = build_adjacency(ring_distances(5), sigma=2.0)
         with pytest.raises(ParameterError):
             g.with_partition(np.array([0, 1, 2]), np.array([2, 3, 4]))  # overlap
+
+
+def dense_reference(d, sigma, kappa):
+    """The kernel adjacency evaluated densely over all n x n pairs: the
+    reference that ``build_adjacency``'s CSR must match bitwise."""
+    finite = np.isfinite(d)
+    a = np.zeros_like(d)
+    a[finite] = np.exp(-((d[finite] / sigma) ** 2))
+    a[finite & (d >= kappa)] = 0.0
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+INF = np.inf
+ORACLE_DISTANCES = {
+    "directed": np.array(
+        [[0.0, 1.0, 2.5, 0.3], [3.0, 0.0, 0.7, 1.9], [0.2, 4.0, 0.0, 2.2], [1.1, 0.4, 3.3, 0.0]]
+    ),
+    "inf": np.array(
+        [[0.0, INF, 1.0, INF], [INF, 0.0, INF, 2.0], [1.5, INF, 0.0, INF], [INF, INF, INF, INF]]
+    ),
+    "self-pair": np.array([[0.5, 1.0, 2.0], [1.0, 3.0, 1.2], [2.0, 0.8, 0.0]]),
+    "underflow": np.array([[0.0, 1.0, 60.0], [1.0, 0.0, 0.5], [60.0, 0.5, 0.0]]),
+}
+
+
+class TestCsrAdjacency:
+    @pytest.mark.parametrize("kappa", [2.0, INF])
+    @pytest.mark.parametrize("case", sorted(ORACLE_DISTANCES))
+    def test_bitwise_equal_to_dense_formula(self, case, kappa):
+        d = ORACLE_DISTANCES[case]
+        g = build_adjacency(d, sigma=1.0, kappa=kappa)
+        want = sparse.csr_array(dense_reference(d, 1.0, kappa))
+        got = g.adjacency
+        assert got.dtype == np.float64
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        for direction in ("forward", "backward"):
+            ours, theirs = getattr(normalize(got), direction), getattr(normalize(want), direction)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(ours, part), getattr(theirs, part))
+
+    @pytest.mark.parametrize("kappa", [2.5, INF])
+    def test_estimated_sigma_matches_dense_formula(self, kappa):
+        d = ring_distances(9)
+        g = build_adjacency(d, kappa=kappa)
+        want = sparse.csr_array(dense_reference(d, g.kernel_sigma, kappa))
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(g.adjacency, part), getattr(want, part))
+
+    def test_partition_copies_share_the_adjacency(self):
+        g = build_adjacency(ring_distances(6), sigma=2.0)
+        assert g.with_partition(np.arange(4), np.array([4, 5])).adjacency is g.adjacency
+
+    def test_dense_adjacency_rejected(self):
+        g = build_adjacency(ring_distances(4), sigma=2.0)
+        with pytest.raises(ParameterError, match="csr_array"):
+            replace(g, adjacency=g.adjacency.toarray())
+
+    def test_entries_outside_unit_interval_rejected(self):
+        g = build_adjacency(ring_distances(4), sigma=2.0)
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            replace(g, adjacency=2.0 * g.adjacency)
+
+    def test_diagonal_must_be_one(self):
+        g = build_adjacency(ring_distances(4), sigma=2.0)
+        with pytest.raises(ParameterError, match="diagonal"):
+            replace(g, adjacency=sparse.csr_array(g.adjacency.toarray() * (1 - np.eye(4))))
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_node_ids_must_name_every_node(self, count):
+        with pytest.raises(ParameterError, match="node ids"):
+            build_adjacency(np.zeros((3, 3)), sigma=1.0, node_ids=tuple("abcd"[:count]))
 
 
 class TestNormalize:
@@ -161,11 +236,13 @@ class TestChebyshev:
 class TestSubgraph:
     def test_full_selection_is_identity(self):
         g = build_adjacency(ring_distances(6), sigma=2.0)
-        np.testing.assert_array_equal(subgraph(g, np.arange(6)).toarray(), g.adjacency)
+        np.testing.assert_array_equal(
+            subgraph(g.adjacency, np.arange(6)).toarray(), g.adjacency.toarray()
+        )
 
     def test_single_index(self):
         g = build_adjacency(ring_distances(6), sigma=2.0)
-        np.testing.assert_array_equal(subgraph(g, [3]).toarray(), [[1.0]])
+        np.testing.assert_array_equal(subgraph(g.adjacency, [3]).toarray(), [[1.0]])
 
     def test_permuted_matches_naive_gather(self, rng):
         a = rng.uniform(0, 1, (15, 15))
@@ -179,12 +256,12 @@ class TestSubgraph:
 
     def test_csr_gather_matches_dense_oracle_on_permuted_indices(self, rng):
         g = build_adjacency(ring_distances(30), sigma=2.0, kappa=4.0)
-        assert g.csr.nnz < 30 * 30  # a sparse graph, so the gather drops columns
+        assert g.adjacency.nnz < 30 * 30  # a sparse graph, so the gather drops columns
         for size in (0, 1, 7, 19, 30):
             idx = rng.permutation(30)[:size]
-            got = subgraph(g, idx)
+            got = subgraph(g.adjacency, idx)
             assert got.format == "csr" and got.shape == (size, size)
-            np.testing.assert_array_equal(got.toarray(), g.adjacency[np.ix_(idx, idx)])
+            np.testing.assert_array_equal(got.toarray(), g.adjacency.toarray()[np.ix_(idx, idx)])
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -197,7 +274,7 @@ class TestSubgraph:
 
 def test_block_diagonal_is_disjoint_union(rng):
     g = build_adjacency(ring_distances(12), sigma=2.0, kappa=3.0)
-    parts = [subgraph(g, rng.permutation(12)[:size]) for size in (5, 1, 12)]
+    parts = [subgraph(g.adjacency, rng.permutation(12)[:size]) for size in (5, 1, 12)]
     union = block_diagonal(parts)
     dense = np.zeros((18, 18))
     dense[:5, :5] = parts[0].toarray()

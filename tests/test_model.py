@@ -361,6 +361,76 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def checkpoint_bytes(arrays, payload, meta=None):
+    """A version-2 file from hand-written array specs and payload bytes."""
+    header = json.dumps({"version": 2, "arrays": arrays, "meta": meta or {}}).encode()
+    return MAGIC + struct.pack("<II", 2, len(header)) + header + payload
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture
+    def good(self, tmp_path, rng):
+        path = tmp_path / "good.bin"
+        save_checkpoint(path, {"w": ad.parameter(rng.normal(size=(3, 2)))}, {"k": 1})
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "cut, match",
+        [(6, "preamble"), (13, "not JSON"), (-1, "runs past"), (-48, "runs past")],
+        ids=["preamble", "header", "payload-byte", "whole-payload"],
+    )
+    def test_truncated_file(self, tmp_path, good, cut, match):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(good[:cut])
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "garbled.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 2, 4) + b"\xff{]x")
+        with pytest.raises(CheckpointError, match="not JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"version": 2, "meta": {}},
+            {"version": 2, "arrays": [{"name": "w"}], "meta": {}},
+            [1, 2],
+        ],
+        ids=["no-arrays", "no-offset", "not-an-object"],
+    )
+    def test_json_header_of_wrong_structure(self, tmp_path, header):
+        raw = json.dumps(header).encode()
+        path = tmp_path / "odd.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 2, len(raw)) + raw)
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+
+    def test_nbytes_disagrees_with_shape(self, tmp_path):
+        spec = {"name": "w", "shape": [2, 2], "offset": 0, "nbytes": 24}
+        path = tmp_path / "short_array.bin"
+        path.write_bytes(checkpoint_bytes([spec], np.zeros(4).tobytes()))
+        with pytest.raises(CheckpointError, match="24 bytes for shape"):
+            load_checkpoint(path)
+
+    def test_negative_offset(self, tmp_path):
+        spec = {"name": "w", "shape": [1], "offset": -8, "nbytes": 8}
+        path = tmp_path / "negative.bin"
+        path.write_bytes(checkpoint_bytes([spec], np.zeros(2).tobytes()))
+        with pytest.raises(CheckpointError, match="runs past"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter(self, tmp_path, bad):
+        values = np.ones((2, 2))
+        values[1, 0] = bad
+        path = tmp_path / "nonfinite.bin"
+        save_checkpoint(path, {"w": ad.parameter(values)}, {})
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+
 class TestModelConfig:
     @pytest.mark.parametrize("hidden", [0, -3])
     def test_hidden_dim_below_one_rejected(self, hidden):

@@ -1,8 +1,11 @@
-"""The benchmark's span tracer still finds every function it wraps, and
-``scripts/bench_compare.py`` pairs and summarises benchmark results.
+"""The benchmark's span tracer still finds every function it wraps, its
+inputs still load, and ``scripts/bench_compare.py`` pairs and summarises
+benchmark results.
 
-``gapbench/spans.py`` patches gapcast functions by name; a rename or a
-deletion would otherwise surface only in a traced benchmark run.
+``gapbench/spans.py`` patches gapcast functions by name, and
+``gapbench/workloads.py`` reaches the program through CSV files and
+``build_adjacency``; a rename, a deletion or a graph change would otherwise
+surface only in a benchmark run.
 """
 
 import importlib
@@ -12,13 +15,16 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gapcast
+from gapcast.data import generate_synthetic
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "gapbench" / "spans.py"
+GAPBENCH = Path(__file__).resolve().parents[1] / "gapbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("gapbench_spans", SPANS_PATH)
+def load_gapbench(name):
+    spec = importlib.util.spec_from_file_location(f"gapbench_{name}", GAPBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -43,7 +49,7 @@ def test_tracer_installs_on_every_gapcast_module():
             if getattr(module, name) is not value
         ]
 
-    tracer = load_spans().Tracer()
+    tracer = load_gapbench("spans").Tracer()
     tracer.install()  # raises SpanError when a traced function is gone
     try:
         assert "gapcast.model.nig_nll_values" in replaced()
@@ -51,6 +57,24 @@ def test_tracer_installs_on_every_gapcast_module():
     finally:
         tracer.uninstall()
     assert replaced() == []
+
+
+def test_benchmark_inputs_load_to_the_generated_graph(tmp_path):
+    workloads = load_gapbench("workloads")
+    corridor = workloads.Corridor(nodes=12, steps=40)
+    workloads.write_inputs(corridor, 3, tmp_path / "inputs")
+    graph, series = workloads.load_graph(tmp_path / "inputs", corridor)
+    generated, _ = generate_synthetic(
+        corridor.nodes, corridor.steps, np.random.default_rng(3),
+        kappa_hops=corridor.kappa_hops, wave_het=corridor.wave_het,
+        noise_amp=corridor.noise_amp,
+    )
+    assert series.node_ids == graph.node_ids == generated.node_ids
+    assert graph.kernel_sigma == generated.kernel_sigma
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(
+            getattr(graph.adjacency, part), getattr(generated.adjacency, part)
+        )
 
 
 def load_bench_compare():

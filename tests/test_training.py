@@ -5,7 +5,7 @@ import pytest
 
 from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
-from gapcast.data import DataError, SplitSpec, generate_synthetic, hide_locations, split
+from gapcast.data import DataError, NodeIdMismatch, generate_synthetic, hide_locations
 from gapcast.graph import build_adjacency, normalize
 from gapcast.model import (
     ForwardPass,
@@ -323,6 +323,12 @@ class TestTrain:
         assert wins == 5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_permuted_series_columns_rejected(self, small_world):
+        graph, series = small_world
+        flipped = replace(series, node_ids=series.node_ids[::-1], values=series.values[:, ::-1])
+        with pytest.raises(NodeIdMismatch, match="node index 0"):
+            train(graph, flipped, tiny_cfg(), np.random.default_rng(0))
+
     def test_divergence_aborts_with_diagnostic(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg(iterations=30, lr=1e154)
@@ -337,7 +343,10 @@ def per_window_forward(graph, window, model):
     x[graph.observable] = model.scaler.transform(window[:, graph.observable]).T
     mask = np.zeros((graph.n, model.history))
     mask[graph.observable] = 1.0
-    fwd = forward(model.params, model.model_cfg, ad.constant(x), ad.constant(mask), normalize(graph))
+    fwd = forward(
+        model.params, model.model_cfg, ad.constant(x), ad.constant(mask),
+        normalize(graph.adjacency),
+    )
     mean, std = model.scaler.mean, model.scaler.std
     return np.stack([
         fwd.gamma.values[:, 0] * std + mean,
@@ -435,9 +444,9 @@ class TestPredictWindows:
             graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
                 graph.observable, graph.missing
             )
-            trans = normalize(graph)
+            trans = normalize(graph.adjacency)
             assert abs(trans.forward - trans.backward).max() > 0.1
-        ev = predict_windows(graph, normalize(graph), windows, model)
+        ev = predict_windows(graph, normalize(graph.adjacency), windows, model)
         assert ev.gamma.shape == ev.beta.shape == (len(windows), graph.n)
         for row, window in enumerate(windows):
             np.testing.assert_allclose(
@@ -448,7 +457,7 @@ class TestPredictWindows:
         # A scaler (m, s) on speed windows gives m + s * (the unit-scaler
         # prediction on standardized windows), and variances times s^2.
         graph, model, windows = world
-        trans = normalize(graph)
+        trans = normalize(graph.adjacency)
         m, s = model.scaler.mean, model.scaler.std
         unit = replace(model, scaler=Scaler(mean=0.0, std=1.0))
         speed = predict_windows(graph, trans, windows, model)
@@ -464,20 +473,20 @@ class TestPredictWindows:
     def test_stack_shape_checked(self, world, take):
         graph, model, windows = world
         with pytest.raises(DataError, match="windows must be"):
-            predict_windows(graph, normalize(graph), take(windows), model)
+            predict_windows(graph, normalize(graph.adjacency), take(windows), model)
 
     def test_gap_in_any_window_rejected(self, world):
         graph, model, windows = world
         windows = windows.copy()
         windows[-1, 2, graph.missing] = np.nan
-        predict_windows(graph, normalize(graph), windows, model)  # ignored column
+        predict_windows(graph, normalize(graph.adjacency), windows, model)  # ignored column
         windows[3, 0, graph.observable[-1]] = np.nan
         with pytest.raises(DataError, match="gaps at observable"):
-            predict_windows(graph, normalize(graph), windows, model)
+            predict_windows(graph, normalize(graph.adjacency), windows, model)
 
     def test_predict_full_is_the_one_window_row(self, world):
         graph, model, windows = world
-        ev = predict_windows(graph, normalize(graph), windows, model)
+        ev = predict_windows(graph, normalize(graph.adjacency), windows, model)
         for row, window in enumerate(windows):
             one = predict_full(graph, window, model).evidential
             assert one.gamma.shape == one.epistemic.shape == (graph.n,)
