@@ -121,11 +121,6 @@ def _tape_stack() -> list["Tape"]:
     return stack
 
 
-def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 class Tape:
     """Op recording in execution order; reverse traversal runs backprop.
 
@@ -380,6 +375,13 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(av[:, start:stop].copy(), (a,), rule)
 
 
+# Adam's moment decay rates and denominator floor: Kingma and Ba's
+# defaults, which no command or experiment changes.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction over a named parameter dict.
 
@@ -387,38 +389,28 @@ class Adam:
     gradient is treated as zero (moments still decay).
     """
 
-    def __init__(
-        self,
-        params: Mapping[str, Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(p.values) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.values) for k, p in self.params.items()}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            v *= self.beta2
+            m *= ADAM_BETA1
+            v *= ADAM_BETA2
             if g is not None:
-                m += (1.0 - self.beta1) * g
-                v += (1.0 - self.beta2) * (g * g)
+                m += (1.0 - ADAM_BETA1) * g
+                v += (1.0 - ADAM_BETA2) * (g * g)
             with np.errstate(invalid="ignore"):
-                update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if not np.all(np.isfinite(update)):
                 raise DomainError(f"non-finite Adam update for parameter {name!r}")
             p.values -= update

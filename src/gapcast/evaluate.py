@@ -12,15 +12,13 @@ import numpy as np
 from .data import DataError, SpeedSeries, SplitSpec, check_node_ids, split
 from .graph import RoadGraph, normalize
 from .model import EvidentialOutput, nig_nll_values
-from .training import TrainConfig, TrainedModel, predict_windows, train
+from .training import TrainConfig, TrainedModel, gap_free_history, predict_windows, train
 
 __all__ = [
     "MetricReport",
     "WindowPredictions",
     "ImputationError",
-    "rmse",
-    "mae",
-    "r2",
+    "row_metrics",
     "mean_impute",
     "knn_impute",
     "collect_predictions",
@@ -31,33 +29,6 @@ __all__ = [
 
 class ImputationError(ValueError):
     """A missing location cannot be imputed (e.g. no reachable neighbor)."""
-
-
-def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    t = np.asarray(truth, dtype=np.float64).reshape(-1)
-    if p.size == 0 or p.size != t.size:
-        raise DataError(f"need equal nonempty arrays, got {p.size} and {t.size}")
-    return p, t
-
-
-def rmse(pred, truth) -> float:
-    p, t = _check_pair(pred, truth)
-    return float(np.sqrt(np.mean((p - t) ** 2)))
-
-
-def mae(pred, truth) -> float:
-    p, t = _check_pair(pred, truth)
-    return float(np.mean(np.abs(p - t)))
-
-
-def r2(pred, truth) -> float:
-    """1 - SSE/SST about the truth mean; NaN when the truth has no variance."""
-    p, t = _check_pair(pred, truth)
-    sst = float(np.sum((t - t.mean()) ** 2))
-    if sst == 0.0:
-        return float("nan")
-    return 1.0 - float(np.sum((p - t) ** 2)) / sst
 
 
 def mean_impute(series: SpeedSeries, graph: RoadGraph) -> SpeedSeries:
@@ -108,14 +79,6 @@ class WindowPredictions:
     alpha = property(lambda self: self.evidential.alpha_nig)
     beta = property(lambda self: self.evidential.beta)
 
-    def group_rmse(self, nodes: np.ndarray) -> float:
-        if nodes.size == 0:
-            return float("nan")
-        return rmse(self.gamma[:, nodes], self.truth[:, nodes])
-
-    def per_node_epistemic(self) -> np.ndarray:
-        return self.evidential.epistemic.mean(axis=0)
-
 
 # Rows (windows x nodes) of one stacked inference pass. It bounds the
 # working set: at hidden width 48 one activation is 0.4 MB. On 2 CPUs with
@@ -156,12 +119,11 @@ def collect_predictions(
     steps = values.shape[0]
     if steps < t_hist + dt:
         raise DataError(f"evaluation series too short: {steps} < {t_hist + dt}")
-    gaps = np.concatenate(
-        [[0], np.cumsum(~np.isfinite(values[:, eval_graph.observable]).all(axis=1))]
-    )
     finite_truth = np.isfinite(truth_series.values).all(axis=1)
     ends = np.arange(t_hist - 1, steps - dt, stride)
-    ends = ends[(gaps[ends + 1] == gaps[ends + 1 - t_hist]) & finite_truth[ends + dt]]
+    ends = ends[
+        gap_free_history(values, eval_graph.observable, ends, t_hist) & finite_truth[ends + dt]
+    ]
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
     trans = normalize(eval_graph.adjacency)
@@ -180,6 +142,33 @@ def collect_predictions(
         truth=truth_series.values[ends + dt],
         evidential=EvidentialOutput(**stacked),
     )
+
+
+def row_metrics(pred, truth, nll, epistemic) -> dict[str, np.ndarray]:
+    """RMSE, MAE, R^2, mean NLL and mean epistemic variance of each row of
+    four equal (rows, samples) arrays: the one implementation of every
+    score that reports and sensing read.
+
+    R^2 is 1 - SSE/SST about the row's own truth mean, NaN when that row's
+    truth has no variance. Rows are reduced contiguously, so a one-row
+    call rounds exactly like 1-D ``np.mean`` and ``np.sum``.
+    """
+    arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (pred, truth, nll, epistemic)]
+    shapes = [a.shape for a in arrays]
+    if len(shapes[0]) != 2 or shapes[0][1] == 0 or len(set(shapes)) != 1:
+        raise DataError(f"need four equal (rows, samples >= 1) arrays, got {shapes}")
+    pred, truth, nll, epistemic = arrays
+    sq_err = (pred - truth) ** 2
+    sst = np.sum((truth - truth.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(sst == 0.0, np.nan, 1.0 - np.sum(sq_err, axis=1) / sst)
+    return {
+        "rmse": np.sqrt(np.mean(sq_err, axis=1)),
+        "mae": np.mean(np.abs(pred - truth), axis=1),
+        "r2": r2,
+        "nll": np.mean(nll, axis=1),
+        "epistemic": np.mean(epistemic, axis=1),
+    }
 
 
 GROUP_METRICS = ("rmse", "mae", "r2", "nll")
@@ -225,38 +214,20 @@ class MetricReport:
 def make_report(
     wp: WindowPredictions, graph: RoadGraph, horizon: int
 ) -> MetricReport:
-    """Per-group and per-node metrics. R^2 uses each group's (or node's)
-    own truth mean."""
+    """Per-group and per-node metrics from :func:`row_metrics`: a group is
+    one row of its nodes' flattened (window, node) cells, a node one row of
+    the (nodes, windows) transposes."""
     ev = wp.evidential
     nll = nig_nll_values(wp.gamma, ev.nu, ev.alpha_nig, ev.beta, wp.truth)
-    epi = ev.epistemic
+    scored = (wp.gamma, wp.truth, nll, ev.epistemic)
     groups = {}
     for name, nodes in (("observable", graph.observable), ("missing", graph.missing)):
         if nodes.size == 0:
             groups[name] = {m: float("nan") for m in GROUP_METRICS}
             continue
-        pred = wp.gamma[:, nodes].reshape(-1)
-        truth = wp.truth[:, nodes].reshape(-1)
-        groups[name] = {
-            "rmse": rmse(pred, truth),
-            "mae": mae(pred, truth),
-            "r2": r2(pred, truth),
-            "nll": float(nll[:, nodes].mean()),
-        }
-    # Each node's metrics reduce a contiguous row of a (nodes, windows)
-    # transpose, which rounds exactly like the 1-D metric functions above.
-    pred, truth = np.ascontiguousarray(wp.gamma.T), np.ascontiguousarray(wp.truth.T)
-    sq_err = (pred - truth) ** 2
-    sst = np.sum((truth - truth.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        node_r2 = np.where(sst == 0.0, np.nan, 1.0 - np.sum(sq_err, axis=1) / sst)
-    columns = {
-        "rmse": np.sqrt(np.mean(sq_err, axis=1)),
-        "mae": np.mean(np.abs(pred - truth), axis=1),
-        "r2": node_r2,
-        "nll": np.ascontiguousarray(nll.T).mean(axis=1),
-        "epistemic": np.ascontiguousarray(epi.T).mean(axis=1),
-    }
+        row = row_metrics(*(a[:, nodes].reshape(1, -1) for a in scored))
+        groups[name] = {m: float(row[m][0]) for m in GROUP_METRICS}
+    columns = row_metrics(*(a.T for a in scored))
     is_missing = np.zeros(graph.n, dtype=bool)
     is_missing[graph.missing] = True
     per_node = [

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, SpeedSeries, SplitSpec, split
-from .evaluate import collect_predictions
+from .evaluate import collect_predictions, make_report
 from .graph import RoadGraph
 from .training import TrainConfig, train
 
@@ -80,8 +80,7 @@ def selection(uncertainties: np.ndarray, excluded, budget: int) -> np.ndarray:
     ``excluded`` nodes (already instrumented) are never candidates.
     """
     u = np.asarray(uncertainties, dtype=np.float64)
-    excluded = set(np.asarray(excluded, dtype=np.int64).tolist())
-    candidates = np.array([i for i in range(u.size) if i not in excluded], dtype=np.int64)
+    candidates = np.setdiff1d(np.arange(u.size), np.asarray(excluded, dtype=np.int64))
     if budget > candidates.size:
         raise DataError(f"budget {budget} exceeds {candidates.size} candidates")
     order = np.lexsort((candidates, -u[candidates]))
@@ -128,13 +127,14 @@ def run_episode(
         wp = collect_predictions(
             result.model, current, test_series, test_series, stride=cfg.eval_stride
         )
+        report = make_report(wp, current, cfg.train.horizon)
         records.append(
             StepRecord(
                 step=step,
                 n_observable=int(observable.size),
                 added=added,
-                rmse_observable=wp.group_rmse(current.observable),
-                rmse_missing=wp.group_rmse(current.missing),
+                rmse_observable=report.groups["observable"]["rmse"],
+                rmse_missing=report.groups["missing"]["rmse"],
                 truncated=truncated,
             )
         )
@@ -145,7 +145,8 @@ def run_episode(
             budget = missing.size
             truncated = True
         if policy == "uncertainty":
-            chosen = selection(wp.per_node_epistemic(), observable, budget)
+            epistemic = np.array([row["epistemic"] for row in report.per_node])
+            chosen = selection(epistemic, observable, budget)
         else:
             select_rng = np.random.default_rng([base, 2, step])
             chosen = np.sort(select_rng.choice(missing, size=budget, replace=False))

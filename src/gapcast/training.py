@@ -12,7 +12,7 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, SpeedSeries, check_node_ids, fill_small_gaps
 from .graph import RoadGraph, TransitionPair, block_diagonal, normalize, subgraph
 from .model import (
@@ -34,6 +34,7 @@ __all__ = [
     "TrainedModel",
     "FullPrediction",
     "TrainingDiverged",
+    "gap_free_history",
     "valid_time_steps",
     "draw_sample",
     "compute_loss",
@@ -153,6 +154,19 @@ class SampleBatch:
         )
 
 
+def gap_free_history(
+    values: np.ndarray, columns: np.ndarray, ends: np.ndarray, history: int
+) -> np.ndarray:
+    """Mask over window end steps: True where the ``history`` steps up to
+    and including each end are finite on ``columns``.
+
+    The one window rule: training and evaluation both take only windows
+    whose observable history has no gap.
+    """
+    gaps = np.concatenate([[0], np.cumsum(~np.isfinite(values[:, columns]).all(axis=1))])
+    return gaps[ends + 1] == gaps[ends + 1 - history]
+
+
 def valid_time_steps(
     values: np.ndarray, history: int, horizon: int, columns: np.ndarray
 ) -> np.ndarray:
@@ -164,11 +178,9 @@ def valid_time_steps(
             f"series has {steps} steps, need at least {history + horizon} "
             f"for history={history}, horizon={horizon}"
         )
-    finite = np.isfinite(values[:, columns]).all(axis=1)
-    bad = np.cumsum(~finite)
     ts = np.arange(history - 1, steps - horizon)
-    window_ok = (bad[ts] - np.where(ts - history >= 0, bad[ts - history], 0)) == 0
-    valid = ts[window_ok & finite[ts + horizon]]
+    target_ok = np.isfinite(values[history - 1 + horizon :, columns]).all(axis=1)
+    valid = ts[gap_free_history(values, columns, ts, history) & target_ok]
     if valid.size == 0:
         raise DataError("no gap-free training windows available")
     return valid
@@ -410,12 +422,25 @@ def save_model(path, model: TrainedModel, extra_meta: dict | None = None) -> Non
 
 
 def load_model(path) -> tuple[TrainedModel, dict]:
+    """Read a :func:`save_model` file back; a meta key that is missing or
+    malformed raises CheckpointError naming it."""
     params, meta = load_checkpoint(path)
+
+    def meta_value(key, build):
+        try:
+            value = meta[key]
+        except (KeyError, TypeError):  # TypeError: the meta is not a JSON object
+            raise CheckpointError(f"checkpoint meta has no {key!r}") from None
+        try:
+            return build(value)
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"checkpoint meta {key!r} is malformed: {err}") from None
+
     model = TrainedModel(
         params=params,
-        model_cfg=ModelConfig(**meta["model_cfg"]),
-        history=int(meta["history"]),
-        horizon=int(meta["horizon"]),
-        scaler=Scaler(**meta["scaler"]),
+        model_cfg=meta_value("model_cfg", lambda cfg: ModelConfig(**cfg)),
+        history=meta_value("history", int),
+        horizon=meta_value("horizon", int),
+        scaler=meta_value("scaler", lambda scaler: Scaler(**scaler)),
     )
     return model, meta.get("extra", {})

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from gapcast.checkpoint import CheckpointError, save_checkpoint
 from gapcast.cli import main, parse_horizon
 from gapcast.data import load_speed_csv
-from gapcast.model import ModelConfig
+from gapcast.model import ModelConfig, init_params
 from gapcast.training import TrainConfig, load_model, predict_full, save_model, train
 
 
@@ -258,6 +259,26 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "'node_ids'" in err
+
+    def test_checkpoint_with_empty_meta_exits_1(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        empty = tmp_path / "empty.bin"
+        params = init_params(ModelConfig(hidden_dim=4), 8, np.random.default_rng(0))
+        save_checkpoint(empty, params, {})
+        with pytest.raises(CheckpointError, match="'model_cfg'"):
+            load_model(empty)
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(empty),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'model_cfg'" in err
 
     @pytest.mark.parametrize(
         "cut, message", [(6, "preamble"), (20, "not JSON"), (-1, "runs past")]

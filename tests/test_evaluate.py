@@ -23,10 +23,8 @@ from gapcast.evaluate import (
     collect_predictions,
     knn_impute,
     make_report,
-    mae,
     mean_impute,
-    r2,
-    rmse,
+    row_metrics,
     two_step_pipeline,
 )
 from gapcast.model import EvidentialOutput, ModelConfig, nig_nll_values
@@ -36,27 +34,57 @@ from test_model import nig_marginal_nll_quadrature
 from test_training import nig_rows, per_window_forward
 
 
+# 1-D reference formulas for the oracles below, kept apart from row_metrics.
+def rmse(pred, truth) -> float:
+    p, t = np.ravel(pred), np.ravel(truth)
+    return float(np.sqrt(np.mean((p - t) ** 2)))
+
+
+def mae(pred, truth) -> float:
+    p, t = np.ravel(pred), np.ravel(truth)
+    return float(np.mean(np.abs(p - t)))
+
+
+def r2(pred, truth) -> float:
+    p, t = np.ravel(pred), np.ravel(truth)
+    sst = float(np.sum((t - t.mean()) ** 2))
+    if sst == 0.0:
+        return float("nan")
+    return 1.0 - float(np.sum((p - t) ** 2)) / sst
+
+
+def one_row(pred, truth):
+    """row_metrics on a single row, with zero NLL and epistemic cells."""
+    pred, truth = np.atleast_2d(np.asarray(pred, float)), np.atleast_2d(np.asarray(truth, float))
+    zeros = np.zeros_like(pred)
+    return {name: float(col[0]) for name, col in row_metrics(pred, truth, zeros, zeros).items()}
+
+
 class TestPointMetrics:
     def test_perfect_prediction(self):
-        assert rmse([1, 2], [1, 2]) == 0.0
-        assert mae([1, 2], [1, 2]) == 0.0
-        assert r2([1, 2], [1, 2]) == 1.0
+        got = one_row([1, 2], [1, 2])
+        assert got["rmse"] == 0.0
+        assert got["mae"] == 0.0
+        assert got["r2"] == 1.0
 
     def test_hand_values(self):
-        assert mae([1, 3], [0, 0]) == pytest.approx(2.0)
-        assert rmse([1, 3], [0, 0]) == pytest.approx(math.sqrt(5))
+        got = one_row([1, 3], [0, 0])
+        assert got["mae"] == pytest.approx(2.0)
+        assert got["rmse"] == pytest.approx(math.sqrt(5))
 
     def test_mean_prediction_gives_zero_r2(self):
         truth = np.array([1.0, 2.0, 3.0, 6.0])
         pred = np.full(4, truth.mean())
-        assert r2(pred, truth) == pytest.approx(0.0)
+        assert one_row(pred, truth)["r2"] == pytest.approx(0.0)
 
     def test_zero_variance_truth_r2_nan(self):
-        assert math.isnan(r2([1.0, 2.0], [3.0, 3.0]))
+        assert math.isnan(one_row([1.0, 2.0], [3.0, 3.0])["r2"])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            rmse([], [])
+            one_row([], [])
+        with pytest.raises(DataError):
+            one_row([1.0, 2.0], [1.0, 2.0, 3.0])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -64,7 +92,8 @@ class TestPointMetrics:
         arrays(np.float64, 8, elements=st.floats(-100, 100)),
     )
     def test_rmse_at_least_mae(self, pred, truth):
-        assert rmse(pred, truth) >= mae(pred, truth) - 1e-12
+        got = one_row(pred, truth)
+        assert got["rmse"] >= got["mae"] - 1e-12
 
 
 def series_with_graph(rng, n=8, steps=60, hide=3):
@@ -202,8 +231,10 @@ class TestReports:
         wp = collect_predictions(model, graph, te, te, stride=2)
         report = make_report(wp, graph, horizon=cfg.horizon)
         obs = graph.observable
-        standalone = rmse(wp.gamma[:, obs], wp.truth[:, obs])
-        assert report.groups["observable"]["rmse"] == pytest.approx(standalone, rel=1e-12)
+        pred, truth = wp.gamma[:, obs], wp.truth[:, obs]
+        assert report.groups["observable"]["rmse"] == rmse(pred, truth)
+        assert report.groups["observable"]["mae"] == mae(pred, truth)
+        assert report.groups["observable"]["r2"] == r2(pred, truth)
 
     def test_group_nll_aggregates_per_node_means(self, trained_world):
         graph, _, te, cfg, model = trained_world
@@ -366,6 +397,7 @@ def make_report_oracle(wp, graph):
 class TestVectorisedReport:
     @pytest.mark.parametrize("windows", [1, 2, 37, 571])
     def test_per_node_equals_loop_oracle_exactly(self, windows):
+        """Per-node and per-group values equal the 1-D formulas bit for bit."""
         gen = np.random.default_rng(windows)
         graph, _ = generate_synthetic(9, 30, gen)
         graph = hide_locations(graph, 3, np.random.default_rng(1))
@@ -392,6 +424,15 @@ class TestVectorisedReport:
                 assert type(got[name]) is float
                 assert got[name] == value or (math.isnan(value) and math.isnan(got[name])), (
                     name, i, got[name], value)
+        nll = nig_nll_values(wp.gamma, wp.nu, wp.alpha, wp.beta, wp.truth)
+        for group, nodes in (("observable", graph.observable), ("missing", graph.missing)):
+            pred, truth_g = wp.gamma[:, nodes], wp.truth[:, nodes]
+            assert report.groups[group] == {
+                "rmse": rmse(pred, truth_g),
+                "mae": mae(pred, truth_g),
+                "r2": r2(pred, truth_g),
+                "nll": float(np.mean(nll[:, nodes].ravel())),
+            }
 
     def test_trained_model_report_equals_loop_oracle(self, trained_world):
         graph, _, te, cfg, model = trained_world

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gapcast import evaluate, sensing
 from gapcast.data import DataError, SplitSpec, generate_synthetic
 from gapcast.model import ModelConfig
 from gapcast.sensing import SensingConfig, run_episode, selection
@@ -24,14 +25,18 @@ class TestSelection:
         np.testing.assert_array_equal(chosen, [2, 3])
 
     def test_matches_sort_then_take_oracle(self, rng):
+        repeated = 0
         for _ in range(50):
             u = rng.choice([0.5, 1.0, 2.0, 3.0], size=20)  # force ties
-            excluded = rng.choice(20, size=5, replace=False)
+            excluded = rng.choice(20, size=6)  # unsorted, with repeats
+            repeated += np.unique(excluded).size < excluded.size
             budget = int(rng.integers(1, 10))
             got = selection(u, excluded, budget)
             candidates = [i for i in range(20) if i not in set(excluded.tolist())]
             oracle = sorted(candidates, key=lambda i: (-u[i], i))[:budget]
+            assert got.dtype == np.int64
             np.testing.assert_array_equal(got, oracle)
+        assert repeated > 0
 
     def test_selected_dominate_unselected(self, rng):
         u = rng.uniform(0, 10, 30)
@@ -106,6 +111,28 @@ class TestRunEpisode:
         ep = run_episode(graph, series, cfg, "random", np.random.default_rng(1))
         assert ep.records[-1].n_observable == graph.n
         assert ep.records[-1].truncated
+
+    def test_steps_read_the_report(self, world, monkeypatch):
+        reports, scored = [], []
+
+        def report(*args):
+            reports.append(evaluate.make_report(*args))
+            return reports[-1]
+
+        def select(u, excluded, budget):
+            scored.append(u)
+            return selection(u, excluded, budget)
+
+        monkeypatch.setattr(sensing, "make_report", report)
+        monkeypatch.setattr(sensing, "selection", select)
+        graph, series = world
+        ep = run_episode(graph, series, tiny_sensing_cfg(), "uncertainty", np.random.default_rng(4))
+        assert len(reports) == len(ep.records) == len(scored) + 1
+        for rec, rep in zip(ep.records, reports):
+            assert rec.rmse_observable == rep.groups["observable"]["rmse"]
+            assert rec.rmse_missing == rep.groups["missing"]["rmse"]
+        for u, rep in zip(scored, reports):
+            np.testing.assert_array_equal(u, [row["epistemic"] for row in rep.per_node])
 
     def test_unknown_policy_rejected(self, world):
         graph, series = world

@@ -3,9 +3,9 @@ inputs still load, and ``scripts/bench_compare.py`` pairs and summarises
 benchmark results.
 
 ``gapbench/spans.py`` patches gapcast functions by name, and
-``gapbench/workloads.py`` reaches the program through CSV files and
-``build_adjacency``; a rename, a deletion or a graph change would otherwise
-surface only in a benchmark run.
+``gapbench/workloads.py`` reaches the program through CSV files,
+``build_adjacency`` and the evaluation records; a rename, a deletion or a
+graph change would otherwise surface only in a benchmark run.
 """
 
 import importlib
@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 import gapcast
-from gapcast.data import generate_synthetic
+from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
+from gapcast.model import ModelConfig
+from gapcast.training import TrainConfig, predict_full, train
 
 GAPBENCH = Path(__file__).resolve().parents[1] / "gapbench"
 
@@ -75,6 +77,29 @@ def test_benchmark_inputs_load_to_the_generated_graph(tmp_path):
         np.testing.assert_array_equal(
             getattr(graph.adjacency, part), getattr(generated.adjacency, part)
         )
+
+
+def test_benchmark_checks_run_on_a_trained_model():
+    workloads = load_gapbench("workloads")
+    graph, series = generate_synthetic(8, 200, np.random.default_rng(0))
+    graph = hide_locations(graph, 2, np.random.default_rng(1))
+    cfg = TrainConfig(
+        iterations=2, samples_per_iter=2, batch_size=2, history=6, horizon=2,
+        model=ModelConfig(hidden_dim=4),
+    )
+    train_s, _, test = split(series, SplitSpec(), min_steps=cfg.history + cfg.horizon)
+    model = train(graph, train_s, cfg, np.random.default_rng(2)).model
+    wp, report, failed = workloads.evaluate_model(model, graph, test, stride=3)
+    assert failed == 0 and wp.target_steps.size > 0
+    quality = workloads.report_quality(report)
+    assert set(quality) == {"rmse_missing", "nll_missing"}
+    assert all(np.isfinite(v) for v in quality.values())
+    outputs = workloads.prediction_outputs(wp)
+    for name in ("gamma", "nu", "alpha", "beta"):
+        assert outputs[name].shape == (wp.target_steps.size, graph.n)
+    ev = predict_full(graph, test.values[: cfg.history], model).evidential
+    got = np.stack([ev.gamma, ev.nu, ev.alpha_nig, ev.beta])  # as eval-n200 stacks it
+    assert workloads.nig_row_ok(*got[:, None]).all()
 
 
 def load_bench_compare():

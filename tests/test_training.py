@@ -5,6 +5,7 @@ import pytest
 
 from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
+from gapcast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gapcast.data import DataError, NodeIdMismatch, generate_synthetic, hide_locations
 from gapcast.graph import build_adjacency, normalize
 from gapcast.model import (
@@ -20,6 +21,7 @@ from gapcast.training import (
     Scaler,
     SubgraphSample,
     TrainConfig,
+    TrainedModel,
     TrainingDiverged,
     compute_loss,
     draw_sample,
@@ -507,3 +509,33 @@ class TestModelIO:
             predict_full(graph, window, res.model).evidential.gamma,
             predict_full(graph, window, loaded).evidential.gamma,
         )
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("model_cfg", None), ("model_cfg", {"width": 3}),
+            ("history", None), ("history", "six"),
+            ("horizon", None), ("horizon", [2]),
+            ("scaler", None), ("scaler", {"mean": 0.0}),
+        ],
+    )
+    def test_missing_or_malformed_meta_names_its_key(self, tmp_path, key, bad):
+        model = TrainedModel(
+            params=init_params(ModelConfig(hidden_dim=4), 6, np.random.default_rng(0)),
+            model_cfg=ModelConfig(hidden_dim=4), history=6, horizon=2, scaler=Scaler(50.0, 5.0),
+        )
+        save_model(tmp_path / "good.bin", model)
+        params, meta = load_checkpoint(tmp_path / "good.bin")
+        if bad is None:
+            del meta[key]
+        else:
+            meta[key] = bad
+        save_checkpoint(tmp_path / "bad.bin", params, meta)
+        with pytest.raises(CheckpointError, match=f"'{key}'"):
+            load_model(tmp_path / "bad.bin")
+
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path):
+        params = init_params(ModelConfig(hidden_dim=4), 6, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "list.bin", params, ["model_cfg"])
+        with pytest.raises(CheckpointError, match="no 'model_cfg'"):
+            load_model(tmp_path / "list.bin")
