@@ -62,8 +62,8 @@ def main() -> int:
                     )
                 last = episode.records[-1]
                 print(
-                    f"seed {seed} {policy}: step2 missing "
-                    f"{episode.records[2].rmse_missing:.3f}, final obs {last.rmse_observable:.3f}"
+                    f"seed {seed} {policy}: step {last.step} missing "
+                    f"{last.rmse_missing:.3f}, obs {last.rmse_observable:.3f}"
                 )
     print(f"wrote {out / 'sensing_curves.csv'}")
     return 0

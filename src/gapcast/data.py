@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -200,7 +199,7 @@ def load_distances_csv(path, node_ids) -> np.ndarray:
     n = len(index)
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
-    seen: set[tuple[int, int]] = set()
+    listed = np.zeros((n, n), dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -218,11 +217,11 @@ def load_distances_csv(path, node_ids) -> np.ndarray:
                 raise SeriesFormatError(f"unparsable distance {dist_s!r}", row=lineno) from None
             if dist < 0:
                 raise SeriesFormatError(f"negative distance {dist}", row=lineno)
-            key = (index[src], index[dst])
-            if key in seen:
+            i, j = index[src], index[dst]
+            if listed[i, j]:
                 raise SeriesFormatError(f"duplicate pair ({src}, {dst})", row=lineno)
-            seen.add(key)
-            d[key] = dist
+            listed[i, j] = True
+            d[i, j] = dist
     return d
 
 
@@ -279,8 +278,11 @@ def hide_locations(graph: RoadGraph, count, rng: np.random.Generator) -> RoadGra
     return graph.with_partition(observable, missing)
 
 
-def fill_small_gaps(values: np.ndarray, max_gap: int = 2) -> np.ndarray:
-    """Linearly interpolate interior NaN runs of length <= max_gap per column.
+MAX_FILL_GAP = 2
+
+
+def fill_small_gaps(values: np.ndarray) -> np.ndarray:
+    """Linearly interpolate interior NaN runs of <= MAX_FILL_GAP steps per column.
 
     Longer runs (and leading/trailing gaps) stay NaN so the sampler can skip
     those windows.
@@ -292,7 +294,7 @@ def fill_small_gaps(values: np.ndarray, max_gap: int = 2) -> np.ndarray:
     cols, at_step = np.nonzero(flips)
     cols, start, stop = cols[::2], at_step[::2], at_step[1::2]
     run = stop - start
-    fill = (start > 0) & (stop < out.shape[0]) & (run <= max_gap)
+    fill = (start > 0) & (stop < out.shape[0]) & (run <= MAX_FILL_GAP)
     cols, start, stop, run = cols[fill], start[fill], stop[fill], run[fill]
     left, right = out[start - 1, cols], out[stop, cols]
     for k in range(run.max(initial=0)):
@@ -303,87 +305,65 @@ def fill_small_gaps(values: np.ndarray, max_gap: int = 2) -> np.ndarray:
     return out
 
 
+# The generated corridor's fixed shape: 5-minute steps, sensors 1 km
+# apart, free flow at 60 km/h, speeds clipped to [0, 80].
+RESOLUTION_S = 300.0
+SPACING_KM = 1.0
+BASE_SPEED = 60.0
+SPEED_CAP = 80.0
+
+
 def generate_synthetic(
     n_nodes: int,
     steps: int,
     rng: np.random.Generator,
     *,
-    resolution: float = 300.0,
-    spacing_km: float = 1.0,
-    base_speed: float = 60.0,
     diurnal_amp: float = 12.0,
     wave_amp: float = 8.0,
     wave_het: float = 0.0,
     noise_amp: float = 2.0,
     kappa_hops: float = 2.5,
-    speed_cap: float = 80.0,
-    districts: "Sequence[int] | None" = None,
-    district_gap_km: float = 2.0,
 ) -> tuple[RoadGraph, SpeedSeries]:
     """Ring-corridor network with spatially correlated traveling slowdowns.
 
-    Nodes sit on a ring with ``spacing_km`` between neighbors; road distance
-    is the shorter arc. Speeds are a free-flow baseline minus a diurnal
-    congestion bump and a faster traveling wave, both phase-lagged with ring
-    position so neighboring sensors carry information about each other, plus
-    bounded uniform noise; everything is clipped to [0, speed_cap]. With
-    noise_amp=0 the series is exactly periodic with the diurnal period.
+    Nodes sit on a ring ``SPACING_KM`` apart; road distance is the shorter
+    arc, and the kernel keeps pairs closer than ``kappa_hops`` spacings.
+    Speeds, one row per ``RESOLUTION_S`` seconds, are a free-flow
+    ``BASE_SPEED`` minus a diurnal congestion bump and a faster traveling
+    wave, both phase-lagged with ring position so neighboring sensors carry
+    information about each other, plus bounded uniform noise; everything is
+    clipped to [0, SPEED_CAP]. With noise_amp=0 the series is exactly
+    periodic with the diurnal period.
 
     ``wave_het`` in [0, 1) modulates the wave amplitude smoothly around the
     ring (two strong and two calm arcs), making some regions intrinsically
     richer in local signal; 0 keeps every node statistically identical.
-
-    ``districts`` switches to a district layout: groups of the given sizes
-    (summing to n_nodes) laid around the ring, members ``spacing_km`` apart
-    and ``district_gap_km`` of road between consecutive districts. Nodes in
-    one district share the district's signal phase (one congestion state per
-    district), and a kernel cutoff of ``kappa_hops * spacing_km`` below the
-    gap keeps districts internally connected but mutually disconnected, the
-    way separated arterials are.
     """
     if n_nodes < 4:
         raise DataError(f"need at least 4 nodes, got {n_nodes}")
-    idx = np.arange(n_nodes)
-    if districts is None:
-        positions = idx.astype(np.float64) * spacing_km
-        circumference = n_nodes * spacing_km
-        phase_positions = positions
-    else:
-        sizes = [int(s) for s in districts]
-        if sum(sizes) != n_nodes or any(s < 1 for s in sizes):
-            raise DataError("district sizes must be positive and sum to n_nodes")
-        positions = np.empty(n_nodes)
-        phase_positions = np.empty(n_nodes)
-        cursor = 0.0
-        node = 0
-        for size in sizes:
-            span = (size - 1) * spacing_km
-            positions[node : node + size] = cursor + np.arange(size) * spacing_km
-            phase_positions[node : node + size] = cursor + span / 2.0
-            cursor += span + district_gap_km
-            node += size
-        circumference = cursor
+    positions = np.arange(n_nodes).astype(np.float64) * SPACING_KM
+    circumference = n_nodes * SPACING_KM
     gaps = np.abs(positions[:, None] - positions[None, :])
     distances = np.minimum(gaps, circumference - gaps)
 
     node_ids = tuple(f"s{i:03d}" for i in range(n_nodes))
     graph = build_adjacency(
-        distances, sigma=None, kappa=kappa_hops * spacing_km, node_ids=node_ids
+        distances, sigma=None, kappa=kappa_hops * SPACING_KM, node_ids=node_ids
     )
 
-    steps_per_day = (24 * 3600.0) / resolution
+    steps_per_day = (24 * 3600.0) / RESOLUTION_S
     t = np.arange(steps, dtype=np.float64)[:, None]
-    phase = (2.0 * np.pi * phase_positions / circumference)[None, :]
+    phase = (2.0 * np.pi * positions / circumference)[None, :]
     omega = 2.0 * np.pi / steps_per_day
     diurnal = diurnal_amp * (0.5 + 0.5 * np.sin(omega * t - phase)) ** 2
     wave_scale = 1.0 + wave_het * np.sin(2.0 * phase + 1.3)
     wave = wave_amp * wave_scale * (0.5 + 0.5 * np.sin(3.0 * omega * t - 3.0 * phase + 0.7))
     noise = noise_amp * rng.uniform(-1.0, 1.0, size=(steps, n_nodes))
-    values = np.clip(base_speed - diurnal - wave + noise, 0.0, speed_cap)
+    values = np.clip(BASE_SPEED - diurnal - wave + noise, 0.0, SPEED_CAP)
 
     series = SpeedSeries(
         node_ids=node_ids,
-        timestamps=np.arange(steps, dtype=np.float64) * resolution,
+        timestamps=np.arange(steps, dtype=np.float64) * RESOLUTION_S,
         values=values,
     )
     return graph, series

@@ -121,9 +121,8 @@ def collect_predictions(
         raise DataError(f"evaluation series too short: {steps} < {t_hist + dt}")
     finite_truth = np.isfinite(truth_series.values).all(axis=1)
     ends = np.arange(t_hist - 1, steps - dt, stride)
-    ends = ends[
-        gap_free_history(values, eval_graph.observable, ends, t_hist) & finite_truth[ends + dt]
-    ]
+    finite = np.isfinite(values[:, eval_graph.observable]).all(axis=1)
+    ends = ends[gap_free_history(finite, ends, t_hist) & finite_truth[ends + dt]]
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
     trans = normalize(eval_graph.adjacency)

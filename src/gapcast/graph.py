@@ -1,7 +1,7 @@
 """Road-network graphs: Gaussian-kernel adjacency, transition matrices,
 and Chebyshev diffusion operators.
 
-Adjacency and transition matrices are ``scipy.sparse`` CSR arrays: a
+Adjacency and transition matrices are float64 ``scipy.sparse`` arrays: a
 kernel graph has a handful of neighbours per node, so every diffusion
 product costs O(edges), not O(n^2). All functions here are pure; graphs
 are treated as immutable once built.
@@ -32,11 +32,19 @@ class ParameterError(ValueError):
     """Invalid graph-construction parameter."""
 
 
+def _require_csr(matrix, name: str) -> sparse.csr_array:
+    """``matrix`` itself if it is a float64 CSR array; ParameterError if not."""
+    if not isinstance(matrix, sparse.csr_array) or matrix.dtype != np.float64:
+        kind = f"{type(matrix).__name__} {getattr(matrix, 'dtype', '')}"
+        raise ParameterError(f"{name} must be a float64 scipy.sparse.csr_array, got {kind}")
+    return matrix
+
+
 @dataclass(frozen=True)
 class RoadGraph:
     """Sensor network: kernel adjacency plus the observable/missing split.
 
-    ``adjacency`` is a CSR array holding only the kept kernel entries.
+    ``adjacency`` is a float64 CSR array of the kept kernel entries only.
     ``distances`` keeps the dense pairwise road distances it was built from
     (np.inf for unreachable pairs); nearest-neighbor imputation needs them.
     ``observable`` and ``missing`` partition ``range(n)``. ``node_ids`` is
@@ -52,9 +60,7 @@ class RoadGraph:
     node_ids: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        a = self.adjacency
-        if not isinstance(a, sparse.csr_array):
-            raise ParameterError(f"adjacency must be a scipy.sparse.csr_array, got {type(a)}")
+        a = _require_csr(self.adjacency, "adjacency")
         n = a.shape[0]
         if a.shape != (n, n) or self.distances.shape != (n, n):
             raise ParameterError("adjacency and distances must be square and same size")
@@ -88,12 +94,13 @@ class RoadGraph:
 class TransitionPair:
     """Forward (row-normalized) and backward transition matrices.
 
-    Each is the other's transpose, so either serves as the other's
+    ``backward`` is ``forward.T``: a CSC view that shares the forward
+    matrix's arrays, so one matrix is stored. Each serves as the other's
     backward-pass operator in :func:`chebyshev_terms`.
     """
 
     forward: sparse.csr_array
-    backward: sparse.csr_array
+    backward: sparse.csc_array
 
 
 def build_adjacency(
@@ -147,20 +154,19 @@ def build_adjacency(
     )
 
 
-def normalize(adjacency) -> TransitionPair:
-    """Row-normalize an adjacency matrix into CSR forward/backward
-    transition matrices.
+def normalize(adjacency: sparse.csr_array) -> TransitionPair:
+    """Row-normalize a float64 CSR adjacency into the transition pair.
 
-    Zero-degree rows stay all-zero. The backward matrix is the transpose of
-    the forward one.
+    Zero-degree rows stay all-zero. The forward matrix is CSR and the
+    backward matrix is its transpose view.
     """
-    a = sparse.csr_array(adjacency, dtype=np.float64)
+    a = _require_csr(adjacency, "adjacency")
     if (a.data < 0).any():
         raise ParameterError("adjacency must be nonnegative")
     deg = np.repeat(a.sum(axis=1), np.diff(a.indptr))
     data = np.divide(a.data, deg, out=np.zeros_like(a.data), where=deg > 0)
     forward = sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
-    return TransitionPair(forward=forward, backward=forward.T.tocsr())
+    return TransitionPair(forward=forward, backward=forward.T)
 
 
 def chebyshev_terms(abar, h: Tensor, order: int, abar_t=None) -> list[Tensor]:
@@ -189,13 +195,13 @@ def chebyshev_terms(abar, h: Tensor, order: int, abar_t=None) -> list[Tensor]:
     return terms
 
 
-def subgraph(adjacency, indices) -> sparse.csr_array:
+def subgraph(adjacency: sparse.csr_array, indices) -> sparse.csr_array:
     """The adjacency submatrix at ``indices`` (order preserved), as CSR.
 
     Gathers the CSR rows of the chosen nodes and keeps the entries whose
     column is chosen too: O(len(indices) * degree), with no dense copy.
     """
-    a = sparse.csr_array(adjacency, dtype=np.float64)
+    a = _require_csr(adjacency, "adjacency")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"subgraph index out of range for {a.shape[0]} nodes")
@@ -219,8 +225,10 @@ def subgraph(adjacency, indices) -> sparse.csr_array:
 
 
 def block_diagonal(mats) -> sparse.csr_array:
-    """The disjoint union of square CSR graphs: one block-diagonal CSR
-    matrix whose node order is the blocks' concatenated node order."""
+    """The disjoint union of square float64 CSR graphs: one block-diagonal
+    CSR matrix whose node order is the blocks' concatenated node order.
+    Other blocks raise ParameterError (a CSC one would land transposed)."""
+    mats = [_require_csr(m, "block") for m in mats]
     sizes = np.array([m.shape[0] for m in mats])
     node_offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     nnz_offsets = np.concatenate([[0], np.cumsum([m.nnz for m in mats])[:-1]])

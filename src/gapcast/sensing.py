@@ -25,14 +25,13 @@ class SensingConfig:
     """Episode shape: starting coverage, per-step budget, and step count.
 
     ``train`` is the per-step retraining budget (fresh initialization each
-    step).
+    step). Episodes split the series by the default :class:`SplitSpec`.
     """
 
     initial_count: int = 50
     budget_per_step: int = 10
     steps: int = 5
     train: TrainConfig = field(default_factory=lambda: TrainConfig(iterations=200))
-    split: SplitSpec = field(default_factory=SplitSpec)
     eval_stride: int = 4
 
     def __post_init__(self):
@@ -77,10 +76,15 @@ class SensingEpisode:
 def selection(uncertainties: np.ndarray, excluded, budget: int) -> np.ndarray:
     """Top-``budget`` candidates by uncertainty, ties by node index.
 
-    ``excluded`` nodes (already instrumented) are never candidates.
+    ``excluded`` nodes (already instrumented) are never candidates; an
+    excluded id that is not a node index raises DataError.
     """
     u = np.asarray(uncertainties, dtype=np.float64)
-    candidates = np.setdiff1d(np.arange(u.size), np.asarray(excluded, dtype=np.int64))
+    nodes = np.arange(u.size)
+    excluded = np.asarray(excluded)
+    if not np.isin(excluded, nodes).all():
+        raise DataError(f"excluded ids must be node indices in [0, {u.size}), got {excluded}")
+    candidates = np.setdiff1d(nodes, excluded.astype(np.int64))
     if budget > candidates.size:
         raise DataError(f"budget {budget} exceeds {candidates.size} candidates")
     order = np.lexsort((candidates, -u[candidates]))
@@ -108,7 +112,7 @@ def run_episode(
     if cfg.initial_count < 2 or cfg.initial_count > n:
         raise DataError(f"initial_count must be in [2, {n}]")
     min_steps = cfg.train.history + cfg.train.horizon
-    train_series, _, test_series = split(series, cfg.split, min_steps=min_steps)
+    train_series, _, test_series = split(series, SplitSpec(), min_steps=min_steps)
 
     # Child generators are derived once so that two episodes with the same
     # seed are paired: identical initial coverage, and identical retraining

@@ -154,16 +154,15 @@ class SampleBatch:
         )
 
 
-def gap_free_history(
-    values: np.ndarray, columns: np.ndarray, ends: np.ndarray, history: int
-) -> np.ndarray:
-    """Mask over window end steps: True where the ``history`` steps up to
-    and including each end are finite on ``columns``.
+def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.ndarray:
+    """Mask over window end steps: True where ``finite``, a per-step mask
+    of rows with every observable value finite, holds on the ``history``
+    steps up to and including each end.
 
     The one window rule: training and evaluation both take only windows
     whose observable history has no gap.
     """
-    gaps = np.concatenate([[0], np.cumsum(~np.isfinite(values[:, columns]).all(axis=1))])
+    gaps = np.concatenate([[0], np.cumsum(~finite)])
     return gaps[ends + 1] == gaps[ends + 1 - history]
 
 
@@ -178,9 +177,9 @@ def valid_time_steps(
             f"series has {steps} steps, need at least {history + horizon} "
             f"for history={history}, horizon={horizon}"
         )
+    finite = np.isfinite(values[:, columns]).all(axis=1)
     ts = np.arange(history - 1, steps - horizon)
-    target_ok = np.isfinite(values[history - 1 + horizon :, columns]).all(axis=1)
-    valid = ts[gap_free_history(values, columns, ts, history) & target_ok]
+    valid = ts[gap_free_history(finite, ts, history) & finite[ts + horizon]]
     if valid.size == 0:
         raise DataError("no gap-free training windows available")
     return valid
@@ -355,7 +354,8 @@ def predict_windows(
 
     ``trans`` is the graph's transition pair, so a caller predicting many
     stacks normalizes the graph once. The W windows run as one tapeless
-    forward pass over the block-diagonal union of W copies of the graph.
+    forward pass over the block-diagonal union of W copies of the forward
+    matrix, whose transpose is the union's backward matrix.
     Missing-location columns are ignored (their input rows are zeroed and
     their mask rows are 0). Returns a (W, n) record in speed units.
     """
@@ -372,16 +372,13 @@ def predict_windows(
     x[:, graph.observable] = model.scaler.transform(observed).transpose(0, 2, 1)
     mask = np.zeros((n, model.history))
     mask[graph.observable] = 1.0
-    union = trans if count == 1 else TransitionPair(
-        forward=block_diagonal([trans.forward] * count),
-        backward=block_diagonal([trans.backward] * count),
-    )
+    union = block_diagonal([trans.forward] * count)
     fwd = forward(
         model.params,
         model.model_cfg,
         ad.constant(x.reshape(count * n, model.history)),
         ad.constant(np.tile(mask, (count, 1))),
-        union,
+        TransitionPair(forward=union, backward=union.T),
     )
     std = model.scaler.std
     return EvidentialOutput(

@@ -20,6 +20,11 @@ from gapcast.graph import (
 )
 
 
+def csr(a):
+    """A dense test matrix as the float64 CSR array the graph helpers take."""
+    return sparse.csr_array(np.asarray(a, dtype=np.float64))
+
+
 def ring_distances(n, spacing=1.0):
     idx = np.arange(n)
     hops = np.abs(idx[:, None] - idx[None, :])
@@ -147,28 +152,44 @@ class TestCsrAdjacency:
 
 class TestNormalize:
     def test_identity(self):
-        pair = normalize(np.eye(3))
+        pair = normalize(csr(np.eye(3)))
         np.testing.assert_array_equal(pair.forward.toarray(), np.eye(3))
         np.testing.assert_array_equal(pair.backward.toarray(), np.eye(3))
 
     def test_row_definition(self):
-        pair = normalize(np.array([[2.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]))
+        pair = normalize(csr([[2.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]))
         np.testing.assert_allclose(pair.forward.toarray()[0], [0.5, 0.5, 0.0])
 
     def test_zero_row_stays_zero(self):
-        pair = normalize(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        pair = normalize(csr([[0.0, 0.0], [1.0, 1.0]]))
         np.testing.assert_array_equal(pair.forward.toarray()[0], [0.0, 0.0])
 
     def test_backward_is_transpose(self):
         rng = np.random.default_rng(3)
         a = rng.uniform(0, 1, (5, 5))
-        pair = normalize(a)
+        pair = normalize(csr(a))
         np.testing.assert_array_equal(pair.backward.toarray(), pair.forward.toarray().T)
+
+    def test_backward_is_a_view_of_forward(self):
+        g = build_adjacency(ORACLE_DISTANCES["directed"], sigma=1.0)
+        pair = normalize(g.adjacency)
+        assert pair.forward.format == "csr" and pair.backward.format == "csc"
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(pair.backward, part), getattr(pair.forward, part))
+
+    @pytest.mark.parametrize("graph", ["ring", "directed"])
+    def test_view_products_equal_csr_products_bitwise(self, rng, graph):
+        d = ring_distances(12) if graph == "ring" else rng.uniform(0.2, 3.0, (12, 12))
+        pair = normalize(build_adjacency(d, sigma=1.0, kappa=2.0).adjacency)
+        copy = pair.backward.tocsr()
+        for cols in (1, 48):
+            h = rng.normal(size=(12, cols))
+            np.testing.assert_array_equal(pair.backward @ h, copy @ h)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(0, 10)))
     def test_nonzero_rows_sum_to_one(self, a):
-        pair = normalize(a)
+        pair = normalize(csr(a))
         sums = pair.forward.toarray().sum(axis=1)
         degrees = a.sum(axis=1)
         for s, deg in zip(sums, degrees):
@@ -187,7 +208,7 @@ def explicit_chebyshev_matrices(abar, order):
 
 class TestChebyshev:
     def test_first_order_is_abar_h(self, rng):
-        abar = normalize(ring_distances(5) < 2).forward
+        abar = normalize(csr(ring_distances(5) < 2)).forward
         h = ad.constant(rng.normal(size=(5, 3)))
         terms = chebyshev_terms(abar, h, 1)
         assert len(terms) == 1
@@ -247,7 +268,7 @@ class TestSubgraph:
     def test_permuted_matches_naive_gather(self, rng):
         a = rng.uniform(0, 1, (15, 15))
         idx = rng.permutation(15)[:7]
-        got = subgraph(a, idx).toarray()
+        got = subgraph(csr(a), idx).toarray()
         naive = np.empty((7, 7))
         for p in range(7):
             for q in range(7):
@@ -265,11 +286,11 @@ class TestSubgraph:
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            subgraph(np.eye(3), [0, 3])
+            subgraph(csr(np.eye(3)), [0, 3])
 
     def test_duplicates_rejected(self):
         with pytest.raises(ParameterError):
-            subgraph(np.eye(3), [0, 0])
+            subgraph(csr(np.eye(3)), [0, 0])
 
 
 def test_block_diagonal_is_disjoint_union(rng):
@@ -299,8 +320,43 @@ def test_normalize_after_subgraph_differs_from_before():
         ]
     )
     idx = [0, 1]
-    after = normalize(subgraph(a, idx)).forward.toarray()
-    before = normalize(a).forward.toarray()[np.ix_(idx, idx)]
+    after = normalize(subgraph(csr(a), idx)).forward.toarray()
+    before = normalize(csr(a)).forward.toarray()[np.ix_(idx, idx)]
     assert not np.allclose(after, before)
     np.testing.assert_allclose(after.sum(axis=1), 1.0)
     assert (before.sum(axis=1) < 1.0).any()
+
+
+NOT_FLOAT64_CSR = {
+    "dense": lambda a: a.toarray(),
+    "csc": lambda a: a.tocsc(),
+    "float32 csr": lambda a: a.astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_FLOAT64_CSR))
+class TestOnlyFloat64Csr:
+    """The graph helpers take their adjacency as given: anything but a
+    float64 CSR array is refused, never converted."""
+
+    @pytest.fixture
+    def wrong(self, kind):
+        return NOT_FLOAT64_CSR[kind](build_adjacency(ring_distances(5), sigma=2.0).adjacency)
+
+    def test_normalize(self, wrong):
+        with pytest.raises(ParameterError, match="float64 scipy.sparse.csr_array"):
+            normalize(wrong)
+
+    def test_subgraph(self, wrong):
+        with pytest.raises(ParameterError, match="float64 scipy.sparse.csr_array"):
+            subgraph(wrong, [0, 2])
+
+    def test_block_diagonal(self, wrong):
+        good = build_adjacency(ring_distances(4), sigma=2.0).adjacency
+        with pytest.raises(ParameterError, match="float64 scipy.sparse.csr_array"):
+            block_diagonal([good, wrong])
+
+    def test_road_graph(self, wrong):
+        g = build_adjacency(ring_distances(5), sigma=2.0)
+        with pytest.raises(ParameterError, match="float64 scipy.sparse.csr_array"):
+            replace(g, adjacency=wrong)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, sparse, stats
 
 from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
@@ -92,7 +92,7 @@ class TestDgcnLayer:
         n, width, hidden, order = 5, 3, 4, 2
         cfg = ModelConfig(hidden_dim=hidden, layers=2, cheb_order=order)
         params = custom_params(cfg, width, lambda s: rng.normal(size=s))
-        trans = normalize(rng.uniform(0, 1, (n, n)))
+        trans = normalize(sparse.csr_array(rng.uniform(0, 1, (n, n))))
         h = ad.constant(rng.normal(size=(n, width)))
 
         def cheb_mats(a):
@@ -130,7 +130,7 @@ def small_setup(rng, n=4, history=5, hidden=6):
     mask[-1] = 0.0
     a = rng.uniform(0, 1, (n, n))
     np.fill_diagonal(a, 1.0)
-    return cfg, params, x, mask, a
+    return cfg, params, x, mask, sparse.csr_array(a)
 
 
 class TestForward:
@@ -170,7 +170,7 @@ class TestForward:
             cfg,
             ad.constant(x[perm]),
             ad.constant(mask[perm]),
-            normalize(a[np.ix_(perm, perm)]),
+            normalize(sparse.csr_array(a.toarray()[np.ix_(perm, perm)])),
         )
         np.testing.assert_allclose(f2.gamma.values, f1.gamma.values[perm], atol=1e-10)
         np.testing.assert_allclose(f2.nu.values, f1.nu.values[perm], atol=1e-10)

@@ -48,6 +48,14 @@ class TestSelection:
         with pytest.raises(DataError):
             selection(np.ones(4), excluded=[0, 1], budget=3)
 
+    @pytest.mark.parametrize("excluded", [[7, -1], [1, 4], [-1], [1.5], [2, np.nan]])
+    def test_excluded_must_be_node_indices(self, excluded):
+        with pytest.raises(DataError, match=r"node indices in \[0, 4\)"):
+            selection(np.array([1.0, 2, 3, 4]), excluded=excluded, budget=2)
+
+    def test_integral_float_ids_accepted(self):
+        np.testing.assert_array_equal(selection(np.arange(4.0), [3.0], 1), [2])
+
 
 def tiny_sensing_cfg(**kw):
     defaults = dict(

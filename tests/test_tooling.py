@@ -1,6 +1,6 @@
 """The benchmark's span tracer still finds every function it wraps, its
-inputs still load, and ``scripts/bench_compare.py`` pairs and summarises
-benchmark results.
+inputs still load, ``scripts/bench_compare.py`` pairs and summarises
+benchmark results, and the study scripts run end to end.
 
 ``gapbench/spans.py`` patches gapcast functions by name, and
 ``gapbench/workloads.py`` reaches the program through CSV files,
@@ -8,10 +8,13 @@ benchmark results.
 graph change would otherwise surface only in a benchmark run.
 """
 
+import csv
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,7 +25,8 @@ from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
 from gapcast.model import ModelConfig
 from gapcast.training import TrainConfig, predict_full, train
 
-GAPBENCH = Path(__file__).resolve().parents[1] / "gapbench"
+ROOT = Path(__file__).resolve().parents[1]
+GAPBENCH = ROOT / "gapbench"
 
 
 def load_gapbench(name):
@@ -145,3 +149,51 @@ def test_bench_compare_pairs_runs_by_workload_and_seed(tmp_path):
     assert record["workloads"]["eval-n200"]["failed_frac"]["change"]["q3"] > 0
     assert record["machine"]["parent"]["nproc"] == 2
     assert record["machine"]["parent"]["runs"] == 4
+
+
+def run_script(name, *args):
+    """Run ``scripts/<name>`` in a fresh interpreter; return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sensing_study_script_runs_with_one_deployment_step(tmp_path):
+    out = run_script(
+        "run_sensing.py", "--seeds", 1, "--nodes", 8, "--steps", 300, "--init-sensors", 3,
+        "--budget", 1, "--deploy-steps", 1, "--train-iters", 2, "--out", tmp_path,
+    )
+    assert "seed 0 random: step 1 missing" in out
+    rows = read_rows(tmp_path / "sensing_curves.csv")
+    assert [(r["policy"], r["step"], r["n_observable"]) for r in rows] == [
+        ("uncertainty", "0", "3"), ("uncertainty", "1", "4"),
+        ("random", "0", "3"), ("random", "1", "4"),
+    ]
+    assert all(float(r["rmse_obs"]) > 0 and float(r["rmse_missing"]) > 0 for r in rows)
+    for policy in ("uncertainty", "random"):
+        assert len(read_rows(tmp_path / f"episode_seed0_{policy}.csv")) == 2
+
+
+def test_benchmark_script_writes_every_method_and_group(tmp_path):
+    run_script(
+        "run_benchmark.py", "--seeds", 1, "--nodes", 8, "--steps", 300, "--hide-count", 2,
+        "--epochs", 2, "--hidden", 8, "--out", tmp_path,
+    )
+    rows = read_rows(tmp_path / "benchmark.csv")
+    assert [(r["method"], r["seed"], r["group"]) for r in rows] == [
+        (method, "0", group)
+        for method in ("inductive", "mean-two-step", "knn-two-step")
+        for group in ("observable", "missing")
+    ]
+    assert all(float(r["rmse"]) > 0 and np.isfinite(float(r["nll"])) for r in rows)
+    assert len(read_rows(tmp_path / "per_node_seed0.csv")) == 8

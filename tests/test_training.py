@@ -455,6 +455,21 @@ class TestPredictWindows:
                 nig_rows(ev)[:, row], per_window_forward(graph, window, model), rtol=1e-12
             )
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_directed_union_equals_per_window_rows_bitwise(self, world, count):
+        # One stored union serves both directions: its transpose view is the
+        # backward union, with no separate path for a single window.
+        graph, model, windows = world
+        dist = np.random.default_rng(3).uniform(0.2, 3.0, (graph.n, graph.n))
+        graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
+            graph.observable, graph.missing
+        )
+        ev = predict_windows(graph, normalize(graph.adjacency), windows[:count], model)
+        for row, window in enumerate(windows[:count]):
+            np.testing.assert_array_equal(
+                nig_rows(ev)[:, row], per_window_forward(graph, window, model)
+            )
+
     def test_speed_units(self, world):
         # A scaler (m, s) on speed windows gives m + s * (the unit-scaler
         # prediction on standardized windows), and variances times s^2.
