@@ -42,7 +42,6 @@ __all__ = [
     "absval",
     "lgamma",
     "reduce_sum",
-    "reduce_mean",
     "slice_cols",
 ]
 
@@ -59,8 +58,7 @@ class Tensor:
     """Dense 2-D float64 array with an optional gradient buffer.
 
     ``grad`` is lazily allocated and has the same shape as ``values``.
-    Backward passes accumulate into it; call :meth:`zero_grad` (or let the
-    optimizer do it) between batches.
+    Backward passes accumulate into it; :meth:`Adam.step` clears it.
     """
 
     __slots__ = ("values", "grad", "requires_grad")
@@ -81,9 +79,6 @@ class Tensor:
         if self.values.shape != (1, 1):
             raise DimensionError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -352,16 +347,6 @@ def reduce_sum(a: Tensor) -> Tensor:
     return _make(np.array([[av.sum()]]), (a,), rule)
 
 
-def reduce_mean(a: Tensor) -> Tensor:
-    av = a.values
-    inv = 1.0 / av.size
-
-    def rule(g: np.ndarray):
-        return (np.full_like(av, g[0, 0] * inv),)
-
-    return _make(np.array([[av.mean()]]), (a,), rule)
-
-
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     av = a.values
     if not (0 <= start < stop <= av.shape[1]):
@@ -389,7 +374,7 @@ class Adam:
     gradient is treated as zero (moments still decay).
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4):
+    def __init__(self, params: Mapping[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
         self.t = 0
@@ -414,10 +399,6 @@ class Adam:
             if not np.all(np.isfinite(update)):
                 raise DomainError(f"non-finite Adam update for parameter {name!r}")
             p.values -= update
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
             p.grad = None
 
 

@@ -192,10 +192,7 @@ def _train_config(cfg: dict, resolution: float) -> TrainConfig:
 EVAL_META = ("node_ids", "observable", "missing", "sigma", "kappa")
 
 
-def cmd_generate(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns)
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_generate(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
     rng = np.random.default_rng(cfg["seed"])
     graph, series = generate_synthetic(
         cfg["nodes"],
@@ -217,15 +214,10 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         "resolution_seconds": series.resolution,
     }
     (out / "graph.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    _write_run_config(out, ns.command, cfg)
     print(f"wrote {series.steps}x{graph.n} series to {out}")
-    return 0
 
 
-def cmd_train(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns)
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
     graph, series = _load_graph(ns.data, ns.distances, cfg["sigma"], cfg["kappa"])
     train_cfg = _train_config(cfg, series.resolution)
     rng = np.random.default_rng(cfg["seed"])
@@ -251,16 +243,11 @@ def cmd_train(ns: argparse.Namespace) -> int:
             fh.write(
                 f"{row['iteration']},{row['j_pre']!r},{row['j_rec']!r},{row['j_total']!r}\n"
             )
-    _write_run_config(out, ns.command, cfg)
     final = result.trace[-1]
     print(f"trained {cfg['epochs']} epochs; final j_total {final['j_total']:.4f}")
-    return 0
 
 
-def cmd_eval(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns)
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_eval(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
     model, extra = load_model(ns.checkpoint)
     for key in EVAL_META:
         if key not in extra:
@@ -280,15 +267,10 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     report = make_report(wp, graph, horizon=model.horizon)
     report.to_csv(out / "metrics.csv")
     report.per_node_csv(out / "per_node_metrics.csv")
-    _write_run_config(out, ns.command, cfg)
     print(report.format_table())
-    return 0
 
 
-def cmd_sense(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns)
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sense(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
     graph, series = _load_graph(ns.data, ns.distances, None, cfg["kappa"])
     sense_cfg = SensingConfig(
         initial_count=cfg["init_sensors"],
@@ -306,8 +288,6 @@ def cmd_sense(ns: argparse.Namespace) -> int:
             f"{policy}: final coverage {last.n_observable}, "
             f"rmse obs {last.rmse_observable:.3f}, missing {last.rmse_missing:.3f}"
         )
-    _write_run_config(out, ns.command, cfg)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,13 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: resolve its options, create --out, run it, and
+    echo the resolved options to run_config.json."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        cfg = _resolve(ns)
+        out = Path(ns.out)
+        out.mkdir(parents=True, exist_ok=True)
+        ns.func(ns, cfg, out)
+        _write_run_config(out, ns.command, cfg)
     except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

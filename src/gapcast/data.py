@@ -240,9 +240,10 @@ def save_distances_csv(distances: np.ndarray, node_ids, path) -> None:
 
 
 def split(
-    series: SpeedSeries, spec: SplitSpec, min_steps: int | None = None
+    series: SpeedSeries, spec: SplitSpec, min_steps: int
 ) -> tuple[SpeedSeries, SpeedSeries, SpeedSeries]:
-    """Contiguous chronological train/val/test slices (floor-rounded)."""
+    """Contiguous chronological train/val/test slices (floor-rounded); the
+    train slice and every nonempty other slice need ``min_steps`` steps."""
     n = series.steps
     n_train = int(n * spec.train_frac)
     n_val = int(n * spec.val_frac)
@@ -251,14 +252,11 @@ def split(
         series.slice_steps(n_train, n_train + n_val),
         series.slice_steps(n_train + n_val, n),
     )
-    if min_steps is not None:
-        for name, part in zip(("train", "val", "test"), parts):
-            if 0 < part.steps < min_steps:
-                raise DataError(
-                    f"{name} slice has {part.steps} steps, need at least {min_steps}"
-                )
-        if parts[0].steps < min_steps:
-            raise DataError(f"train slice too short: {parts[0].steps} < {min_steps}")
+    for name, part in zip(("train", "val", "test"), parts):
+        if 0 < part.steps < min_steps:
+            raise DataError(f"{name} slice has {part.steps} steps, need at least {min_steps}")
+    if parts[0].steps < min_steps:
+        raise DataError(f"train slice too short: {parts[0].steps} < {min_steps}")
     return parts
 
 

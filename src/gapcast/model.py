@@ -205,10 +205,8 @@ def forward(
     )
 
 
-def weighted_mean(x: Tensor, weights: Tensor | None = None) -> Tensor:
-    """Mean of x; with per-row weights w (rows x 1), sum_i w_i * mean_j x_ij."""
-    if weights is None:
-        return ad.reduce_mean(x)
+def weighted_mean(x: Tensor, weights: Tensor) -> Tensor:
+    """Weighted mean of x over per-row weights w (rows x 1): sum_i w_i * mean_j x_ij."""
     total = ad.reduce_sum(ad.hadamard(x, weights))
     return total if x.shape[1] == 1 else ad.scale(total, 1.0 / x.shape[1])
 
@@ -245,12 +243,12 @@ def nig_nll(
     alpha: Tensor,
     beta: Tensor,
     target: Tensor,
-    evidence_reg: float = 0.01,
-    weights: Tensor | None = None,
+    evidence_reg: float,
+    weights: Tensor,
 ) -> Tensor:
     """Mean of :func:`nig_nll_elements` plus the evidence penalty
     evidence_reg * |y - gamma| * (2 nu + alpha); both means are weighted by
-    ``weights`` (nodes x 1) when given.
+    ``weights`` (nodes x 1).
     """
     resid = ad.sub(target, gamma)
     loss = weighted_mean(nig_nll_elements(resid, nu, alpha, beta), weights)

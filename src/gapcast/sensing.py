@@ -35,6 +35,10 @@ class SensingConfig:
     eval_stride: int = 4
 
     def __post_init__(self):
+        if self.budget_per_step < 1:
+            raise ValueError(f"budget_per_step must be >= 1, got {self.budget_per_step}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.eval_stride < 1:
             raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
 
@@ -77,8 +81,11 @@ def selection(uncertainties: np.ndarray, excluded, budget: int) -> np.ndarray:
     """Top-``budget`` candidates by uncertainty, ties by node index.
 
     ``excluded`` nodes (already instrumented) are never candidates; an
-    excluded id that is not a node index raises DataError.
+    excluded id that is not a node index, or a negative budget, raises
+    DataError.
     """
+    if budget < 0:
+        raise DataError(f"budget must be >= 0, got {budget}")
     u = np.asarray(uncertainties, dtype=np.float64)
     nodes = np.arange(u.size)
     excluded = np.asarray(excluded)

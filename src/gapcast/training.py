@@ -5,7 +5,8 @@ full-network prediction with per-location uncertainty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -75,6 +76,8 @@ class TrainConfig:
             raise ValueError("iterations and samples_per_iter must be >= 1")
         if self.loss_alpha < 0:
             raise ValueError("loss_alpha must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -190,17 +193,16 @@ def draw_sample(
     values: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    valid_steps: np.ndarray | None = None,
+    valid_steps: np.ndarray,
 ) -> SubgraphSample:
-    """One masked-subgraph draw over the observable set.
+    """One masked-subgraph draw over the observable set, at a time step
+    drawn from ``valid_steps`` (see :func:`valid_time_steps`).
 
     Sample size n_s is uniform on [max(2, N_o // 3), N_o], the masked count
     uniform on [1, n_s - 1], so both groups are nonempty; with
     mask_training=False the sample is the full node set with nothing masked
     (the no-masking baseline regime).
     """
-    if valid_steps is None:
-        valid_steps = valid_time_steps(values, cfg.history, cfg.horizon, graph.observable)
     t = int(valid_steps[rng.integers(valid_steps.size)])
 
     if cfg.mask_training:
@@ -305,7 +307,6 @@ def train(
         for start in range(0, len(samples), cfg.batch_size):
             members = samples[start : start + cfg.batch_size]
             batch = SampleBatch.stack(members)
-            opt.zero_grad()
             with Tape() as tape:
                 fwd = forward(
                     params,
@@ -403,12 +404,7 @@ def predict_full(
 
 def save_model(path, model: TrainedModel, extra_meta: dict | None = None) -> None:
     meta = {
-        "model_cfg": {
-            "hidden_dim": model.model_cfg.hidden_dim,
-            "layers": model.model_cfg.layers,
-            "cheb_order": model.model_cfg.cheb_order,
-            "evidence_reg": model.model_cfg.evidence_reg,
-        },
+        "model_cfg": asdict(model.model_cfg),
         "history": model.history,
         "horizon": model.horizon,
         "scaler": {"mean": model.scaler.mean, "std": model.scaler.std},

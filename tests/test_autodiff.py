@@ -160,7 +160,6 @@ UNARY_OPS = {
     "lgamma": (ad.lgamma, (0.2, 2.0), 0.0),
     "scale": (lambda t: ad.scale(t, -1.7), (-2.0, 2.0), 0.0),
     "add_scalar": (lambda t: ad.add_scalar(t, 0.3), (-2.0, 2.0), 0.0),
-    "reduce_mean": (lambda t: ad.scale(ad.reduce_mean(t), 3.0), (-2.0, 2.0), 0.0),
     "slice_cols": (lambda t: ad.slice_cols(t, 1, 3), (-2.0, 2.0), 0.0),
 }
 
@@ -251,7 +250,7 @@ def test_backward_deterministic_bitwise(rng):
         a = ad.parameter(gen.normal(size=(4, 4)))
         b = ad.parameter(gen.normal(size=(4, 4)))
         with Tape() as tape:
-            loss = ad.reduce_mean(ad.square(ad.matmul(ad.relu(a), b)))
+            loss = ad.reduce_sum(ad.square(ad.matmul(ad.relu(a), b)))
         tape.backward(loss)
         return a.grad.copy(), b.grad.copy()
 
@@ -315,7 +314,7 @@ def test_tapes_independent_across_threads():
         w = ad.parameter(gen.normal(size=(3, 3)))
         for _ in range(20):
             with Tape() as tape:
-                loss = ad.reduce_mean(ad.square(w))
+                loss = ad.reduce_sum(ad.square(w))
             tape.backward(loss)
             w.grad = None
         results[name] = True

@@ -1,13 +1,17 @@
+import inspect
 import json
 import re
 
 import numpy as np
 import pytest
 
+from gapcast import cli
 from gapcast.checkpoint import CheckpointError, save_checkpoint
 from gapcast.cli import main, parse_horizon
-from gapcast.data import load_speed_csv
+from gapcast.data import RESOLUTION_S, generate_synthetic, load_speed_csv
+from gapcast.evaluate import collect_predictions
 from gapcast.model import ModelConfig, init_params
+from gapcast.sensing import SensingConfig
 from gapcast.training import TrainConfig, load_model, predict_full, save_model, train
 
 
@@ -426,7 +430,13 @@ class TestRejectedValues:
 
     @pytest.mark.parametrize(
         "flag, value, name",
-        [("--hidden", "0", "hidden"), ("--kappa", "-1", "kappa"), ("--kappa", "0", "kappa")],
+        [
+            ("--hidden", "0", "hidden"),
+            ("--kappa", "-1", "kappa"),
+            ("--kappa", "0", "kappa"),
+            ("--lr", "-1", "lr"),
+            ("--lr", "0", "lr"),
+        ],
     )
     def test_train(self, tmp_path, capsys, flag, value, name):
         data = dataset(tmp_path)
@@ -460,6 +470,19 @@ class TestRejectedValues:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "eval_stride" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--steps", "-1", "steps"), ("--budget", "-1", "budget"), ("--budget", "0", "budget"),
+         ("--lr", "-1", "lr")],
+    )
+    def test_sense(self, tmp_path, capsys, flag, value, name):
+        data = dataset(tmp_path)
+        files = ["--data", str(data / "speed.csv"), "--distances", str(data / "distances.csv")]
+        code = run(["sense", *files, *SENSE_ARGS, flag, value, "--out", str(tmp_path / "s")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
 
 
 class TestParser:
@@ -502,3 +525,52 @@ class TestOptionTable:
                 main([command, "--help"])
             flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
             assert {key.replace("_", "-") for key in keys} == flags - self.FILE_FLAGS, command
+
+
+def option_defaults(command):
+    return {name: opt.default for name, opt in cli._options(command).items()}
+
+
+def keyword_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+class TestSharedDefaults:
+    """Each option's default equals the default of the field or argument it
+    feeds, so a flagless run does what the library does by default."""
+
+    @pytest.mark.parametrize(
+        "command, reference", [("train", TrainConfig()), ("sense", SensingConfig().train)]
+    )
+    def test_train_and_model_config(self, command, reference):
+        defaults = option_defaults(command)
+        pairs = [(opt, getattr(reference, f)) for opt, f in cli.TRAIN_FIELDS.items()]
+        pairs += [(opt, getattr(reference.model, f)) for opt, f in cli.MODEL_FIELDS.items()]
+        checked = [(opt, want) for opt, want in pairs if opt in defaults]
+        assert len(checked) == {"train": 9, "sense": 5}[command]
+        for opt, want in checked:
+            assert defaults[opt] == want, opt
+        assert parse_horizon(defaults["horizon"], RESOLUTION_S) == reference.horizon
+
+    def test_sensing_config(self):
+        defaults, reference = option_defaults("sense"), SensingConfig()
+        fields = {
+            "budget": "budget_per_step",
+            "init_sensors": "initial_count",
+            "steps": "steps",
+            "eval_stride": "eval_stride",
+        }
+        for opt, field in fields.items():
+            assert defaults[opt] == getattr(reference, field), opt
+
+    def test_generator_and_eval(self):
+        defaults = option_defaults("generate")
+        arguments = {
+            "noise": "noise_amp",
+            "diurnal_amp": "diurnal_amp",
+            "wave_amp": "wave_amp",
+            "kappa_hops": "kappa_hops",
+        }
+        for opt, name in arguments.items():
+            assert defaults[opt] == keyword_default(generate_synthetic, name), opt
+        assert option_defaults("eval")["stride"] == keyword_default(collect_predictions, "stride")

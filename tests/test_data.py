@@ -155,21 +155,21 @@ class TestCheckNodeIds:
 
 class TestSplit:
     def test_70_15_15(self):
-        tr, va, te = split(make_series(100), SplitSpec(0.7, 0.15, 0.15))
+        tr, va, te = split(make_series(100), SplitSpec(0.7, 0.15, 0.15), min_steps=15)
         assert (tr.steps, va.steps, te.steps) == (70, 15, 15)
 
     def test_all_train(self):
-        tr, va, te = split(make_series(50), SplitSpec(1.0, 0.0, 0.0))
+        tr, va, te = split(make_series(50), SplitSpec(1.0, 0.0, 0.0), min_steps=50)
         assert (tr.steps, va.steps, te.steps) == (50, 0, 0)
 
     def test_concatenation_reproduces_series(self):
         s = make_series(37)
-        tr, va, te = split(s, SplitSpec())
+        tr, va, te = split(s, SplitSpec(), min_steps=1)
         rebuilt = np.concatenate([tr.values, va.values, te.values])
         np.testing.assert_array_equal(rebuilt, s.values)
 
     def test_chronological_disjoint(self):
-        tr, va, te = split(make_series(60), SplitSpec())
+        tr, va, te = split(make_series(60), SplitSpec(), min_steps=1)
         assert tr.timestamps[-1] < va.timestamps[0] < te.timestamps[0]
 
     def test_min_steps_enforced(self):

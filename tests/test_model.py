@@ -21,6 +21,7 @@ from gapcast.model import (
     input_layer,
     nig_nll,
     nig_nll_values,
+    weighted_mean,
 )
 
 from conftest import finite_difference_gradient, relative_error
@@ -187,11 +188,12 @@ class TestForward:
         cfg, params, x, mask, a = small_setup(rng, n=4, history=3, hidden=4)
         trans = normalize(a)
         y = ad.constant(rng.normal(size=(4, 1)))
+        w = ad.constant(np.full((4, 1), 0.25))
 
         def loss_value():
             fp = forward(params, cfg, ad.constant(x), ad.constant(mask), trans)
-            pre = nig_nll(fp.gamma, fp.nu, fp.alpha, fp.beta, y)
-            rec = ad.reduce_mean(ad.square(ad.sub(fp.recovery, fp.h0)))
+            pre = nig_nll(fp.gamma, fp.nu, fp.alpha, fp.beta, y, evidence_reg=0.01, weights=w)
+            rec = weighted_mean(ad.square(ad.sub(fp.recovery, fp.h0)), w)
             return ad.add(pre, rec)
 
         with Tape() as tape:
@@ -249,12 +251,14 @@ class TestNigNll:
         alpha = rng.uniform(1.5, 3, (n, 1))
         beta = rng.uniform(0.5, 2, (n, 1))
         y = rng.normal(size=(n, 1))
+        w = np.full((n, 1), 1.0 / n)
         loss = nig_nll(
             ad.constant(gamma), ad.constant(nu), ad.constant(alpha), ad.constant(beta),
-            ad.constant(y), evidence_reg=0.0,
+            ad.constant(y), evidence_reg=0.0, weights=ad.constant(w),
         )
-        # one formula behind both paths, so the values agree exactly
-        assert loss.item() == nig_nll_values(gamma, nu, alpha, beta, y).mean()
+        # one formula behind both paths, and the weighted sum taken as the
+        # op takes it, so the values agree exactly
+        assert loss.item() == (nig_nll_values(gamma, nu, alpha, beta, y) * w).sum()
 
     def test_values_keep_the_broadcast_shape(self, rng):
         gamma = rng.normal(size=(3, 4))
@@ -274,7 +278,7 @@ class TestNigNll:
         base = nig_nll_values(gamma, nu, alpha, beta, y).mean()
         loss = nig_nll(
             ad.constant(gamma), ad.constant(nu), ad.constant(alpha), ad.constant(beta),
-            ad.constant(y), evidence_reg=0.01,
+            ad.constant(y), evidence_reg=0.01, weights=ad.constant(np.full((3, 1), 1.0 / 3)),
         )
         reg = 0.01 * np.mean(np.abs(y - gamma) * (2 * nu + alpha))
         assert loss.item() == pytest.approx(base + reg, rel=1e-12)

@@ -56,6 +56,11 @@ class TestSelection:
     def test_integral_float_ids_accepted(self):
         np.testing.assert_array_equal(selection(np.arange(4.0), [3.0], 1), [2])
 
+    def test_negative_budget_rejected(self):
+        # a negative slice bound would deploy all candidates but one
+        with pytest.raises(DataError, match="budget"):
+            selection(np.arange(12.0), excluded=[0, 1, 2, 3], budget=-1)
+
 
 def tiny_sensing_cfg(**kw):
     defaults = dict(
@@ -76,6 +81,23 @@ def tiny_sensing_cfg(**kw):
 def test_eval_stride_below_one_rejected(stride):
     with pytest.raises(ValueError, match="eval_stride"):
         tiny_sensing_cfg(eval_stride=stride)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_rejected(budget):
+    with pytest.raises(ValueError, match="budget_per_step"):
+        tiny_sensing_cfg(budget_per_step=budget)
+
+
+def test_negative_steps_rejected():
+    with pytest.raises(ValueError, match="steps"):
+        tiny_sensing_cfg(steps=-1)
+
+
+def test_zero_steps_gives_one_record(world):
+    graph, series = world
+    ep = run_episode(graph, series, tiny_sensing_cfg(steps=0), "random", np.random.default_rng(0))
+    assert [rec.step for rec in ep.records] == [0]
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from gapcast.model import (
     init_params,
     nig_nll,
     nig_nll_values,
+    weighted_mean,
 )
 from gapcast.training import (
     SampleBatch,
@@ -48,6 +49,10 @@ def tiny_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def windows(graph, values, cfg):
+    return valid_time_steps(values, cfg.history, cfg.horizon, graph.observable)
+
+
 @pytest.fixture
 def small_world(rng):
     graph, series = generate_synthetic(10, 200, rng)
@@ -63,6 +68,11 @@ class TestConfigValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_alpha=-0.1)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lr(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
 
 
 class TestValidTimeSteps:
@@ -85,14 +95,16 @@ class TestDrawSample:
         graph, series = generate_synthetic(6, 60, rng)
         graph = graph.with_partition(np.array([1, 4]), np.array([0, 2, 3, 5]))
         cfg = tiny_cfg()
-        s = draw_sample(graph, series.values, cfg, np.random.default_rng(0))
+        steps = windows(graph, series.values, cfg)
+        s = draw_sample(graph, series.values, cfg, np.random.default_rng(0), steps)
         assert s.reserved.size == 1 and s.masked.size == 1
 
     def test_fixed_seed_reproducible(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg()
-        a = draw_sample(graph, series.values, cfg, np.random.default_rng(11))
-        b = draw_sample(graph, series.values, cfg, np.random.default_rng(11))
+        steps = windows(graph, series.values, cfg)
+        a = draw_sample(graph, series.values, cfg, np.random.default_rng(11), steps)
+        b = draw_sample(graph, series.values, cfg, np.random.default_rng(11), steps)
         np.testing.assert_array_equal(a.node_indices, b.node_indices)
         np.testing.assert_array_equal(a.features, b.features)
         assert a.t == b.t
@@ -119,7 +131,8 @@ class TestDrawSample:
     def test_unmasked_mode_uses_all_nodes(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg(mask_training=False)
-        s = draw_sample(graph, series.values, cfg, np.random.default_rng(0))
+        steps = windows(graph, series.values, cfg)
+        s = draw_sample(graph, series.values, cfg, np.random.default_rng(0), steps)
         assert s.node_indices.size == graph.n
         assert s.masked.size == 0
         assert (s.mask == 1.0).all()
@@ -127,7 +140,8 @@ class TestDrawSample:
     def test_features_align_with_target(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg()
-        s = draw_sample(graph, series.values, cfg, np.random.default_rng(3))
+        steps = windows(graph, series.values, cfg)
+        s = draw_sample(graph, series.values, cfg, np.random.default_rng(3), steps)
         np.testing.assert_array_equal(
             s.features[:, -1], series.values[s.t, s.node_indices]
         )
@@ -215,11 +229,13 @@ def per_sample_mean_loss(params, samples, cfg):
             params, cfg.model, ad.constant(s.features), ad.constant(s.mask),
             normalize(s.adjacency),
         )
+        n = s.node_indices.size
+        plain = ad.constant(np.full((n, 1), 1.0 / n))
         j_pre = nig_nll(
             fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, ad.constant(s.target),
-            evidence_reg=cfg.model.evidence_reg,
+            evidence_reg=cfg.model.evidence_reg, weights=plain,
         )
-        j_rec = ad.reduce_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)))
+        j_rec = weighted_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)), plain)
         j = ad.add(j_pre, ad.scale(j_rec, cfg.loss_alpha))
         total = j if total is None else ad.add(total, j)
     return ad.scale(total, 1.0 / len(samples))
@@ -240,7 +256,7 @@ def loss_and_grads(loss_fn, params, samples, cfg):
     tape.backward(loss)
     grads = {k: p.grad.copy() for k, p in params.items()}
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
     return loss.item(), grads, len(tape.nodes)
 
 
@@ -251,8 +267,9 @@ class TestSampleBatch:
         values = Scaler.fit(series.values, graph.observable).transform(series.values)
         params = init_params(cfg.model, cfg.history, np.random.default_rng(3))
         rng = np.random.default_rng(7)
+        steps = windows(graph, values, cfg)
         for _ in range(4):
-            samples = [draw_sample(graph, values, cfg, rng) for _ in range(4)]
+            samples = [draw_sample(graph, values, cfg, rng, steps) for _ in range(4)]
             assert len({s.node_indices.size for s in samples}) > 1  # unequal sizes
             want, want_grads, _ = loss_and_grads(per_sample_mean_loss, params, samples, cfg)
             got, got_grads, _ = loss_and_grads(union_loss, params, samples, cfg)
@@ -266,7 +283,8 @@ class TestSampleBatch:
         cfg = tiny_cfg()
         params = init_params(cfg.model, cfg.history, np.random.default_rng(3))
         rng = np.random.default_rng(5)
-        samples = [draw_sample(graph, series.values, cfg, rng) for _ in range(4)]
+        steps = windows(graph, series.values, cfg)
+        samples = [draw_sample(graph, series.values, cfg, rng, steps) for _ in range(4)]
         ops_one = loss_and_grads(union_loss, params, samples[:1], cfg)[2]
         ops_four = loss_and_grads(union_loss, params, samples, cfg)[2]
         assert ops_one == ops_four
@@ -275,7 +293,9 @@ class TestSampleBatch:
     def test_stacked_rows_follow_sample_order(self, small_world):
         graph, series = small_world
         rng = np.random.default_rng(9)
-        samples = [draw_sample(graph, series.values, tiny_cfg(), rng) for _ in range(3)]
+        cfg = tiny_cfg()
+        steps = windows(graph, series.values, cfg)
+        samples = [draw_sample(graph, series.values, cfg, rng, steps) for _ in range(3)]
         batch = SampleBatch.stack(samples)
         sizes = [s.node_indices.size for s in samples]
         np.testing.assert_array_equal(batch.target, np.vstack([s.target for s in samples]))
