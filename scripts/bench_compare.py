@@ -10,14 +10,17 @@ pair up by workload and seed. For every workload and every end-to-end
 metric of ``BENCHMARK.json`` (plus ``failed_frac``) the record gives each
 side's q1, median and q3, the number of pairs the change wins (ties count
 for neither side), and whether the median gain exceeds the parent's
-interquartile range. It also keeps the per-pair values and each side's
-machine record.
+interquartile range. It adds the median per-pair ratio change/parent, the
+figure that survives a host whose speed drifts between runs, and the
+two-sided paired sign test's p-value, ties dropped. It also keeps the
+per-pair values and each side's machine record.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -50,6 +53,21 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided p-value of ``wins`` against ``losses`` under a fair coin
+    (ties already dropped); 1.0 when no pair differs."""
+    pairs = wins + losses
+    tail = sum(math.comb(pairs, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2**pairs)
+
+
+def median_ratio(pairs: list[tuple[float, float]]) -> float | None:
+    """Median of change/parent over the pairs whose parent value is not 0;
+    None when there is none."""
+    ratios = [c / p for p, c in pairs if p != 0]
+    return statistics.median(ratios) if ratios else None
+
+
 def machine(runs: list[dict]) -> dict:
     """The machine fields every run agrees on, plus the host-speed probes."""
     records = [r["machine"] for r in runs]
@@ -75,12 +93,16 @@ def compare(parent: dict, change: dict, spec: dict) -> dict:
             sign = 1.0 if direction == "lower" else -1.0
             before = quartiles([p for p, _ in pairs])
             after = quartiles([c for _, c in pairs])
+            wins = sum(sign * (p - c) > 0 for p, c in pairs)
+            losses = sum(sign * (p - c) < 0 for p, c in pairs)
             metrics[metric] = {
                 "better": direction,
                 "parent": before,
                 "change": after,
-                "change_wins": sum(sign * (p - c) > 0 for p, c in pairs),
+                "change_wins": wins,
                 "pairs": len(pairs),
+                "median_ratio": median_ratio(pairs),
+                "sign_test_p": sign_test(wins, losses),
                 "median_gain_exceeds_parent_iqr":
                     sign * (before["median"] - after["median"]) > before["q3"] - before["q1"],
                 "per_seed": {str(s): {"parent": p, "change": c} for s, (p, c) in zip(seeds, pairs)},
@@ -107,9 +129,12 @@ def main() -> int:
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for workload, metrics in record["workloads"].items():
         for metric, row in metrics.items():
+            ratio = row["median_ratio"]
             print(f"{workload:<12} {metric:<12} parent {row['parent']['median']:.6g} "
                   f"change {row['change']['median']:.6g} "
-                  f"wins {row['change_wins']}/{row['pairs']}")
+                  f"wins {row['change_wins']}/{row['pairs']} "
+                  f"ratio {'-' if ratio is None else format(ratio, '.4g')} "
+                  f"sign p {row['sign_test_p']:.3g}")
     return 0
 
 

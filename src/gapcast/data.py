@@ -7,12 +7,24 @@ speed CSV: header ``timestamp,<id0>,<id1>,...``; one row per step; first
 column is the numeric timestamp in seconds; empty cells are gaps.
 distance CSV: header ``from,to,distance``; one directed pair per row;
 absent pairs are infinite, self pairs default to 0.
+
+Both loaders accept LF or CRLF line ends, cells quoted as the csv module
+quotes them (so an id may hold a comma or a quote, and a quoted empty
+value cell is a gap) and any Unicode id in the file's text encoding
+(the locale's, UTF-8 on most systems). A number cell is what numpy's
+text reader parses: decimal or exponent forms, ``nan``, ``inf`` and
+``Infinity`` (any case, signed), with surrounding spaces. A cell that
+only Python's float() reads, such as ``1_000`` or non-ASCII digits, is
+refused. An error about a row names the first faulty row of the file,
+counting the header as row 1; uneven timestamp spacing has no row.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,50 +148,89 @@ def _fmt(x: float) -> str:
 
 
 def load_speed_csv(path) -> SpeedSeries:
-    """Parse a speed CSV; gaps stay explicit as NaN, never zeros."""
+    """Parse a speed CSV; gaps stay explicit as NaN, never zeros.
+
+    The body is read by one ``np.loadtxt`` pass. A fault re-reads the file
+    row by row only to name the first faulty row.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise SeriesFormatError("empty file", row=1) from None
         if len(header) < 2 or header[0] != "timestamp":
             raise SeriesFormatError("header must be 'timestamp,<sensor ids...>'", row=1)
         node_ids = tuple(header[1:])
-        times: list[float] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SeriesFormatError(
-                    f"expected {len(header)} columns, got {len(row)}", row=lineno
-                )
-            try:
-                t = float(row[0])
-            except ValueError:
-                raise SeriesFormatError(f"unparsable timestamp {row[0]!r}", row=lineno) from None
-            if times and t <= times[-1]:
-                raise SeriesFormatError(
-                    f"timestamp {row[0]} not strictly increasing", row=lineno
-                )
-            vals = []
-            for cell in row[1:]:
-                if cell == "":
-                    vals.append(float("nan"))
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise SeriesFormatError(f"unparsable value {cell!r}", row=lineno) from None
-            times.append(t)
-            rows.append(vals)
+        body = _gaps_as_nan(fh)
+        first = next(body, None)
+        if first is None:
+            raise SeriesFormatError("values must be (steps, nodes) aligned with timestamps")
+        try:
+            table = np.loadtxt(
+                itertools.chain([first], body),
+                delimiter=",", quotechar='"', comments=None, ndmin=2,
+            )
+        except ValueError as err:
+            raise _speed_fault(path, err) from None
+    times = table[:, 0].copy()
+    if table.shape[1] != len(header) or (times[1:] <= times[:-1]).any():
+        raise _speed_fault(path, None)
     try:
         return SpeedSeries(
             node_ids=node_ids,
-            timestamps=np.asarray(times, dtype=np.float64),
-            values=np.asarray(rows, dtype=np.float64),
+            timestamps=times,
+            values=np.ascontiguousarray(table[:, 1:]),
         )
     except SeriesFormatError as err:
         raise SeriesFormatError(str(err)) from None
+
+
+# A quoted empty value cell. Inside a quoted field the same text would put
+# a comma in that field, which no valid number holds.
+_QUOTED_GAP = re.compile(r'(?<=,)""(?=,|$)')
+
+
+def _gaps_as_nan(lines):
+    """Body lines with every empty value cell, bare or quoted, spelt
+    ``nan``; an empty timestamp stays empty, so it fails to parse.
+    np.loadtxt would skip a blank line, which the contract counts as a row
+    with no cells, so a blank line is passed on as ``,``, which fails to
+    parse too."""
+    for line in lines:
+        line = line.rstrip("\r\n").replace(",,", ",nan,").replace(",,", ",nan,")
+        if '"' in line:
+            line = _QUOTED_GAP.sub("nan", line)
+        yield line + "nan" if line.endswith(",") else line or ","
+
+
+def _speed_fault(path, err: ValueError | None) -> SeriesFormatError:
+    """The error for the first faulty row of a speed CSV whose header is
+    valid, found by checking its rows one by one with csv and float().
+
+    ``err`` is np.loadtxt's complaint, reported without a row when every
+    row passes those checks (a cell only float() reads, such as ``1_000``).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        last = None
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                return SeriesFormatError(f"expected {width} columns, got {len(row)}", row=lineno)
+            try:
+                t = float(row[0])
+            except ValueError:
+                return SeriesFormatError(f"unparsable timestamp {row[0]!r}", row=lineno)
+            if last is not None and t <= last:
+                return SeriesFormatError(f"timestamp {row[0]} not strictly increasing", row=lineno)
+            last = t
+            for cell in row[1:]:
+                if cell:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        return SeriesFormatError(f"unparsable value {cell!r}", row=lineno)
+    return SeriesFormatError(f"unparsable content: {err}")
 
 
 def save_speed_csv(series: SpeedSeries, path) -> None:
@@ -190,39 +241,93 @@ def save_speed_csv(series: SpeedSeries, path) -> None:
             writer.writerow([_fmt(float(t)), *(_fmt(float(x)) for x in row)])
 
 
+# Distance rows parsed per np.loadtxt call: large enough to amortise the
+# call, small enough that the parsed block stays a few MB.
+DISTANCE_BLOCK_ROWS = 65536
+
+
 def load_distances_csv(path, node_ids) -> np.ndarray:
     """Directed (from, to, distance) rows -> dense matrix aligned to node_ids.
 
-    Absent pairs are np.inf; omitted self pairs are 0.
+    Absent pairs are np.inf; omitted self pairs are 0. The body is read in
+    blocks of ``DISTANCE_BLOCK_ROWS`` lines, each one ``np.loadtxt`` pass
+    whose ids are mapped by one ``np.searchsorted``. A faulty block is
+    re-read row by row only to name its first faulty row.
     """
     index = {nid: i for i, nid in enumerate(node_ids)}
     n = len(index)
+    # One character longer than any node id, so a longer unknown id cannot
+    # be cut down to a known one.
+    id_dtype = f"U{max(map(len, index), default=0) + 1}"
+    known = np.array(list(index), dtype=id_dtype)
+    order = np.argsort(known)
+    known, position = known[order], np.fromiter(index.values(), np.int64, n)[order]
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     listed = np.zeros((n, n), dtype=bool)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [c.strip() for c in header[:3]] != ["from", "to", "distance"]:
             raise SeriesFormatError("header must be 'from,to,distance'", row=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise SeriesFormatError(f"expected 3 columns, got {len(row)}", row=lineno)
-            src, dst, dist_s = row
-            if src not in index or dst not in index:
-                raise SeriesFormatError(f"unknown sensor id in pair ({src}, {dst})", row=lineno)
+        first_row = 2
+        while lines := list(itertools.islice(fh, DISTANCE_BLOCK_ROWS)):
+            if not lines[0].strip():  # a faulty row; np.loadtxt warns on a blank-only block
+                raise _distance_fault(lines, first_row, index, listed, None)
             try:
-                dist = float(dist_s)
-            except ValueError:
-                raise SeriesFormatError(f"unparsable distance {dist_s!r}", row=lineno) from None
-            if dist < 0:
-                raise SeriesFormatError(f"negative distance {dist}", row=lineno)
-            i, j = index[src], index[dst]
-            if listed[i, j]:
-                raise SeriesFormatError(f"duplicate pair ({src}, {dst})", row=lineno)
-            listed[i, j] = True
-            d[i, j] = dist
+                rows = np.loadtxt(
+                    lines,
+                    dtype=[("src", id_dtype), ("dst", id_dtype), ("dist", np.float64)],
+                    delimiter=",", quotechar='"', comments=None, ndmin=1,
+                )
+            except ValueError as err:
+                raise _distance_fault(lines, first_row, index, listed, err) from None
+            ends = []
+            for column in ("src", "dst"):
+                at = np.searchsorted(known, rows[column]).clip(max=max(n - 1, 0))
+                if n == 0 or (known[at] != rows[column]).any():
+                    raise _distance_fault(lines, first_row, index, listed, None)
+                ends.append(position[at])
+            pairs = ends[0] * n + ends[1]
+            repeated = np.sort(pairs)
+            if (
+                len(rows) != len(lines)  # np.loadtxt skipped a blank line
+                or (rows["dist"] < 0).any()
+                or (repeated[1:] == repeated[:-1]).any()
+                or listed.flat[pairs].any()
+            ):
+                raise _distance_fault(lines, first_row, index, listed, None)
+            listed.flat[pairs] = True
+            d.flat[pairs] = rows["dist"]
+            first_row += len(lines)
     return d
+
+
+def _distance_fault(lines, first_row, index, listed, err) -> SeriesFormatError:
+    """The error for the first faulty row of one block of distance rows,
+    found by checking them one by one with csv, the id ``index`` and
+    float(); ``listed`` marks the pairs of earlier blocks.
+
+    ``err`` is np.loadtxt's complaint, reported without a row when every
+    row passes those checks (a cell only float() reads, such as ``1_000``).
+    """
+    listed = listed.copy()
+    for lineno, row in enumerate(csv.reader(lines), start=first_row):
+        if len(row) != 3:
+            return SeriesFormatError(f"expected 3 columns, got {len(row)}", row=lineno)
+        src, dst, dist_s = row
+        if src not in index or dst not in index:
+            return SeriesFormatError(f"unknown sensor id in pair ({src}, {dst})", row=lineno)
+        try:
+            dist = float(dist_s)
+        except ValueError:
+            return SeriesFormatError(f"unparsable distance {dist_s!r}", row=lineno)
+        if dist < 0:
+            return SeriesFormatError(f"negative distance {dist}", row=lineno)
+        i, j = index[src], index[dst]
+        if listed[i, j]:
+            return SeriesFormatError(f"duplicate pair ({src}, {dst})", row=lineno)
+        listed[i, j] = True
+    return SeriesFormatError(f"unparsable content: {err}")
 
 
 def save_distances_csv(distances: np.ndarray, node_ids, path) -> None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import DataError, SpeedSeries, SplitSpec, check_node_ids, split
-from .graph import RoadGraph, normalize
+from .graph import RoadGraph, normalize, union_pair
 from .model import EvidentialOutput, nig_nll_values
 from .training import TrainConfig, TrainedModel, gap_free_history, predict_windows, train
 
@@ -102,7 +102,8 @@ def collect_predictions(
     graph with node ids must name the input's columns in order. The
     graph is normalized once, and the windows run in stacks of at most
     ``INFERENCE_ROWS // n`` windows (at least one) through
-    :func:`predict_windows`.
+    :func:`predict_windows`, which share one union operator; only a short
+    last stack builds its own.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
@@ -126,10 +127,16 @@ def collect_predictions(
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
     trans = normalize(eval_graph.adjacency)
-    per_pass = max(1, INFERENCE_ROWS // eval_graph.n)
+    per_pass = min(max(1, INFERENCE_ROWS // eval_graph.n), ends.size)
+    full = union_pair(trans, per_pass)  # shared by every full chunk
     offsets = np.arange(1 - t_hist, 1)
     parts = [
-        predict_windows(eval_graph, trans, values[chunk[:, None] + offsets], model)
+        predict_windows(
+            eval_graph,
+            full if chunk.size == per_pass else trans,
+            values[chunk[:, None] + offsets],
+            model,
+        )
         for chunk in np.split(ends, np.arange(per_pass, ends.size, per_pass))
     ]
     stacked = {

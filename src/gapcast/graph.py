@@ -25,6 +25,7 @@ __all__ = [
     "chebyshev_terms",
     "subgraph",
     "block_diagonal",
+    "union_pair",
 ]
 
 
@@ -121,7 +122,7 @@ def build_adjacency(
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ParameterError("distances must be a square matrix")
     finite = np.isfinite(d)
-    if (d[finite] < 0).any():
+    if np.any(d < 0, where=finite):
         raise ParameterError("distances must be nonnegative")
     if sigma is None:
         off = finite & ~np.eye(d.shape[0], dtype=bool)
@@ -243,3 +244,11 @@ def block_diagonal(mats) -> sparse.csr_array:
         ),
         shape=(sizes.sum(), sizes.sum()),
     )
+
+
+def union_pair(trans: TransitionPair, copies: int) -> TransitionPair:
+    """The transition pair of the disjoint union of ``copies`` copies of a
+    graph whose pair is ``trans``: the block-diagonal union of the forward
+    copies, with its transpose as the backward matrix."""
+    union = block_diagonal([trans.forward] * copies)
+    return TransitionPair(forward=union, backward=union.T)

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, SpeedSeries, check_node_ids, fill_small_gaps
-from .graph import RoadGraph, TransitionPair, block_diagonal, normalize, subgraph
+from .graph import RoadGraph, TransitionPair, block_diagonal, normalize, subgraph, union_pair
 from .model import (
     EvidentialOutput,
     ForwardPass,
@@ -74,8 +74,8 @@ class TrainConfig:
             raise ValueError("batch_size, history, and horizon must be >= 1")
         if self.iterations < 1 or self.samples_per_iter < 1:
             raise ValueError("iterations and samples_per_iter must be >= 1")
-        if self.loss_alpha < 0:
-            raise ValueError("loss_alpha must be >= 0")
+        if not (math.isfinite(self.loss_alpha) and self.loss_alpha >= 0):
+            raise ValueError(f"loss_alpha must be finite and >= 0, got {self.loss_alpha}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -356,7 +356,9 @@ def predict_windows(
     ``trans`` is the graph's transition pair, so a caller predicting many
     stacks normalizes the graph once. The W windows run as one tapeless
     forward pass over the block-diagonal union of W copies of the forward
-    matrix, whose transpose is the union's backward matrix.
+    matrix, whose transpose is the union's backward matrix. ``trans`` may
+    also be that union's pair already (any pair of size W n), so a caller
+    predicting many stacks of W windows builds the union once.
     Missing-location columns are ignored (their input rows are zeroed and
     their mask rows are 0). Returns a (W, n) record in speed units.
     """
@@ -373,13 +375,14 @@ def predict_windows(
     x[:, graph.observable] = model.scaler.transform(observed).transpose(0, 2, 1)
     mask = np.zeros((n, model.history))
     mask[graph.observable] = 1.0
-    union = block_diagonal([trans.forward] * count)
+    if trans.forward.shape[0] != count * n:
+        trans = union_pair(trans, count)
     fwd = forward(
         model.params,
         model.model_cfg,
         ad.constant(x.reshape(count * n, model.history)),
         ad.constant(np.tile(mask, (count, 1))),
-        TransitionPair(forward=union, backward=union.T),
+        trans,
     )
     std = model.scaler.std
     return EvidentialOutput(

@@ -436,6 +436,8 @@ class TestRejectedValues:
             ("--kappa", "0", "kappa"),
             ("--lr", "-1", "lr"),
             ("--lr", "0", "lr"),
+            ("--alpha", "nan", "alpha"),
+            ("--alpha", "inf", "alpha"),
         ],
     )
     def test_train(self, tmp_path, capsys, flag, value, name):

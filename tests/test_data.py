@@ -1,7 +1,13 @@
+import csv
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gapcast import cli
+from gapcast import cli, data
 from gapcast.data import (
     DataError,
     NodeIdMismatch,
@@ -129,6 +135,273 @@ class TestDistanceCsv:
         path = tmp_path / "d.csv"
         save_distances_csv(d, ("a", "b", "c"), path)
         assert path.read_text() == "from,to,distance\na,b,2\nb,a,0.5\nb,c,1.25\nc,b,3\n"
+
+
+def reference_speed(path):
+    """Row-by-row speed CSV reader (csv, then float() per cell): the
+    reference whose values and errors the bulk loader must reproduce."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        times, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SeriesFormatError(
+                    f"expected {len(header)} columns, got {len(row)}", row=lineno
+                )
+            try:
+                t = float(row[0])
+            except ValueError:
+                raise SeriesFormatError(f"unparsable timestamp {row[0]!r}", row=lineno) from None
+            if times and t <= times[-1]:
+                raise SeriesFormatError(f"timestamp {row[0]} not strictly increasing", row=lineno)
+            vals = []
+            for cell in row[1:]:
+                try:
+                    vals.append(float(cell) if cell else math.nan)
+                except ValueError:
+                    raise SeriesFormatError(f"unparsable value {cell!r}", row=lineno) from None
+            times.append(t)
+            rows.append(vals)
+    return tuple(header[1:]), np.asarray(times), np.asarray(rows)
+
+
+def reference_distances(path, node_ids):
+    """Row-by-row distance CSV reader: the reference for the bulk loader."""
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    d = np.full((len(index), len(index)), np.inf)
+    np.fill_diagonal(d, 0.0)
+    listed = np.zeros(d.shape, dtype=bool)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise SeriesFormatError(f"expected 3 columns, got {len(row)}", row=lineno)
+            src, dst, dist_s = row
+            if src not in index or dst not in index:
+                raise SeriesFormatError(f"unknown sensor id in pair ({src}, {dst})", row=lineno)
+            try:
+                dist = float(dist_s)
+            except ValueError:
+                raise SeriesFormatError(f"unparsable distance {dist_s!r}", row=lineno) from None
+            if dist < 0:
+                raise SeriesFormatError(f"negative distance {dist}", row=lineno)
+            i, j = index[src], index[dst]
+            if listed[i, j]:
+                raise SeriesFormatError(f"duplicate pair ({src}, {dst})", row=lineno)
+            listed[i, j] = True
+            d[i, j] = dist
+    return d
+
+
+def write_rows(path, rows, terminator="\n", quoting=csv.QUOTE_MINIMAL):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator=terminator, quoting=quoting).writerows(rows)
+    return path
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_same_error(load, reference, *args):
+    with pytest.raises(SeriesFormatError) as got:
+        load(*args)
+    with pytest.raises(SeriesFormatError) as want:
+        reference(*args)
+    assert (got.value.row, str(got.value)) == (want.value.row, str(want.value))
+    return got.value
+
+
+# Ids with the characters csv must quote, a space and non-ASCII letters.
+node_id_lists = st.lists(
+    st.text(st.sampled_from(list('ab0,"é日 ')), min_size=1, max_size=4),
+    min_size=1, max_size=5, unique=True,
+)
+number_cells = st.builds(
+    lambda x, fmt: fmt(x),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.sampled_from([repr, "{:e}".format, "{:E}".format, "{:+.17g}".format, "{:.3f}".format]),
+)
+value_cells = st.one_of(
+    st.just(""), st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity"]), number_cells
+)
+distance_cells = st.one_of(
+    st.sampled_from(["inf", "Infinity", "nan", "0", "-0", "-0.0"]),
+    st.builds(
+        lambda x, fmt: fmt(x),
+        st.floats(min_value=0, max_value=1e300),
+        st.sampled_from([repr, "{:e}".format, "{:E}".format, "{:.2f}".format]),
+    ),
+)
+terminators = st.sampled_from(["\n", "\r\n"])
+quotings = st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+SPEED_FAULTS = ("ragged", "blank", "timestamp", "value", "order")
+DISTANCE_FAULTS = ("ragged", "blank", "unknown", "distance", "negative", "duplicate")
+PATCHED = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def speed_tables(draw, min_steps=1):
+    """A valid speed table as csv rows: header, then one row per step."""
+    ids = draw(node_id_lists)
+    steps = draw(st.integers(min_steps, 8))
+    t0, dt = draw(st.integers(0, 10**4)), draw(st.integers(1, 100))
+    stamp = draw(st.sampled_from([str, lambda t: repr(float(t)), "{}E0".format, "{:e}".format]))
+    body = [
+        [stamp(t0 + k * dt), *draw(st.lists(value_cells, min_size=len(ids), max_size=len(ids)))]
+        for k in range(steps)
+    ]
+    return [["timestamp", *ids], *body]
+
+
+@st.composite
+def distance_tables(draw, min_rows=0):
+    """Node ids and a valid distance table as csv rows."""
+    ids = draw(node_id_lists)
+    pairs = st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1))
+    chosen = draw(st.lists(pairs, min_size=min_rows, max_size=12, unique=True))
+    rows = [[ids[i], ids[j], draw(distance_cells)] for i, j in chosen]
+    return tuple(ids), [["from", "to", "distance"], *rows]
+
+
+def inject(rows, at, kind, ids=()):
+    """Make body row ``at`` (index into ``rows``, header at 0) faulty."""
+    row = list(rows[at])
+    if kind == "ragged":
+        row = row[:-1] if len(row) > 2 else [*row, "1"]
+    elif kind == "blank":
+        row = []
+    elif kind == "timestamp":
+        row[0] = "" if at % 2 else "1.0.0"
+    elif kind == "value":
+        row[-1] = "abc"
+    elif kind == "order":  # the previous row's timestamp (or the header's)
+        row[0] = rows[at - 1][0]
+    elif kind == "unknown":  # a known id with one character more
+        row[at % 2] = rows[at][at % 2] + "0"
+        while row[at % 2] in ids:
+            row[at % 2] += "0"
+    elif kind == "distance":
+        row[2] = "1e"
+    elif kind == "negative":
+        row[2] = "-inf" if at % 2 else "-2.5"
+    elif kind == "duplicate":  # the pair of the previous row (or the header)
+        row[:2] = rows[at - 1][:2]
+    rows[at] = row
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+class TestLoadersAgainstReference:
+    """The bulk loaders read what a row-by-row csv + float() reader reads,
+    bit for bit, and name the row that reader names for every fault."""
+
+    @PATCHED
+    @given(table=speed_tables(), terminator=terminators, quoting=quotings)
+    def test_speed_values(self, tmp_path, table, terminator, quoting):
+        path = write_rows(tmp_path / "s.csv", table, terminator, quoting)
+        ids, times, values = reference_speed(path)
+        got = load_speed_csv(path)
+        assert got.node_ids == ids
+        assert_same_bits(got.timestamps, times)
+        assert_same_bits(got.values, values)
+        assert got.values.flags.c_contiguous
+
+    @PATCHED
+    @given(
+        data_=st.data(), table=speed_tables(min_steps=2), terminator=terminators, quoting=quotings
+    )
+    def test_speed_faults(self, tmp_path, data_, table, terminator, quoting):
+        count = data_.draw(st.integers(1, min(2, len(table) - 1)))
+        rows = data_.draw(
+            st.lists(st.integers(1, len(table) - 1), min_size=count, max_size=count, unique=True)
+        )
+        kinds = data_.draw(
+            st.lists(st.sampled_from(SPEED_FAULTS), min_size=count, max_size=count, unique=True)
+        )
+        for at, kind in sorted(zip(rows, kinds), reverse=True):
+            inject(table, at, kind)
+        path = write_rows(tmp_path / "s.csv", table, terminator, quoting)
+        err = assert_same_error(load_speed_csv, reference_speed, path)
+        assert err.row == min(rows) + 1  # file rows count from 1
+
+    @PATCHED
+    @given(
+        table=distance_tables(), terminator=terminators, quoting=quotings,
+        block=st.sampled_from([1, 2, 3, 65536]),
+    )
+    def test_distance_values(self, tmp_path, table, terminator, quoting, block):
+        ids, rows = table
+        path = write_rows(tmp_path / "d.csv", rows, terminator, quoting)
+        with mock.patch.object(data, "DISTANCE_BLOCK_ROWS", block):
+            got = load_distances_csv(path, ids)
+        assert_same_bits(got, reference_distances(path, ids))
+
+    @PATCHED
+    @given(
+        data_=st.data(), table=distance_tables(min_rows=2), terminator=terminators,
+        quoting=quotings, block=st.sampled_from([1, 2, 3, 65536]),
+    )
+    def test_distance_faults(self, tmp_path, data_, table, terminator, quoting, block):
+        ids, table = table
+        count = data_.draw(st.integers(1, min(2, len(table) - 1)))
+        rows = data_.draw(
+            st.lists(st.integers(1, len(table) - 1), min_size=count, max_size=count, unique=True)
+        )
+        kinds = data_.draw(
+            st.lists(st.sampled_from(DISTANCE_FAULTS), min_size=count, max_size=count, unique=True)
+        )
+        for at, kind in sorted(zip(rows, kinds), reverse=True):
+            inject(table, at, kind, ids)
+        path = write_rows(tmp_path / "d.csv", table, terminator, quoting)
+        with mock.patch.object(data, "DISTANCE_BLOCK_ROWS", block):
+            err = assert_same_error(load_distances_csv, reference_distances, path, ids)
+        assert err.row == min(rows) + 1
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+    def test_speed_gap_layouts(self, tmp_path, quoting):
+        rows = [
+            ["timestamp", "a", "b,c", 'q"d', "é"],
+            ["0", "", "1", "2", "3"],  # first column
+            ["300", "1", "", "2", "3"],  # middle
+            ["600", "1", "2", "3", ""],  # last
+            ["900", "", "", "", ""],  # a run of gaps over the whole row
+            ["1200", "1e1", "", "", "-2.5E-3"],
+        ]
+        path = write_rows(tmp_path / "s.csv", rows, "\r\n", quoting)
+        got = load_speed_csv(path)
+        assert got.node_ids == ("a", "b,c", 'q"d', "é")
+        assert_same_bits(got.values, reference_speed(path)[2])
+        assert np.isnan(got.values).sum() == 9
+
+    def test_quoted_empty_timestamp_is_no_gap(self, tmp_path):
+        rows = [["timestamp", "a"], ["0", "1"], ["", "2"], ["600", "3"]]
+        path = write_rows(tmp_path / "s.csv", rows, quoting=csv.QUOTE_ALL)
+        err = assert_same_error(load_speed_csv, reference_speed, path)
+        assert str(err) == "row 3: unparsable timestamp ''"
+
+    def test_every_row_ragged_alike(self, tmp_path):
+        path = write(tmp_path / "s.csv", "timestamp,a\n0,1,2\n300,3,4\n")
+        err = assert_same_error(load_speed_csv, reference_speed, path)
+        assert err.row == 2 and "expected 2 columns, got 3" in str(err)
+
+    def test_longer_id_with_known_prefix_is_unknown(self, tmp_path):
+        path = write(tmp_path / "d.csv", "from,to,distance\ns000,s001,1\ns0001,s000,2\n")
+        with pytest.raises(SeriesFormatError) as err:
+            load_distances_csv(path, ("s000", "s001"))
+        assert str(err.value) == "row 3: unknown sensor id in pair (s0001, s000)"
+
+    def test_duplicate_across_the_block_boundary(self, tmp_path):
+        ids = tuple(f"n{i}" for i in range(257))  # 65,792 pairs: two blocks
+        rows = [[a, b, "1"] for a in ids for b in ids if a != b]
+        assert len(rows) > data.DISTANCE_BLOCK_ROWS
+        path = write_rows(tmp_path / "d.csv", [["from", "to", "distance"], *rows, rows[0]])
+        err = assert_same_error(load_distances_csv, reference_distances, path, ids)
+        assert err.row == len(rows) + 2 and "duplicate pair (n0, n1)" in str(err)
 
 
 def make_series(steps, n=2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gapcast import evaluate
+from gapcast import evaluate, training
 from gapcast.data import (
     DataError,
     NodeIdMismatch,
@@ -27,8 +27,9 @@ from gapcast.evaluate import (
     row_metrics,
     two_step_pipeline,
 )
+from gapcast.graph import normalize, union_pair
 from gapcast.model import EvidentialOutput, ModelConfig, nig_nll_values
-from gapcast.training import TrainConfig, predict_full, train
+from gapcast.training import TrainConfig, predict_full, predict_windows, train
 
 from test_model import nig_marginal_nll_quadrature
 from test_training import nig_rows, per_window_forward
@@ -292,6 +293,31 @@ class TestStackedCollection:
         monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 4 * graph.n)
         wp = self.check(model, graph, te, stride=1)
         assert wp.target_steps.size % 4 != 0
+
+    def test_full_chunks_share_one_union(self, trained_world, monkeypatch):
+        """One union serves every full chunk and the short last chunk builds
+        its own; the result is bit for bit a union per chunk."""
+        graph, _, te, _, model = trained_world
+        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 4 * graph.n)
+        built = []
+
+        def counted(trans, copies):
+            built.append(copies)
+            return union_pair(trans, copies)
+
+        monkeypatch.setattr(evaluate, "union_pair", counted)
+        monkeypatch.setattr(training, "union_pair", counted)
+        wp = collect_predictions(model, graph, te, te, stride=1)
+        ends = wp.target_steps - model.horizon
+        assert ends.size > 8 and built == [4, ends.size % 4]
+        trans, offsets = normalize(graph.adjacency), np.arange(1 - model.history, 1)
+        parts = [
+            predict_windows(graph, trans, te.values[chunk[:, None] + offsets], model)
+            for chunk in np.split(ends, np.arange(4, ends.size, 4))
+        ]
+        for name in ("gamma", "nu", "alpha_nig", "beta"):
+            want = np.concatenate([getattr(p, name) for p in parts])
+            np.testing.assert_array_equal(getattr(wp.evidential, name), want)
 
     def test_default_row_budget_one_pass(self, trained_world):
         graph, _, te, _, model = trained_world

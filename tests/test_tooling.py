@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gapcast
 from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
@@ -144,9 +145,18 @@ def test_bench_compare_pairs_runs_by_workload_and_seed(tmp_path):
     assert op["parent"] == {"q1": 10.75, "median": 11.5, "q3": 12.25}
     assert op["change"]["median"] == 9.0
     assert op["median_gain_exceeds_parent_iqr"]  # 2.5 > 1.5
-    # equal values are ties, counted for neither side
-    assert record["workloads"]["eval-n200"]["setup_s"]["change_wins"] == 0
-    assert record["workloads"]["eval-n200"]["failed_frac"]["change"]["q3"] > 0
+    # ratios 0.8, 12/11, 0.75, 9/13: the median is (0.75 + 0.8) / 2
+    assert op["median_ratio"] == pytest.approx(0.775, rel=1e-12)
+    # 3 wins, 1 loss: p = 2 * (C(4,0) + C(4,1)) / 2**4
+    assert op["sign_test_p"] == 0.625
+    # equal values are ties, counted for neither side and dropped by the test
+    setup = record["workloads"]["eval-n200"]["setup_s"]
+    assert setup["change_wins"] == 0 and setup["sign_test_p"] == 1.0
+    assert setup["median_ratio"] == 1.0
+    failed = record["workloads"]["eval-n200"]["failed_frac"]
+    assert failed["change"]["q3"] > 0
+    assert failed["median_ratio"] is None  # every parent value is 0
+    assert failed["sign_test_p"] == 1.0  # one loss alone
     assert record["machine"]["parent"]["nproc"] == 2
     assert record["machine"]["parent"]["runs"] == 4
 

@@ -69,6 +69,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(loss_alpha=-0.1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="loss_alpha"):
+            TrainConfig(loss_alpha=alpha)
+
     @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_lr(self, lr):
         with pytest.raises(ValueError, match="lr"):
