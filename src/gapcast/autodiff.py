@@ -28,6 +28,7 @@ __all__ = [
     "DomainError",
     "constant",
     "parameter",
+    "record",
     "matmul",
     "spmm",
     "hadamard",
@@ -161,9 +162,15 @@ class Tape:
                 tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
-def _make(values: np.ndarray, inputs: tuple[Tensor, ...], backward_rule) -> Tensor:
-    # Hot path: values is always a fresh 2-D float64 array from a numpy op,
-    # so the Tensor constructor's coercion is skipped.
+def record(values: np.ndarray, inputs: tuple[Tensor, ...], backward_rule) -> Tensor:
+    """The output tensor of one op, recorded on the innermost tape when an
+    input requires a gradient.
+
+    ``values`` must be a fresh 2-D float64 array; the Tensor constructor's
+    coercion is skipped on this hot path. ``backward_rule`` maps the output
+    gradient to one gradient (or None) per input. The ops below and the
+    fused layers of :mod:`gapcast.model` are built on it.
+    """
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
@@ -187,7 +194,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             av.T @ g if b.requires_grad else None,
         )
 
-    return _make(av @ bv, (a, b), rule)
+    return record(av @ bv, (a, b), rule)
 
 
 def spmm(op, op_t, h: Tensor) -> Tensor:
@@ -204,7 +211,7 @@ def spmm(op, op_t, h: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (op_t @ g,)
 
-    return _make(op @ hv, (h,), rule)
+    return record(op @ hv, (h,), rule)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -228,7 +235,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
     else:
         raise DimensionError(f"hadamard mismatch: {av.shape} vs {bv.shape}")
-    return _make(av * bv, (a, b), rule)
+    return record(av * bv, (a, b), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -249,7 +256,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     else:
         raise DimensionError(f"add mismatch: {av.shape} vs {bv.shape}")
-    return _make(av + bv, (a, b), rule)
+    return record(av + bv, (a, b), rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -260,7 +267,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (g if a.requires_grad else None, -g if b.requires_grad else None)
 
-    return _make(av - bv, (a, b), rule)
+    return record(av - bv, (a, b), rule)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -269,14 +276,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     def rule(g: np.ndarray):
         return (g * c,)
 
-    return _make(a.values * c, (a,), rule)
+    return record(a.values * c, (a,), rule)
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     def rule(g: np.ndarray):
         return (g,)
 
-    return _make(a.values + float(c), (a,), rule)
+    return record(a.values + float(c), (a,), rule)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -285,7 +292,7 @@ def relu(a: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (g * (av > 0.0),)
 
-    return _make(np.maximum(av, 0.0), (a,), rule)
+    return record(np.maximum(av, 0.0), (a,), rule)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -295,7 +302,7 @@ def softplus(a: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (g * expit(av),)
 
-    return _make(np.logaddexp(0.0, av), (a,), rule)
+    return record(np.logaddexp(0.0, av), (a,), rule)
 
 
 def log(a: Tensor) -> Tensor:
@@ -306,7 +313,7 @@ def log(a: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (g / av,)
 
-    return _make(np.log(av), (a,), rule)
+    return record(np.log(av), (a,), rule)
 
 
 def square(a: Tensor) -> Tensor:
@@ -315,7 +322,7 @@ def square(a: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (2.0 * av * g,)
 
-    return _make(av * av, (a,), rule)
+    return record(av * av, (a,), rule)
 
 
 def absval(a: Tensor) -> Tensor:
@@ -324,7 +331,7 @@ def absval(a: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (g * np.sign(av),)
 
-    return _make(np.abs(av), (a,), rule)
+    return record(np.abs(av), (a,), rule)
 
 
 def lgamma(a: Tensor) -> Tensor:
@@ -335,7 +342,7 @@ def lgamma(a: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (g * digamma(av),)
 
-    return _make(gammaln(av), (a,), rule)
+    return record(gammaln(av), (a,), rule)
 
 
 def reduce_sum(a: Tensor) -> Tensor:
@@ -344,7 +351,7 @@ def reduce_sum(a: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (np.full_like(av, g[0, 0]),)
 
-    return _make(np.array([[av.sum()]]), (a,), rule)
+    return record(np.array([[av.sum()]]), (a,), rule)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -357,7 +364,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _make(av[:, start:stop].copy(), (a,), rule)
+    return record(av[:, start:stop].copy(), (a,), rule)
 
 
 # Adam's moment decay rates and denominator floor: Kingma and Ba's
@@ -370,35 +377,75 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam with bias correction over a named parameter dict.
 
+    The parameters' values live in one flat float64 buffer: construction
+    copies each into it and rebinds the parameter's ``values`` to a
+    reshaped view, so that ``step`` runs the moment and update arithmetic
+    once over every entry. A parameter whose ``values`` is later replaced
+    by another array is no longer updated.
+
     ``step`` applies the update and zeroes every gradient buffer; a missing
-    gradient is treated as zero (moments still decay).
+    gradient counts as zero (moments still decay). A non-finite update
+    raises DomainError before anything changes.
     """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        self._m = {k: np.zeros_like(p.values) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.values) for k, p in self.params.items()}
+        sizes = [p.values.size for p in self.params.values()]
+        self._offsets = np.cumsum([0, *sizes])
+        total = int(self._offsets[-1])
+        self._flat = np.empty(total)
+        self._grad = np.empty(total)
+        self._grad_views = []
+        for p, start, stop in zip(self.params.values(), self._offsets, self._offsets[1:]):
+            view = self._flat[start:stop].reshape(p.values.shape)
+            view[...] = p.values
+            p.values = view
+            self._grad_views.append(self._grad[start:stop].reshape(view.shape))
+        self._m, self._v = np.zeros(total), np.zeros(total)
+        # next moments, the update and one temporary, reused every step
+        self._m_next, self._v_next, self._update, self._tmp = (
+            np.empty(total) for _ in range(4)
+        )
 
     def step(self) -> None:
-        self.t += 1
-        bc1 = 1.0 - ADAM_BETA1**self.t
-        bc2 = 1.0 - ADAM_BETA2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= ADAM_BETA1
-            v *= ADAM_BETA2
-            if g is not None:
-                m += (1.0 - ADAM_BETA1) * g
-                v += (1.0 - ADAM_BETA2) * (g * g)
-            with np.errstate(invalid="ignore"):
-                update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            if not np.all(np.isfinite(update)):
-                raise DomainError(f"non-finite Adam update for parameter {name!r}")
-            p.values -= update
+        for p, view in zip(self.params.values(), self._grad_views):
+            if p.grad is None:
+                view.fill(0.0)
+            else:
+                view[...] = p.grad
+        t = self.t + 1
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
+        g, tmp, m, v, update = self._grad, self._tmp, self._m_next, self._v_next, self._update
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2,
+        # each product rounded as the per-parameter form rounds it
+        np.multiply(self._m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m += tmp
+        np.multiply(self._v, ADAM_BETA2, out=v)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        # update = lr (m / bc1) / (sqrt(v / bc2) + eps)
+        with np.errstate(invalid="ignore"):
+            np.divide(m, bc1, out=update)
+            update *= self.lr
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            update /= tmp
+        finite = np.isfinite(update)
+        if not finite.all():
+            first = np.searchsorted(self._offsets, np.argmin(finite), side="right") - 1
+            name = list(self.params)[first]
+            raise DomainError(f"non-finite Adam update for parameter {name!r}")
+        self._flat -= update
+        self._m, self._m_next = m, self._m
+        self._v, self._v_next = v, self._v
+        self.t = t
+        for p in self.params.values():
             p.grad = None
 
 

@@ -78,6 +78,14 @@ class SeriesFormatError(ValueError):
         super().__init__(message if row is None else f"row {row}: {message}")
 
 
+def _uneven_step(timestamps: np.ndarray) -> int | None:
+    """Index i of the first step ``timestamps[i + 1] - timestamps[i]`` that
+    is not close to the first step, or None if the spacing is uniform."""
+    dt = np.diff(timestamps)
+    uneven = np.flatnonzero(~np.isclose(dt, dt[0])) if dt.size else dt
+    return int(uneven[0]) if uneven.size else None
+
+
 @dataclass(frozen=True)
 class SpeedSeries:
     """Uniformly-sampled multivariate speed series; NaN marks a gap."""
@@ -93,10 +101,9 @@ class SpeedSeries:
         if len(self.node_ids) != v.shape[1]:
             raise SeriesFormatError("node_ids length must match value columns")
         if t.size > 1:
-            dt = np.diff(t)
-            if (dt <= 0).any():
+            if (np.diff(t) <= 0).any():
                 raise SeriesFormatError("timestamps must be strictly increasing")
-            if not np.allclose(dt, dt[0]):
+            if _uneven_step(t) is not None:
                 raise SeriesFormatError("timestamps must be uniformly spaced")
 
     @property
@@ -161,6 +168,11 @@ def load_speed_csv(path) -> SpeedSeries:
         if len(header) < 2 or header[0] != "timestamp":
             raise SeriesFormatError("header must be 'timestamp,<sensor ids...>'", row=1)
         node_ids = tuple(header[1:])
+        seen: set[str] = set()
+        for node in node_ids:
+            if node in seen:
+                raise SeriesFormatError(f"duplicate sensor id {node!r} in header", row=1)
+            seen.add(node)
         body = _gaps_as_nan(fh)
         first = next(body, None)
         if first is None:
@@ -175,14 +187,19 @@ def load_speed_csv(path) -> SpeedSeries:
     times = table[:, 0].copy()
     if table.shape[1] != len(header) or (times[1:] <= times[:-1]).any():
         raise _speed_fault(path, None)
-    try:
-        return SpeedSeries(
-            node_ids=node_ids,
-            timestamps=times,
-            values=np.ascontiguousarray(table[:, 1:]),
+    step = _uneven_step(times)
+    if step is not None:  # timestamps[i + 1] is on file row i + 3
+        raise SeriesFormatError(
+            f"timestamps must be uniformly spaced: step {_fmt(times[step])} -> "
+            f"{_fmt(times[step + 1])} differs from the first step of "
+            f"{_fmt(times[1] - times[0])} s",
+            row=step + 3,
         )
-    except SeriesFormatError as err:
-        raise SeriesFormatError(str(err)) from None
+    return SpeedSeries(
+        node_ids=node_ids,
+        timestamps=times,
+        values=np.ascontiguousarray(table[:, 1:]),
+    )
 
 
 # A quoted empty value cell. Inside a quoted field the same text would put

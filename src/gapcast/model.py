@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import digamma, gammaln
 
 from . import autodiff as ad
+from . import graph
 from .autodiff import Tensor
-from .graph import TransitionPair, chebyshev_terms
+from .graph import TransitionPair
 
 __all__ = [
     "ModelConfig",
@@ -25,7 +27,6 @@ __all__ = [
     "input_layer",
     "dgcn_layer",
     "forward",
-    "nig_nll_elements",
     "nig_nll",
     "nig_nll_values",
     "weighted_mean",
@@ -152,21 +153,68 @@ def dgcn_layer(
 
     The second layer applies relu and adds the first layer's output back
     in, so fully masked rows keep a signal path.
+
+    The layer is one tape op. Its backward pass adds the gradients up in
+    the order a tape of the separate ops would (the residual's first, then
+    the backward direction's terms, then the forward one's, each running
+    the Chebyshev recursion in reverse), so results are bitwise those of
+    the separate ops.
     """
-    terms_f = chebyshev_terms(trans.forward, h, cfg.cheb_order, trans.backward)
-    terms_b = chebyshev_terms(trans.backward, h, cfg.cheb_order, trans.forward)
-    total: Tensor | None = None
-    for k in range(1, cfg.cheb_order + 1):
-        part = ad.add(
-            ad.matmul(terms_f[k - 1], params[f"theta_f_l{layer}_k{k}"]),
-            ad.matmul(terms_b[k - 1], params[f"theta_b_l{layer}_k{k}"]),
+    if layer == 2 and h_first is None:
+        raise ValueError("layer 2 needs the first layer's output for its residual")
+    order = cfg.cheb_order
+    plain = ad.constant(h.values)
+    # per direction: (operator transpose, Chebyshev terms, weight tensors)
+    directions = [
+        (
+            op_t,
+            [z.values for z in graph.chebyshev_terms(op, plain, order, op_t)],
+            [params[f"theta_{d}_l{layer}_k{k}"] for k in range(1, order + 1)],
         )
-        total = part if total is None else ad.add(total, part)
+        for d, op, op_t in (
+            ("f", trans.forward, trans.backward),
+            ("b", trans.backward, trans.forward),
+        )
+    ]
+    (_, zf, tf), (_, zb, tb) = directions
+    total = None
+    for k in range(order):
+        part = zf[k] @ tf[k].values + zb[k] @ tb[k].values
+        total = part if total is None else total + part
+    inputs: tuple[Tensor, ...] = (h, *tf, *tb)
+    residual = None
+    out = total
     if layer == 2:
-        if h_first is None:
-            raise ValueError("layer 2 needs the first layer's output for its residual")
-        return ad.add(ad.relu(total), h_first)
-    return total
+        residual = h_first
+        out = np.maximum(total, 0.0) + h_first.values
+        if h_first is not h:
+            inputs += (h_first,)
+
+    def rule(g: np.ndarray):
+        g_res = g
+        if residual is not None:
+            g = g * (total > 0.0)
+        grads: list[np.ndarray | None] = [None]
+        for _, terms, weights in directions:
+            grads += [z.T @ g if w.requires_grad else None for z, w in zip(terms, weights)]
+        if h.requires_grad:
+            acc = g_res if residual is h else None
+            for op_t, _, weights in reversed(directions):
+                gz = [g @ w.values.T for w in weights]
+                for i in range(order - 1, 0, -1):  # Z_k = 2 abar Z_{k-1} - Z_{k-2}
+                    if i == 1:
+                        acc = -gz[i] if acc is None else acc - gz[i]
+                    else:
+                        gz[i - 2] = gz[i - 2] - gz[i]
+                    gz[i - 1] = gz[i - 1] + op_t @ (gz[i] * 2.0)
+                z1 = op_t @ gz[0]
+                acc = z1 if acc is None else acc + z1
+            grads[0] = acc
+        if len(inputs) > len(grads):
+            grads.append(g_res)
+        return tuple(grads)
+
+    return ad.record(out, inputs, rule)
 
 
 def forward(
@@ -211,30 +259,62 @@ def weighted_mean(x: Tensor, weights: Tensor) -> Tensor:
     return total if x.shape[1] == 1 else ad.scale(total, 1.0 / x.shape[1])
 
 
-def nig_nll_elements(resid: Tensor, nu: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
+def _require_positive(x: np.ndarray, op: str) -> None:
+    if np.min(x) <= 0.0:
+        raise ad.DomainError(f"{op} requires strictly positive inputs")
+
+
+@dataclass
+class _NigTerms:
+    """The per-element NIG NLL and the intermediates its gradients reuse."""
+
+    nll: np.ndarray
+    nu_1: np.ndarray  # nu + 1
+    omega: np.ndarray  # 2 beta (1 + nu)
+    log_omega: np.ndarray
+    resid_sq: np.ndarray
+    spread: np.ndarray  # nu resid^2 + omega
+    log_spread: np.ndarray
+    alpha_half: np.ndarray  # alpha + 0.5
+
+
+def _nig_nll_terms(
+    resid: np.ndarray, nu: np.ndarray, alpha: np.ndarray, beta: np.ndarray
+) -> _NigTerms:
     """Per-element NIG marginal (Student-t) negative log-likelihood of the
-    residual y - gamma.
+    residual y - gamma, the one implementation of the formula.
 
     Omega = 2 beta (1 + nu); the NLL is
     0.5 log(pi/nu) - alpha log(Omega)
     + (alpha + 0.5) log(nu (y - gamma)^2 + Omega)
     + lgamma(alpha) - lgamma(alpha + 0.5).
+    A log or lgamma argument that is not strictly positive raises
+    DomainError.
     """
-    omega = ad.scale(ad.hadamard(beta, ad.add_scalar(nu, 1.0)), 2.0)
-    nll = ad.add(
-        ad.add(
-            ad.sub(
-                ad.scale(ad.log(nu), -0.5),
-                ad.hadamard(alpha, ad.log(omega)),
-            ),
-            ad.hadamard(
-                ad.add_scalar(alpha, 0.5),
-                ad.log(ad.add(ad.hadamard(nu, ad.square(resid)), omega)),
-            ),
-        ),
-        ad.sub(ad.lgamma(alpha), ad.lgamma(ad.add_scalar(alpha, 0.5))),
+    nu_1 = nu + 1.0
+    omega = (beta * nu_1) * 2.0
+    _require_positive(nu, "log")
+    _require_positive(omega, "log")
+    log_omega = np.log(omega)
+    head = np.log(nu) * -0.5 - alpha * log_omega
+    alpha_half = alpha + 0.5
+    resid_sq = resid * resid
+    spread = nu * resid_sq + omega
+    _require_positive(spread, "log")
+    log_spread = np.log(spread)
+    _require_positive(alpha, "lgamma")
+    _require_positive(alpha_half, "lgamma")
+    nll = (head + alpha_half * log_spread) + (gammaln(alpha) - gammaln(alpha_half))
+    return _NigTerms(
+        nll=nll + 0.5 * math.log(math.pi),
+        nu_1=nu_1,
+        omega=omega,
+        log_omega=log_omega,
+        resid_sq=resid_sq,
+        spread=spread,
+        log_spread=log_spread,
+        alpha_half=alpha_half,
     )
-    return ad.add_scalar(nll, 0.5 * math.log(math.pi))
 
 
 def nig_nll(
@@ -246,18 +326,59 @@ def nig_nll(
     evidence_reg: float,
     weights: Tensor,
 ) -> Tensor:
-    """Mean of :func:`nig_nll_elements` plus the evidence penalty
-    evidence_reg * |y - gamma| * (2 nu + alpha); both means are weighted by
-    ``weights`` (nodes x 1).
+    """Weighted mean of the per-element NIG NLL plus the evidence penalty
+    evidence_reg * |y - gamma| * (2 nu + alpha), weighted the same way.
+
+    Every argument is a (nodes, 1) column; ``weights`` holds the per-node
+    weights of :func:`weighted_mean`. The loss is one tape op whose
+    gradients flow to gamma, nu, alpha and beta; target and weights must
+    be constants. Value and gradients are bitwise those of the same
+    formula written as separate autodiff ops.
     """
-    resid = ad.sub(target, gamma)
-    loss = weighted_mean(nig_nll_elements(resid, nu, alpha, beta), weights)
+    columns = (gamma, nu, alpha, beta, target, weights)
+    shape = gamma.values.shape
+    if shape[1] != 1 or any(t.values.shape != shape for t in columns):
+        raise ad.DimensionError(f"nig_nll takes (n, 1) columns, got {[t.shape for t in columns]}")
+    if target.requires_grad or weights.requires_grad:
+        raise ValueError("nig_nll differentiates gamma, nu, alpha and beta only")
+    nu_v, alpha_v, beta_v, w = nu.values, alpha.values, beta.values, weights.values
+    resid = target.values - gamma.values
+    terms = _nig_nll_terms(resid, nu_v, alpha_v, beta_v)
+    loss = np.array([[(terms.nll * w).sum()]])
+    reg = float(evidence_reg)
     if evidence_reg:
-        penalty = ad.hadamard(
-            ad.absval(resid), ad.add(ad.scale(nu, 2.0), alpha)
-        )
-        loss = ad.add(loss, ad.scale(weighted_mean(penalty, weights), evidence_reg))
-    return loss
+        abs_resid = np.abs(resid)
+        evidence = nu_v * 2.0 + alpha_v
+        loss = loss + np.array([[(abs_resid * evidence * w).sum()]]) * reg
+
+    def rule(g: np.ndarray):
+        # Gradients are summed in the order a tape of the separate ops
+        # would sum them, the penalty's first.
+        d_alpha = d_nu = d_resid = None
+        if evidence_reg:
+            d_pen = np.full_like(resid, (g * reg)[0, 0]) * w
+            d_evidence = d_pen * abs_resid
+            d_alpha = d_evidence
+            d_nu = d_evidence * 2.0
+            d_resid = d_pen * evidence * np.sign(resid)
+        d_nll = np.full_like(resid, g[0, 0]) * w
+        d_alpha_half = -d_nll * digamma(terms.alpha_half)
+        d_alpha = d_alpha_half if d_alpha is None else d_alpha + d_alpha_half
+        d_alpha = d_alpha + d_nll * digamma(alpha_v)
+        d_spread = d_nll * terms.alpha_half / terms.spread
+        d_nu_sq = d_spread * terms.resid_sq
+        d_nu = d_nu_sq if d_nu is None else d_nu + d_nu_sq
+        d_resid_sq = 2.0 * resid * (d_spread * nu_v)
+        d_resid = d_resid_sq if d_resid is None else d_resid + d_resid_sq
+        d_alpha = d_alpha + d_nll * terms.log_spread
+        d_alpha = d_alpha + -d_nll * terms.log_omega
+        d_omega = d_spread + -d_nll * alpha_v / terms.omega
+        d_nu = d_nu + d_nll * -0.5 / nu_v
+        d_beta_nu = d_omega * 2.0
+        d_nu = d_nu + d_beta_nu * beta_v
+        return (-d_resid, d_nu, d_alpha, d_beta_nu * terms.nu_1)
+
+    return ad.record(loss, (gamma, nu, alpha, beta), rule)
 
 
 def nig_nll_values(
@@ -267,19 +388,14 @@ def nig_nll_values(
     beta: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """:func:`nig_nll_elements` of y over plain arrays (no evidence penalty).
+    """Per-element NIG NLL of y over plain arrays (no evidence penalty),
+    by the formula behind :func:`nig_nll`.
 
-    The arrays broadcast to one shape, which the result keeps. They enter
-    as constants, so no tape records the ops.
+    The arrays broadcast to one shape, which the result keeps.
     """
-    arrays = np.broadcast_arrays(
+    gamma, nu, alpha, beta, y = np.broadcast_arrays(
         *(np.asarray(a, dtype=np.float64) for a in (gamma, nu, alpha, beta, y))
     )
-    _, nu, alpha, beta, _ = arrays
     if not ((nu > 0).all() and (alpha > 1).all() and (beta > 0).all()):
         raise ad.DomainError("NIG parameters violate nu>0, alpha>1, beta>0")
-    gamma, nu, alpha, beta, y = (
-        ad.constant(a if a.ndim == 2 else a.reshape(1, -1)) for a in arrays
-    )
-    nll = nig_nll_elements(ad.sub(y, gamma), nu, alpha, beta)
-    return nll.values.reshape(arrays[0].shape)
+    return np.asarray(_nig_nll_terms(y - gamma, nu, alpha, beta).nll).reshape(gamma.shape)

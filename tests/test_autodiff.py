@@ -306,6 +306,26 @@ def test_adam_nonfinite_update_raises():
         opt.step()
 
 
+def test_adam_nonfinite_update_changes_nothing():
+    rng = np.random.default_rng(0)
+    params = {k: ad.parameter(rng.normal(size=(2, 3))) for k in "abc"}
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = rng.normal(size=(2, 3))
+    opt.step()
+    before = ({k: p.values.copy() for k, p in params.items()}, opt._m.copy(), opt._v.copy())
+    params["a"].grad = np.ones((2, 3))
+    params["b"].grad = np.full((2, 3), np.nan)
+    params["c"].grad = np.full((2, 3), np.inf)
+    with pytest.raises(DomainError, match="parameter 'b'"):
+        opt.step()
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.values, before[0][k])
+    np.testing.assert_array_equal(opt._m, before[1])
+    np.testing.assert_array_equal(opt._v, before[2])
+    assert opt.t == 1
+
+
 def test_tapes_independent_across_threads():
     results = {}
 

@@ -211,6 +211,29 @@ class TestTrain:
             assert (out / name).read_bytes() == blob, name
 
 
+class TestTrainRejectsInput:
+    def test_duplicate_sensor_id_exits_1(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        lines = (data / "speed.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        header[2] = header[1]
+        dup = tmp_path / "dup.csv"
+        dup.write_text("\n".join([",".join(header), *lines[1:]]) + "\n")
+        code = run(
+            [
+                "train",
+                "--data", str(dup),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "t"),
+                *TRAIN_ARGS,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"row 1: duplicate sensor id {header[1]!r}" in err
+        assert "Traceback" not in err
+
+
 class TestEval:
     def test_missing_checkpoint_nonzero_exit(self, tmp_path, capsys):
         data = dataset(tmp_path)

@@ -59,6 +59,24 @@ class TestSpeedCsv:
         with pytest.raises(SeriesFormatError):
             load_speed_csv(p)
 
+    @pytest.mark.parametrize(
+        "times, row",
+        [((0, 300, 900, 1200), 4), ((0, 300, 600, 900, 1500), 6), ((0, 60, 300), 4)],
+    )
+    def test_skipped_step_names_its_row(self, tmp_path, times, row):
+        body = "".join(f"{t},{i}\n" for i, t in enumerate(times))
+        p = write(tmp_path / "s.csv", "timestamp,a\n" + body)
+        with pytest.raises(SeriesFormatError, match="uniformly spaced") as err:
+            load_speed_csv(p)
+        dt = np.diff(times)
+        assert err.value.row == row == np.flatnonzero(~np.isclose(dt, dt[0]))[0] + 3
+
+    def test_duplicate_sensor_id_rejected(self, tmp_path):
+        p = write(tmp_path / "s.csv", "timestamp,a,b,a,b\n0,1,2,3,4\n300,1,2,3,4\n")
+        with pytest.raises(SeriesFormatError, match="duplicate sensor id 'a'") as err:
+            load_speed_csv(p)
+        assert err.value.row == 1
+
     def test_gap_cells_become_nan_not_zero(self, tmp_path):
         p = write(tmp_path / "s.csv", "timestamp,a,b\n0,,2\n300,3,\n")
         s = load_speed_csv(p)

@@ -66,6 +66,32 @@ def test_tracer_installs_on_every_gapcast_module():
     assert replaced() == []
 
 
+def test_traced_run_sees_every_fused_call():
+    """A fused op must not hide a call the benchmark's spans and counters
+    read: every diffusion layer, the Chebyshev terms, the loss, Adam and
+    the heads' matmul work stay visible to the tracer."""
+    graph, series = generate_synthetic(8, 200, np.random.default_rng(0))
+    graph = hide_locations(graph, 2, np.random.default_rng(1))
+    cfg = TrainConfig(
+        iterations=2, samples_per_iter=2, batch_size=2, history=6, horizon=2,
+        model=ModelConfig(hidden_dim=4),
+    )
+    train_s, _, test = split(series, SplitSpec(), min_steps=cfg.history + cfg.horizon)
+    training = importlib.import_module("gapcast.training")
+    evaluate = importlib.import_module("gapcast.evaluate")
+    tracer = load_gapbench("spans").Tracer()
+    with tracer:  # called through their modules, where the tracer wraps them
+        model = training.train(graph, train_s, cfg, np.random.default_rng(2)).model
+        evaluate.collect_predictions(model, graph, test, test, stride=3)
+    for name in (
+        "model.dgcn_layer.l1", "model.dgcn_layer.l2", "model.dgcn_layer.l3",
+        "graph.chebyshev_terms", "model.nig_nll", "autodiff.Adam.step",
+        "evaluate.collect_predictions",
+    ):
+        assert tracer.stats[name].calls > 0, name
+    assert tracer.tape.batches == 2 and tracer.tape.matmul_flop > 0
+
+
 def test_benchmark_inputs_load_to_the_generated_graph(tmp_path):
     workloads = load_gapbench("workloads")
     corridor = workloads.Corridor(nodes=12, steps=40)
