@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,6 +130,8 @@ def parse_horizon(value, resolution: float) -> int:
     text = str(value).strip().lower()
     if text.endswith("min"):
         steps_f = float(text[:-3]) * 60.0 / resolution
+        if not math.isfinite(steps_f):
+            raise ValueError(f"horizon {value!r} is not a finite number of minutes")
         if abs(steps_f - round(steps_f)) > 1e-9:
             raise ValueError(
                 f"horizon {value!r} is not a whole number of {resolution:.0f}s steps"

@@ -5,12 +5,12 @@ two-step baselines.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import DataError, SpeedSeries, SplitSpec, check_node_ids, split
-from .graph import RoadGraph, normalize, union_pair
+from .graph import RoadGraph
 from .model import EvidentialOutput, nig_nll_values
 from .training import TrainConfig, TrainedModel, gap_free_history, predict_windows, train
 
@@ -80,13 +80,6 @@ class WindowPredictions:
     beta = property(lambda self: self.evidential.beta)
 
 
-# Rows (windows x nodes) of one stacked inference pass. It bounds the
-# working set: at hidden width 48 one activation is 0.4 MB. On 2 CPUs with
-# OpenBLAS, 1024 rows ran as fast as 2048 at n=200 and faster at n=40, with
-# half the extra peak memory; 4096 rows ran slower.
-INFERENCE_ROWS = 1024
-
-
 def collect_predictions(
     model: TrainedModel,
     eval_graph: RoadGraph,
@@ -100,10 +93,7 @@ def collect_predictions(
     zeroed), while the truth may cover all nodes; window t predicts
     t + horizon. The truth must have the input's steps and node ids, and a
     graph with node ids must name the input's columns in order. The
-    graph is normalized once, and the windows run in stacks of at most
-    ``INFERENCE_ROWS // n`` windows (at least one) through
-    :func:`predict_windows`, which share one union operator; only a short
-    last stack builds its own.
+    windows run through one :func:`predict_windows` call.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
@@ -126,27 +116,10 @@ def collect_predictions(
     ends = ends[gap_free_history(finite, ends, t_hist) & finite_truth[ends + dt]]
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
-    trans = normalize(eval_graph.adjacency)
-    per_pass = min(max(1, INFERENCE_ROWS // eval_graph.n), ends.size)
-    full = union_pair(trans, per_pass)  # shared by every full chunk
-    offsets = np.arange(1 - t_hist, 1)
-    parts = [
-        predict_windows(
-            eval_graph,
-            full if chunk.size == per_pass else trans,
-            values[chunk[:, None] + offsets],
-            model,
-        )
-        for chunk in np.split(ends, np.arange(per_pass, ends.size, per_pass))
-    ]
-    stacked = {
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in fields(EvidentialOutput)
-    }
     return WindowPredictions(
         target_steps=ends + dt,
         truth=truth_series.values[ends + dt],
-        evidential=EvidentialOutput(**stacked),
+        evidential=predict_windows(eval_graph, values, ends, model),
     )
 
 
@@ -258,9 +231,6 @@ def two_step_pipeline(
     split_spec: SplitSpec,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    *,
-    k: int = 3,
-    stride: int = 1,
 ) -> MetricReport:
     """Impute missing-location history, train the same diffusion forecaster
     on the completed matrix with no masking, evaluate against the truth.
@@ -271,9 +241,7 @@ def two_step_pipeline(
     """
     if imputer not in IMPUTERS:
         raise DataError(f"imputer must be one of {sorted(IMPUTERS)}, got {imputer!r}")
-    imputed = (
-        knn_impute(series, graph, k=k) if imputer == "knn" else mean_impute(series, graph)
-    )
+    imputed = IMPUTERS[imputer](series, graph)
     min_steps = cfg.history + cfg.horizon
     imp_train, _, imp_test = split(imputed, split_spec, min_steps=min_steps)
     _, _, truth_test = split(series, split_spec, min_steps=min_steps)
@@ -281,5 +249,5 @@ def two_step_pipeline(
     graph_all = graph.with_partition(np.arange(graph.n), np.empty(0, dtype=np.int64))
     base_cfg = replace(cfg, mask_training=False, loss_alpha=0.0)
     result = train(graph_all, imp_train, base_cfg, rng)
-    wp = collect_predictions(result.model, graph_all, imp_test, truth_test, stride=stride)
+    wp = collect_predictions(result.model, graph_all, imp_test, truth_test)
     return make_report(wp, graph, horizon=cfg.horizon)

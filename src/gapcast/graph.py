@@ -25,7 +25,6 @@ __all__ = [
     "chebyshev_terms",
     "subgraph",
     "block_diagonal",
-    "union_pair",
 ]
 
 
@@ -95,13 +94,16 @@ class RoadGraph:
 class TransitionPair:
     """Forward (row-normalized) and backward transition matrices.
 
-    ``backward`` is ``forward.T``: a CSC view that shares the forward
-    matrix's arrays, so one matrix is stored. Each serves as the other's
-    backward-pass operator in :func:`chebyshev_terms`.
+    ``backward`` is set to ``forward.T``: for a CSR forward matrix, a CSC
+    view that shares its arrays, so one matrix is stored. Each serves as
+    the other's backward-pass operator in :func:`chebyshev_terms`.
     """
 
     forward: sparse.csr_array
-    backward: sparse.csc_array
+    backward: sparse.csc_array = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "backward", self.forward.T)
 
 
 def build_adjacency(
@@ -129,7 +131,7 @@ def build_adjacency(
         if not off.any():
             raise ParameterError("no finite off-diagonal distances to estimate sigma")
         sigma = float(d[off].std())
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     if not kappa > 0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
@@ -167,7 +169,7 @@ def normalize(adjacency: sparse.csr_array) -> TransitionPair:
     deg = np.repeat(a.sum(axis=1), np.diff(a.indptr))
     data = np.divide(a.data, deg, out=np.zeros_like(a.data), where=deg > 0)
     forward = sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
-    return TransitionPair(forward=forward, backward=forward.T)
+    return TransitionPair(forward)
 
 
 def chebyshev_terms(abar, h: Tensor, order: int, abar_t=None) -> list[Tensor]:
@@ -244,11 +246,3 @@ def block_diagonal(mats) -> sparse.csr_array:
         ),
         shape=(sizes.sum(), sizes.sum()),
     )
-
-
-def union_pair(trans: TransitionPair, copies: int) -> TransitionPair:
-    """The transition pair of the disjoint union of ``copies`` copies of a
-    graph whose pair is ``trans``: the block-diagonal union of the forward
-    copies, with its transpose as the backward matrix."""
-    union = block_diagonal([trans.forward] * copies)
-    return TransitionPair(forward=union, backward=union.T)

@@ -1,9 +1,10 @@
 """The inductive diffusion-convolution forecaster.
 
-Masked input layer, a stack of diffusion graph-convolution layers with a
-residual connection from the first into the second, and two heads: an
-evidential Normal-Inverse-Gamma head (whose location doubles as the point
-prediction) and a linear recovery head that reconstructs the input window.
+Masked input layer, a stack of diffusion graph-convolution layers whose
+second adds its own input (the first layer's output) back in, and two
+heads: an evidential Normal-Inverse-Gamma head (whose location doubles as
+the point prediction) and a linear recovery head that reconstructs the
+input window.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ class ForwardPass:
     beta: Tensor
     recovery: Tensor
     h0: Tensor
-    h_first: Tensor
 
 
 def input_layer(x: Tensor, mask: Tensor) -> Tensor:
@@ -146,13 +146,12 @@ def dgcn_layer(
     layer: int,
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    h_first: Tensor | None = None,
 ) -> Tensor:
     """One diffusion layer: Chebyshev expansion over both transition
     directions, linearly combined through the layer's weights.
 
-    The second layer applies relu and adds the first layer's output back
-    in, so fully masked rows keep a signal path.
+    The second layer applies relu and adds its own input, the first
+    layer's output, back in, so fully masked rows keep a signal path.
 
     The layer is one tape op. Its backward pass adds the gradients up in
     the order a tape of the separate ops would (the residual's first, then
@@ -160,8 +159,6 @@ def dgcn_layer(
     the Chebyshev recursion in reverse), so results are bitwise those of
     the separate ops.
     """
-    if layer == 2 and h_first is None:
-        raise ValueError("layer 2 needs the first layer's output for its residual")
     order = cfg.cheb_order
     plain = ad.constant(h.values)
     # per direction: (operator transpose, Chebyshev terms, weight tensors)
@@ -181,24 +178,17 @@ def dgcn_layer(
     for k in range(order):
         part = zf[k] @ tf[k].values + zb[k] @ tb[k].values
         total = part if total is None else total + part
-    inputs: tuple[Tensor, ...] = (h, *tf, *tb)
-    residual = None
-    out = total
-    if layer == 2:
-        residual = h_first
-        out = np.maximum(total, 0.0) + h_first.values
-        if h_first is not h:
-            inputs += (h_first,)
+    residual = layer == 2
+    out = np.maximum(total, 0.0) + h.values if residual else total
 
     def rule(g: np.ndarray):
-        g_res = g
-        if residual is not None:
+        acc = g if residual else None
+        if residual:
             g = g * (total > 0.0)
         grads: list[np.ndarray | None] = [None]
         for _, terms, weights in directions:
             grads += [z.T @ g if w.requires_grad else None for z, w in zip(terms, weights)]
         if h.requires_grad:
-            acc = g_res if residual is h else None
             for op_t, _, weights in reversed(directions):
                 gz = [g @ w.values.T for w in weights]
                 for i in range(order - 1, 0, -1):  # Z_k = 2 abar Z_{k-1} - Z_{k-2}
@@ -210,11 +200,9 @@ def dgcn_layer(
                 z1 = op_t @ gz[0]
                 acc = z1 if acc is None else acc + z1
             grads[0] = acc
-        if len(inputs) > len(grads):
-            grads.append(g_res)
         return tuple(grads)
 
-    return ad.record(out, inputs, rule)
+    return ad.record(out, (h, *tf, *tb), rule)
 
 
 def forward(
@@ -231,10 +219,9 @@ def forward(
     constraints applied, plus the recovery of the input window.
     """
     h0 = input_layer(x, mask)
-    h = dgcn_layer(h0, trans, 1, params, cfg)
-    h_first = h
-    for layer in range(2, cfg.layers + 1):
-        h = dgcn_layer(h, trans, layer, params, cfg, h_first=h_first)
+    h = h0
+    for layer in range(1, cfg.layers + 1):
+        h = dgcn_layer(h, trans, layer, params, cfg)
 
     raw = ad.add(ad.matmul(h, params["head_w"]), params["head_b"])
     gamma = ad.slice_cols(raw, 0, 1)
@@ -249,7 +236,6 @@ def forward(
         beta=beta,
         recovery=recovery,
         h0=h0,
-        h_first=h_first,
     )
 
 

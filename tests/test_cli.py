@@ -461,12 +461,18 @@ class TestRejectedValues:
             ("--lr", "0", "lr"),
             ("--alpha", "nan", "alpha"),
             ("--alpha", "inf", "alpha"),
+            ("--horizon", "infmin", "horizon"),
+            ("--horizon", "-infmin", "horizon"),
+            ("--horizon", "1e400min", "horizon"),
+            ("--horizon", "nanmin", "horizon"),
+            ("--sigma", "nan", "sigma"),
         ],
     )
     def test_train(self, tmp_path, capsys, flag, value, name):
         data = dataset(tmp_path)
         files = ["--data", str(data / "speed.csv"), "--distances", str(data / "distances.csv")]
-        code = run(["train", *files, *TRAIN_ARGS, flag, value, "--out", str(tmp_path / "t")])
+        # one --flag=value word, so a value such as -infmin is not read as a flag
+        code = run(["train", *files, *TRAIN_ARGS, f"{flag}={value}", "--out", str(tmp_path / "t")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err

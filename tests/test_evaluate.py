@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gapcast import evaluate, training
+from gapcast import training
 from gapcast.data import (
     DataError,
     NodeIdMismatch,
@@ -27,7 +27,7 @@ from gapcast.evaluate import (
     row_metrics,
     two_step_pipeline,
 )
-from gapcast.graph import normalize, union_pair
+from gapcast.graph import block_diagonal
 from gapcast.model import EvidentialOutput, ModelConfig, nig_nll_values
 from gapcast.training import TrainConfig, predict_full, predict_windows, train
 
@@ -290,7 +290,7 @@ class TestStackedCollection:
 
     def test_last_chunk_partial(self, trained_world, monkeypatch):
         graph, _, te, _, model = trained_world
-        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 4 * graph.n)
+        monkeypatch.setattr(training, "INFERENCE_ROWS", 4 * graph.n)
         wp = self.check(model, graph, te, stride=1)
         assert wp.target_steps.size % 4 != 0
 
@@ -298,21 +298,19 @@ class TestStackedCollection:
         """One union serves every full chunk and the short last chunk builds
         its own; the result is bit for bit a union per chunk."""
         graph, _, te, _, model = trained_world
-        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 4 * graph.n)
+        monkeypatch.setattr(training, "INFERENCE_ROWS", 4 * graph.n)
         built = []
 
-        def counted(trans, copies):
-            built.append(copies)
-            return union_pair(trans, copies)
+        def counted(blocks):
+            built.append(len(blocks))
+            return block_diagonal(blocks)
 
-        monkeypatch.setattr(evaluate, "union_pair", counted)
-        monkeypatch.setattr(training, "union_pair", counted)
+        monkeypatch.setattr(training, "block_diagonal", counted)
         wp = collect_predictions(model, graph, te, te, stride=1)
         ends = wp.target_steps - model.horizon
         assert ends.size > 8 and built == [4, ends.size % 4]
-        trans, offsets = normalize(graph.adjacency), np.arange(1 - model.history, 1)
         parts = [
-            predict_windows(graph, trans, te.values[chunk[:, None] + offsets], model)
+            predict_windows(graph, te.values, chunk, model)
             for chunk in np.split(ends, np.arange(4, ends.size, 4))
         ]
         for name in ("gamma", "nu", "alpha_nig", "beta"):
@@ -322,16 +320,16 @@ class TestStackedCollection:
     def test_default_row_budget_one_pass(self, trained_world):
         graph, _, te, _, model = trained_world
         wp = self.check(model, graph, te, stride=1)
-        assert wp.target_steps.size <= evaluate.INFERENCE_ROWS // graph.n
+        assert wp.target_steps.size <= training.INFERENCE_ROWS // graph.n
 
     def test_stride_three(self, trained_world, monkeypatch):
         graph, _, te, _, model = trained_world
-        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 5 * graph.n)
+        monkeypatch.setattr(training, "INFERENCE_ROWS", 5 * graph.n)
         self.check(model, graph, te, stride=3)
 
     def test_observable_gap_skips_windows_mid_chunk(self, trained_world, monkeypatch):
         graph, _, te, _, model = trained_world
-        monkeypatch.setattr(evaluate, "INFERENCE_ROWS", 8 * graph.n)
+        monkeypatch.setattr(training, "INFERENCE_ROWS", 8 * graph.n)
         values = te.values.copy()
         values[20, graph.observable[0]] = np.nan
         gappy = replace(te, values=values)
@@ -482,7 +480,7 @@ class TestTwoStepPipeline:
             lr=3e-3, model=ModelConfig(hidden_dim=8),
         )
         report = two_step_pipeline(
-            "mean", graph, series, SplitSpec(), cfg, np.random.default_rng(5), stride=2
+            "mean", graph, series, SplitSpec(), cfg, np.random.default_rng(5)
         )
         # reference: identical no-mask training on the same (untouched) series
         from dataclasses import replace
@@ -491,7 +489,7 @@ class TestTwoStepPipeline:
         tr, _, te = split(series, SplitSpec(), min_steps=8)
         base_cfg = replace(cfg, mask_training=False, loss_alpha=0.0)
         result = train(graph, tr, base_cfg, np.random.default_rng(5))
-        wp = collect(result.model, graph, te, te, stride=2)
+        wp = collect(result.model, graph, te, te)
         assert report.groups["observable"]["rmse"] == pytest.approx(
             rmse(wp.gamma, wp.truth), rel=1e-12
         )
@@ -505,7 +503,7 @@ class TestTwoStepPipeline:
             lr=3e-3, model=ModelConfig(hidden_dim=8),
         )
         report = two_step_pipeline(
-            "knn", graph, series, SplitSpec(), cfg, np.random.default_rng(6), k=2, stride=3
+            "knn", graph, series, SplitSpec(), cfg, np.random.default_rng(6)
         )
         for group in ("observable", "missing"):
             for metric in ("rmse", "mae", "r2", "nll"):

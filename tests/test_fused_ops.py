@@ -115,7 +115,7 @@ def test_nig_nll_refuses_a_differentiable_target():
 # -- diffusion layer -----------------------------------------------------
 
 
-def composite_dgcn_layer(h, trans, layer, params, cfg, h_first=None):
+def composite_dgcn_layer(h, trans, layer, params, cfg):
     """The diffusion layer as separate tape ops: the Chebyshev recursion
     through ``spmm``, ``scale`` and ``sub``, then matmuls and adds."""
     terms_f = chebyshev_terms(trans.forward, h, cfg.cheb_order, trans.backward)
@@ -128,7 +128,7 @@ def composite_dgcn_layer(h, trans, layer, params, cfg, h_first=None):
         )
         total = part if total is None else ad.add(total, part)
     if layer == 2:
-        return ad.add(ad.relu(total), h_first)
+        return ad.add(ad.relu(total), h)
     return total
 
 
@@ -141,12 +141,8 @@ def directed_trans(rng, n):
     return trans
 
 
-def layer_run(layer_fn, rng_seed, order, layer, h_grad, residual):
-    """Output and every gradient of one layer under a random linear loss.
-
-    ``residual`` picks layer 2's h_first: "same" passes h itself, as
-    ``forward`` does, and "other" a separate tensor.
-    """
+def layer_run(layer_fn, rng_seed, order, layer, h_grad):
+    """Output and every gradient of one layer under a random linear loss."""
     rng = np.random.default_rng(rng_seed)
     n, width, hidden = 7, 3, 4
     trans = directed_trans(rng, n)
@@ -155,26 +151,21 @@ def layer_run(layer_fn, rng_seed, order, layer, h_grad, residual):
     h_width = width if layer == 1 else hidden
     make = ad.parameter if h_grad else ad.constant
     h = make(rng.normal(size=(n, h_width)))
-    h_first = None
-    if layer == 2:
-        h_first = h if residual == "same" else ad.parameter(rng.normal(size=(n, hidden)))
     probe = ad.constant(rng.normal(size=(n, hidden)))
     with Tape() as tape:
-        out = layer_fn(h, trans, layer, params, cfg, h_first)
+        out = layer_fn(h, trans, layer, params, cfg)
         tape.backward(ad.reduce_sum(ad.hadamard(out, probe)))
-    tensors = [h, *params.values()] + ([h_first] if residual == "other" else [])
-    return out.values, [t.grad for t in tensors]
+    return out.values, [t.grad for t in [h, *params.values()]]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize(
-    "layer, residual", [(1, None), (2, "same"), (2, "other"), (3, None)]
-)
+# layer 2's residual is the same tensor as its input
+@pytest.mark.parametrize("layer", [1, 2, 3], ids=["1-None", "2-same", "3-None"])
 @pytest.mark.parametrize("h_grad", [False, True])
-def test_dgcn_layer_matches_composite_bitwise(order, layer, residual, h_grad):
+def test_dgcn_layer_matches_composite_bitwise(order, layer, h_grad):
     for seed in range(3):
-        want = layer_run(composite_dgcn_layer, seed, order, layer, h_grad, residual)
-        got = layer_run(dgcn_layer, seed, order, layer, h_grad, residual)
+        want = layer_run(composite_dgcn_layer, seed, order, layer, h_grad)
+        got = layer_run(dgcn_layer, seed, order, layer, h_grad)
         assert same_bits(got[0], want[0])
         assert len(got[1]) == len(want[1])
         for g, w in zip(got[1], want[1]):
@@ -187,7 +178,7 @@ def test_dgcn_layer_is_one_tape_op():
     params = init_params(cfg, 4, rng)
     h = ad.parameter(rng.normal(size=(5, 4)))
     with Tape() as tape:
-        dgcn_layer(h, directed_trans(rng, 5), 2, params, cfg, h_first=h)
+        dgcn_layer(h, directed_trans(rng, 5), 2, params, cfg)
     assert len(tape.nodes) == 1
 
 
@@ -196,7 +187,7 @@ def test_dgcn_layer_dense_operator_matches_composite():
     cfg = ModelConfig(hidden_dim=3, layers=3, cheb_order=2)
     params = init_params(cfg, 3, rng)
     a = rng.uniform(-1.0, 1.0, (4, 4))
-    trans = TransitionPair(forward=a, backward=a.T.copy())
+    trans = TransitionPair(a)
     h_values = rng.normal(size=(4, 3))
     runs = []
     for fn in (composite_dgcn_layer, dgcn_layer):

@@ -55,6 +55,8 @@ class TestBuildAdjacency:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ParameterError):
             build_adjacency(ring_distances(5), sigma=0.0)
+        with pytest.raises(ParameterError, match="sigma"):  # NaN passes `sigma <= 0`
+            build_adjacency(ring_distances(5), sigma=float("nan"))
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
     def test_nonpositive_kappa_rejected(self, kappa):

@@ -28,7 +28,7 @@ from conftest import finite_difference_gradient, relative_error
 
 
 def identity_trans(n):
-    return TransitionPair(forward=np.eye(n), backward=np.eye(n))
+    return TransitionPair(np.eye(n))
 
 
 class TestInputLayer:
@@ -86,7 +86,7 @@ class TestDgcnLayer:
         cfg = ModelConfig(hidden_dim=4, layers=2, cheb_order=1)
         params = custom_params(cfg, 4, np.zeros)
         h1 = ad.constant(rng.normal(size=(3, 4)))
-        out = dgcn_layer(h1, identity_trans(3), 2, params, cfg, h_first=h1)
+        out = dgcn_layer(h1, identity_trans(3), 2, params, cfg)
         np.testing.assert_allclose(out.values, h1.values)  # relu(0) + H1
 
     def test_matches_naive_loop_oracle(self, rng):
@@ -160,7 +160,7 @@ class TestForward:
         f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), trans)
         f2 = forward(params, cfg, ad.constant(x2), ad.constant(mask), trans)
         assert np.array_equal(f1.gamma.values, f2.gamma.values)
-        assert np.array_equal(f1.h_first.values, f2.h_first.values)
+        assert np.array_equal(f1.recovery.values, f2.recovery.values)
 
     def test_node_permutation_equivariance(self, rng):
         cfg, params, x, mask, a = small_setup(rng, n=6)

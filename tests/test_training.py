@@ -165,7 +165,6 @@ def fake_forward(gamma, recovery, h0):
         beta=ones,
         recovery=ad.constant(recovery),
         h0=ad.constant(h0),
-        h_first=ad.constant(h0),
     )
 
 
@@ -459,13 +458,16 @@ class TestPredictWindows:
         graph, series = small_world
         cfg = tiny_cfg()
         model = train(graph, series, cfg, np.random.default_rng(0)).model
-        starts = np.array([0, 7, 50, 51, 120])
-        windows = np.stack([series.values[s : s + cfg.history] for s in starts])
-        return graph, model, windows
+        ends = np.array([0, 7, 50, 51, 120]) + cfg.history - 1
+        return graph, model, series.values, ends
+
+    @staticmethod
+    def window(values, end, model):
+        return values[end - model.history + 1 : end + 1]
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_matches_per_window_forward(self, world, directed):
-        graph, model, windows = world
+        graph, model, values, ends = world
         if directed:  # forward and backward transitions differ
             dist = np.random.default_rng(3).uniform(0.2, 3.0, (graph.n, graph.n))
             graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
@@ -473,64 +475,75 @@ class TestPredictWindows:
             )
             trans = normalize(graph.adjacency)
             assert abs(trans.forward - trans.backward).max() > 0.1
-        ev = predict_windows(graph, normalize(graph.adjacency), windows, model)
-        assert ev.gamma.shape == ev.beta.shape == (len(windows), graph.n)
-        for row, window in enumerate(windows):
+        ev = predict_windows(graph, values, ends, model)
+        assert ev.gamma.shape == ev.beta.shape == (len(ends), graph.n)
+        for row, end in enumerate(ends):
             np.testing.assert_allclose(
-                nig_rows(ev)[:, row], per_window_forward(graph, window, model), rtol=1e-12
+                nig_rows(ev)[:, row],
+                per_window_forward(graph, self.window(values, end, model), model),
+                rtol=1e-12,
             )
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_directed_union_equals_per_window_rows_bitwise(self, world, count):
         # One stored union serves both directions: its transpose view is the
         # backward union, with no separate path for a single window.
-        graph, model, windows = world
+        graph, model, values, ends = world
         dist = np.random.default_rng(3).uniform(0.2, 3.0, (graph.n, graph.n))
         graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
             graph.observable, graph.missing
         )
-        ev = predict_windows(graph, normalize(graph.adjacency), windows[:count], model)
-        for row, window in enumerate(windows[:count]):
+        ev = predict_windows(graph, values, ends[:count], model)
+        for row, end in enumerate(ends[:count]):
             np.testing.assert_array_equal(
-                nig_rows(ev)[:, row], per_window_forward(graph, window, model)
+                nig_rows(ev)[:, row],
+                per_window_forward(graph, self.window(values, end, model), model),
             )
 
     def test_speed_units(self, world):
         # A scaler (m, s) on speed windows gives m + s * (the unit-scaler
         # prediction on standardized windows), and variances times s^2.
-        graph, model, windows = world
-        trans = normalize(graph.adjacency)
+        graph, model, values, ends = world
         m, s = model.scaler.mean, model.scaler.std
         unit = replace(model, scaler=Scaler(mean=0.0, std=1.0))
-        speed = predict_windows(graph, trans, windows, model)
-        plain = predict_windows(graph, trans, (windows - m) / s, unit)
+        speed = predict_windows(graph, values, ends, model)
+        plain = predict_windows(graph, (values - m) / s, ends, unit)
         np.testing.assert_allclose(speed.gamma, plain.gamma * s + m, rtol=1e-12)
         np.testing.assert_allclose(speed.nu, plain.nu, rtol=1e-12)
         np.testing.assert_allclose(speed.epistemic, plain.epistemic * s * s, rtol=1e-12)
         np.testing.assert_allclose(speed.aleatoric, plain.aleatoric * s * s, rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "take", [lambda w: w[0], lambda w: w[:, 1:], lambda w: w[:, :, 1:], lambda w: w[:0]]
+        "take",
+        [
+            lambda v, e, h: (v[:, 0], e),
+            lambda v, e, h: (v[:, 1:], e),
+            lambda v, e, h: (v, np.array([h - 2, *e])),
+            lambda v, e, h: (v, e[:0]),
+            lambda v, e, h: (v, np.array([len(v)])),
+            lambda v, e, h: (v, e.astype(float)),
+            lambda v, e, h: (v, e[:, None]),
+        ],
     )
     def test_stack_shape_checked(self, world, take):
-        graph, model, windows = world
-        with pytest.raises(DataError, match="windows must be"):
-            predict_windows(graph, normalize(graph.adjacency), take(windows), model)
+        graph, model, values, ends = world
+        with pytest.raises(DataError, match="(values|window ends) must be"):
+            predict_windows(graph, *take(values, ends, model.history), model)
 
     def test_gap_in_any_window_rejected(self, world):
-        graph, model, windows = world
-        windows = windows.copy()
-        windows[-1, 2, graph.missing] = np.nan
-        predict_windows(graph, normalize(graph.adjacency), windows, model)  # ignored column
-        windows[3, 0, graph.observable[-1]] = np.nan
+        graph, model, values, ends = world
+        values = values.copy()
+        values[ends[-1] - 3, graph.missing] = np.nan
+        predict_windows(graph, values, ends, model)  # ignored column
+        values[ends[3] - model.history + 1, graph.observable[-1]] = np.nan
         with pytest.raises(DataError, match="gaps at observable"):
-            predict_windows(graph, normalize(graph.adjacency), windows, model)
+            predict_windows(graph, values, ends, model)
 
     def test_predict_full_is_the_one_window_row(self, world):
-        graph, model, windows = world
-        ev = predict_windows(graph, normalize(graph.adjacency), windows, model)
-        for row, window in enumerate(windows):
-            one = predict_full(graph, window, model).evidential
+        graph, model, values, ends = world
+        ev = predict_windows(graph, values, ends, model)
+        for row, end in enumerate(ends):
+            one = predict_full(graph, self.window(values, end, model), model).evidential
             assert one.gamma.shape == one.epistemic.shape == (graph.n,)
             np.testing.assert_allclose(nig_rows(one), nig_rows(ev)[:, row], rtol=1e-12)
 
