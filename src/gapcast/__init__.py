@@ -4,7 +4,7 @@ road-network locations."""
 from .autodiff import Adam, Tape, Tensor
 from .data import SpeedSeries, SplitSpec, generate_synthetic, hide_locations, split
 from .evaluate import MetricReport, knn_impute, mean_impute, two_step_pipeline
-from .graph import RoadGraph, TransitionPair, build_adjacency, normalize
+from .graph import RoadGraph, build_adjacency, normalize
 from .model import EvidentialOutput, ModelConfig
 from .sensing import SensingConfig, SensingEpisode, run_episode
 from .training import (
@@ -34,7 +34,6 @@ __all__ = [
     "mean_impute",
     "two_step_pipeline",
     "RoadGraph",
-    "TransitionPair",
     "build_adjacency",
     "normalize",
     "EvidentialOutput",

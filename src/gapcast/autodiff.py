@@ -5,9 +5,7 @@ losses) is expressed in the small op vocabulary below.  Ops record onto the
 innermost active :class:`Tape`; with no tape active they only compute values,
 which is the cheap path used for inference.
 
-All tensors are 2-D: scalars are 1x1, per-node vectors are nx1. The one
-operand that is not a tensor is the constant operator of :func:`spmm`,
-usually a ``scipy.sparse`` CSR matrix.
+All tensors are 2-D: scalars are 1x1, per-node vectors are nx1.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "parameter",
     "record",
     "matmul",
-    "spmm",
     "hadamard",
     "add",
     "sub",
@@ -195,23 +192,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return record(av @ bv, (a, b), rule)
-
-
-def spmm(op, op_t, h: Tensor) -> Tensor:
-    """Constant operator times tensor, ``op @ h``; backward dh = op_t @ g.
-
-    ``op`` is a constant (n, m) matrix, sparse or dense, and ``op_t`` its
-    transpose, passed in so that a CSR operator is not re-transposed on
-    every backward pass.
-    """
-    hv = h.values
-    if op.shape[1] != hv.shape[0] or op_t.shape != (op.shape[1], op.shape[0]):
-        raise DimensionError(f"spmm mismatch: {op.shape} (transpose {op_t.shape}) @ {hv.shape}")
-
-    def rule(g: np.ndarray):
-        return (op_t @ g,)
-
-    return record(op @ hv, (h,), rule)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:

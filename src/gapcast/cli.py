@@ -128,8 +128,15 @@ def _options(command: str) -> dict[str, Option]:
 def parse_horizon(value, resolution: float) -> int:
     """'30min' -> steps at the series resolution; bare integers are steps."""
     text = str(value).strip().lower()
-    if text.endswith("min"):
-        steps_f = float(text[:-3]) * 60.0 / resolution
+    minutes = text.endswith("min")
+    try:
+        number = float(text[:-3]) if minutes else int(text)
+    except ValueError:
+        raise ValueError(
+            f"horizon {value!r} is neither a whole number of steps nor '<minutes>min'"
+        ) from None
+    if minutes:
+        steps_f = number * 60.0 / resolution
         if not math.isfinite(steps_f):
             raise ValueError(f"horizon {value!r} is not a finite number of minutes")
         if abs(steps_f - round(steps_f)) > 1e-9:
@@ -138,7 +145,7 @@ def parse_horizon(value, resolution: float) -> int:
             )
         steps = int(round(steps_f))
     else:
-        steps = int(text)
+        steps = number
     if steps < 1:
         raise ValueError(f"horizon must be at least one step, got {value!r}")
     return steps

@@ -43,11 +43,15 @@ def mean_impute(series: SpeedSeries, graph: RoadGraph) -> SpeedSeries:
     return replace(series, values=values)
 
 
-def knn_impute(series: SpeedSeries, graph: RoadGraph, k: int = 3) -> SpeedSeries:
-    """Fill each missing column with the unweighted mean of its k nearest
-    observable columns by road distance (ties broken by node index)."""
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
+# Observable neighbours that :func:`knn_impute` averages.
+KNN_NEIGHBOURS = 3
+
+
+def knn_impute(series: SpeedSeries, graph: RoadGraph) -> SpeedSeries:
+    """Fill each missing column with the unweighted mean of its
+    ``KNN_NEIGHBOURS`` nearest reachable observable columns by road
+    distance (ties broken by node index), or of all of them if fewer are
+    reachable."""
     values = series.values.copy()
     for node in graph.missing:
         dists = graph.distances[node, graph.observable]
@@ -57,7 +61,7 @@ def knn_impute(series: SpeedSeries, graph: RoadGraph, k: int = 3) -> SpeedSeries
         cand = graph.observable[finite]
         cand_d = dists[finite]
         order = np.lexsort((cand, cand_d))
-        chosen = cand[order[: min(k, cand.size)]]
+        chosen = cand[order[:KNN_NEIGHBOURS]]
         values[:, node] = series.values[:, chosen].mean(axis=1)
     return replace(series, values=values)
 
@@ -129,8 +133,9 @@ def row_metrics(pred, truth, nll, epistemic) -> dict[str, np.ndarray]:
     score that reports and sensing read.
 
     R^2 is 1 - SSE/SST about the row's own truth mean, NaN when that row's
-    truth has no variance. Rows are reduced contiguously, so a one-row
-    call rounds exactly like 1-D ``np.mean`` and ``np.sum``.
+    truth has no variance and -inf when SSE/SST overflows. Rows are
+    reduced contiguously, so a one-row call rounds exactly like 1-D
+    ``np.mean`` and ``np.sum``.
     """
     arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (pred, truth, nll, epistemic)]
     shapes = [a.shape for a in arrays]
@@ -139,7 +144,7 @@ def row_metrics(pred, truth, nll, epistemic) -> dict[str, np.ndarray]:
     pred, truth, nll, epistemic = arrays
     sq_err = (pred - truth) ** 2
     sst = np.sum((truth - truth.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r2 = np.where(sst == 0.0, np.nan, 1.0 - np.sum(sq_err, axis=1) / sst)
     return {
         "rmse": np.sqrt(np.mean(sq_err, axis=1)),

@@ -14,11 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from .autodiff import Tensor, scale, spmm, sub
-
 __all__ = [
     "RoadGraph",
-    "TransitionPair",
     "ParameterError",
     "build_adjacency",
     "normalize",
@@ -90,22 +87,6 @@ class RoadGraph:
         )
 
 
-@dataclass(frozen=True)
-class TransitionPair:
-    """Forward (row-normalized) and backward transition matrices.
-
-    ``backward`` is set to ``forward.T``: for a CSR forward matrix, a CSC
-    view that shares its arrays, so one matrix is stored. Each serves as
-    the other's backward-pass operator in :func:`chebyshev_terms`.
-    """
-
-    forward: sparse.csr_array
-    backward: sparse.csc_array = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "backward", self.forward.T)
-
-
 def build_adjacency(
     distances: np.ndarray,
     sigma: float | None = None,
@@ -157,28 +138,27 @@ def build_adjacency(
     )
 
 
-def normalize(adjacency: sparse.csr_array) -> TransitionPair:
-    """Row-normalize a float64 CSR adjacency into the transition pair.
+def normalize(adjacency: sparse.csr_array) -> sparse.csr_array:
+    """Row-normalize a float64 CSR adjacency into the forward transition
+    matrix P, a CSR array. Zero-degree rows stay all-zero.
 
-    Zero-degree rows stay all-zero. The forward matrix is CSR and the
-    backward matrix is its transpose view.
+    The backward transition is ``P.T``: a CSC view that shares P's arrays,
+    so one matrix is stored.
     """
     a = _require_csr(adjacency, "adjacency")
     if (a.data < 0).any():
         raise ParameterError("adjacency must be nonnegative")
     deg = np.repeat(a.sum(axis=1), np.diff(a.indptr))
     data = np.divide(a.data, deg, out=np.zeros_like(a.data), where=deg > 0)
-    forward = sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
-    return TransitionPair(forward)
+    return sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
-def chebyshev_terms(abar, h: Tensor, order: int, abar_t=None) -> list[Tensor]:
+def chebyshev_terms(abar, h: np.ndarray, order: int) -> list[np.ndarray]:
     """[T_k(abar) @ h for k = 1..order] by the three-term recursion.
 
     Uses Z_0 = h, Z_1 = abar @ h, Z_k = 2 abar Z_{k-1} - Z_{k-2}; the
-    polynomial of the matrix is never materialized. ``abar`` is a constant
-    matrix, sparse or dense; ``abar_t`` is its transpose, which defaults to
-    ``abar.T``. Gradients flow through h.
+    polynomial of the matrix is never materialized. ``abar`` is a square
+    matrix, sparse or dense, and ``h`` a 2-D array.
     """
     if order < 1:
         raise ParameterError(f"Chebyshev order must be >= 1, got {order}")
@@ -186,13 +166,11 @@ def chebyshev_terms(abar, h: Tensor, order: int, abar_t=None) -> list[Tensor]:
         raise ParameterError("transition matrix must be square")
     if abar.shape[1] != h.shape[0]:
         raise ParameterError(f"shape mismatch: {abar.shape} @ {h.shape}")
-    if abar_t is None:
-        abar_t = abar.T
     z_prev = h
-    z_cur = spmm(abar, abar_t, h)
+    z_cur = abar @ h
     terms = [z_cur]
     for _ in range(2, order + 1):
-        z_next = sub(scale(spmm(abar, abar_t, z_cur), 2.0), z_prev)
+        z_next = (abar @ z_cur) * 2.0 - z_prev
         terms.append(z_next)
         z_prev, z_cur = z_cur, z_next
     return terms

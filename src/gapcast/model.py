@@ -18,7 +18,6 @@ from scipy.special import digamma, gammaln
 from . import autodiff as ad
 from . import graph
 from .autodiff import Tensor
-from .graph import TransitionPair
 
 __all__ = [
     "ModelConfig",
@@ -142,13 +141,14 @@ def input_layer(x: Tensor, mask: Tensor) -> Tensor:
 
 def dgcn_layer(
     h: Tensor,
-    trans: TransitionPair,
+    p,
     layer: int,
     params: dict[str, Tensor],
     cfg: ModelConfig,
 ) -> Tensor:
     """One diffusion layer: Chebyshev expansion over both transition
-    directions, linearly combined through the layer's weights.
+    directions, the forward matrix ``p`` and its transpose ``p.T``,
+    linearly combined through the layer's weights.
 
     The second layer applies relu and adds its own input, the first
     layer's output, back in, so fully masked rows keep a signal path.
@@ -160,18 +160,15 @@ def dgcn_layer(
     the separate ops.
     """
     order = cfg.cheb_order
-    plain = ad.constant(h.values)
+    p_t = p.T
     # per direction: (operator transpose, Chebyshev terms, weight tensors)
     directions = [
         (
             op_t,
-            [z.values for z in graph.chebyshev_terms(op, plain, order, op_t)],
+            graph.chebyshev_terms(op, h.values, order),
             [params[f"theta_{d}_l{layer}_k{k}"] for k in range(1, order + 1)],
         )
-        for d, op, op_t in (
-            ("f", trans.forward, trans.backward),
-            ("b", trans.backward, trans.forward),
-        )
+        for d, op, op_t in (("f", p, p_t), ("b", p_t, p))
     ]
     (_, zf, tf), (_, zb, tb) = directions
     total = None
@@ -210,18 +207,19 @@ def forward(
     cfg: ModelConfig,
     x: Tensor,
     mask: Tensor,
-    trans: TransitionPair,
+    p,
 ) -> ForwardPass:
     """Run masked input -> diffusion stack -> evidential + recovery heads.
 
     x and mask are (nodes, history); mask rows are all-ones (reserved) or
     all-zeros (masked). Returns per-node NIG parameters with positivity
-    constraints applied, plus the recovery of the input window.
+    constraints applied, plus the recovery of the input window. ``p`` is
+    the forward transition matrix of :func:`gapcast.graph.normalize`.
     """
     h0 = input_layer(x, mask)
     h = h0
     for layer in range(1, cfg.layers + 1):
-        h = dgcn_layer(h, trans, layer, params, cfg)
+        h = dgcn_layer(h, p, layer, params, cfg)
 
     raw = ad.add(ad.matmul(h, params["head_w"]), params["head_b"])
     gamma = ad.slice_cols(raw, 0, 1)

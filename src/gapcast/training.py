@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, SpeedSeries, check_node_ids, fill_small_gaps
-from .graph import RoadGraph, TransitionPair, block_diagonal, normalize, subgraph
+from .graph import RoadGraph, block_diagonal, normalize, subgraph
 from .model import (
     EvidentialOutput,
     ForwardPass,
@@ -366,11 +366,10 @@ def predict_windows(
     (their input rows are zeroed and their mask rows are 0). The graph is
     normalized once. The windows run in chunks of ``INFERENCE_ROWS // n``
     (at least one), each as one tapeless forward pass over the
-    block-diagonal union of that many copies of the forward matrix, whose
-    transpose is the union's backward matrix. All full chunks share one
-    union; a short last chunk builds its own, and a chunk of one window
-    runs on the graph's own pair. Returns a (windows, n) record in speed
-    units.
+    block-diagonal union of that many copies of the forward matrix. All
+    full chunks share one union; a short last chunk builds its own, and a
+    chunk of one window runs on the graph's own matrix. Returns a
+    (windows, n) record in speed units.
     """
     values = np.asarray(values, dtype=np.float64)
     ends = np.asarray(ends)
@@ -391,13 +390,13 @@ def predict_windows(
     scaled = model.scaler.transform(observed)
     mask = np.zeros((n, t_hist))
     mask[graph.observable] = 1.0
-    trans = normalize(graph.adjacency)
+    p = normalize(graph.adjacency)
     per_pass = min(max(1, INFERENCE_ROWS // n), ends.size)
 
-    def union(copies: int) -> TransitionPair:
+    def union(copies: int) -> sparse.csr_array:
         if copies == 1:  # the graph itself: no copy of its matrix to build
-            return trans
-        return TransitionPair(block_diagonal([trans.forward] * copies))
+            return p
+        return block_diagonal([p] * copies)
 
     full = union(per_pass)
     offsets = np.arange(1 - t_hist, 1)

@@ -3,7 +3,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -45,31 +44,6 @@ def test_matmul_gradcheck_sum(rng):
 
         numeric = finite_difference_gradient(f, p.values)
         assert relative_error(p.grad, numeric) < 1e-4
-
-
-def test_spmm_gradcheck_sparse_operator(rng):
-    op = sparse.random_array((5, 4), density=0.4, rng=rng, format="csr")
-    op_t = op.T.tocsr()
-    h = ad.parameter(rng.uniform(-2, 2, (4, 3)))
-    weights = ad.constant(rng.normal(size=(5, 3)))
-
-    def f():
-        return ad.reduce_sum(ad.hadamard(ad.spmm(op, op_t, h), weights))
-
-    with Tape() as tape:
-        loss = f()
-    tape.backward(loss)
-    np.testing.assert_allclose(f().values[0, 0], np.sum((op.toarray() @ h.values) * weights.values))
-    numeric = finite_difference_gradient(lambda: f().item(), h.values)
-    assert relative_error(h.grad, numeric) < 1e-6
-
-
-def test_spmm_shape_mismatch():
-    op = sparse.eye_array(3, format="csr")
-    with pytest.raises(DimensionError):
-        ad.spmm(op, op, ad.constant(np.ones((2, 1))))
-    with pytest.raises(DimensionError):  # op_t is not op's transpose shape
-        ad.spmm(sparse.csr_array(np.ones((3, 2))), op, ad.constant(np.ones((2, 1))))
 
 
 def test_hadamard_identity_and_annihilator(rng):

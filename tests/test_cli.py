@@ -465,6 +465,9 @@ class TestRejectedValues:
             ("--horizon", "-infmin", "horizon"),
             ("--horizon", "1e400min", "horizon"),
             ("--horizon", "nanmin", "horizon"),
+            ("--horizon", "abc", "horizon"),
+            ("--horizon", "inf", "horizon"),
+            ("--horizon", "2.5", "horizon"),
             ("--sigma", "nan", "sigma"),
         ],
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,13 @@ class TestPointMetrics:
     def test_zero_variance_truth_r2_nan(self):
         assert math.isnan(one_row([1.0, 2.0], [3.0, 3.0])["r2"])
 
+    def test_overflowing_r2_is_minus_inf_without_warning(self):
+        # SST is subnormal, so SSE / SST overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = one_row([1.0, 1.0], [0.0, 1e-155])
+        assert got["r2"] == -math.inf
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             one_row([], [])
@@ -133,14 +141,17 @@ class TestMeanImpute:
 
 
 class TestKnnImpute:
-    def test_k1_copies_nearest(self, rng):
-        graph, series = series_with_graph(rng, n=8, hide=2)
-        out = knn_impute(series, graph, k=1)
-        for e in graph.missing:
-            d = graph.distances[e, graph.observable]
-            order = np.lexsort((graph.observable, d))
-            nearest = graph.observable[order[0]]
-            np.testing.assert_array_equal(out.values[:, e], series.values[:, nearest])
+    def test_single_reachable_neighbour_copied(self, rng):
+        # missing node 3 reaches only observable node 0 of the three
+        from gapcast.graph import build_adjacency
+
+        d = np.full((4, 4), np.inf)
+        np.fill_diagonal(d, 0.0)
+        d[0, 1] = d[1, 0] = d[1, 2] = d[2, 1] = d[0, 3] = d[3, 0] = 1.0
+        graph = build_adjacency(d, sigma=1.0).with_partition(np.arange(3), np.array([3]))
+        series = SpeedSeries(tuple("abcd"), np.arange(5.0) * 300, rng.normal(size=(5, 4)))
+        out = knn_impute(series, graph)
+        np.testing.assert_array_equal(out.values[:, 3], series.values[:, 0])
 
     def test_equidistant_average(self):
         # missing node 1 exactly between observables 0 and 2
@@ -155,13 +166,13 @@ class TestKnnImpute:
         values[:, 0] = 10.0
         values[:, 2] = 20.0
         series = SpeedSeries(("a", "b", "c"), np.arange(4.0) * 300, values)
-        out = knn_impute(series, graph, k=2)
+        out = knn_impute(series, graph)
         np.testing.assert_allclose(out.values[:, 1], 15.0)
 
     def test_matches_bruteforce_oracle(self, rng):
         graph, series = series_with_graph(rng, n=15, hide=5)
         k = 3
-        out = knn_impute(series, graph, k=k)
+        out = knn_impute(series, graph)
         for e in graph.missing:
             pairs = sorted(
                 ((graph.distances[e, o], o) for o in graph.observable),
@@ -182,7 +193,7 @@ class TestKnnImpute:
         values = np.ones((5, 3))
         series = SpeedSeries(("a", "b", "c"), np.arange(5.0) * 300, values)
         with pytest.raises(ImputationError):
-            knn_impute(series, graph, k=1)
+            knn_impute(series, graph)
 
 
 class TestNllReporting:

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from gapcast import autodiff as ad
 from gapcast.autodiff import Adam, DomainError, Tape
-from gapcast.graph import TransitionPair, chebyshev_terms, normalize
+from gapcast.graph import normalize
 from gapcast.model import ModelConfig, dgcn_layer, init_params, nig_nll, weighted_mean
 
 
@@ -115,11 +115,29 @@ def test_nig_nll_refuses_a_differentiable_target():
 # -- diffusion layer -----------------------------------------------------
 
 
-def composite_dgcn_layer(h, trans, layer, params, cfg):
+def operator_product(op, op_t, h):
+    """``op @ h`` for a constant matrix ``op`` as one tape op; its backward
+    pass multiplies by ``op_t``, the transpose."""
+    return ad.record(op @ h.values, (h,), lambda g: (op_t @ g,))
+
+
+def composite_chebyshev_terms(op, op_t, h, order):
+    """The Chebyshev recursion Z_k = 2 op Z_{k-1} - Z_{k-2} as tape ops."""
+    z_prev, z_cur = h, operator_product(op, op_t, h)
+    terms = [z_cur]
+    for _ in range(2, order + 1):
+        z_next = ad.sub(ad.scale(operator_product(op, op_t, z_cur), 2.0), z_prev)
+        terms.append(z_next)
+        z_prev, z_cur = z_cur, z_next
+    return terms
+
+
+def composite_dgcn_layer(h, p, layer, params, cfg):
     """The diffusion layer as separate tape ops: the Chebyshev recursion
-    through ``spmm``, ``scale`` and ``sub``, then matmuls and adds."""
-    terms_f = chebyshev_terms(trans.forward, h, cfg.cheb_order, trans.backward)
-    terms_b = chebyshev_terms(trans.backward, h, cfg.cheb_order, trans.forward)
+    through ``operator_product``, ``scale`` and ``sub``, then matmuls and
+    adds."""
+    terms_f = composite_chebyshev_terms(p, p.T, h, cfg.cheb_order)
+    terms_b = composite_chebyshev_terms(p.T, p, h, cfg.cheb_order)
     total = None
     for k in range(1, cfg.cheb_order + 1):
         part = ad.add(
@@ -132,20 +150,20 @@ def composite_dgcn_layer(h, trans, layer, params, cfg):
     return total
 
 
-def directed_trans(rng, n):
+def directed_transition(rng, n):
     """A random directed kernel graph, so forward and backward differ."""
     dense = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5)
     np.fill_diagonal(dense, 0.0)
-    trans = normalize(sparse.csr_array(dense))
-    assert (trans.forward != trans.backward).nnz
-    return trans
+    p = normalize(sparse.csr_array(dense))
+    assert (p != p.T).nnz
+    return p
 
 
 def layer_run(layer_fn, rng_seed, order, layer, h_grad):
     """Output and every gradient of one layer under a random linear loss."""
     rng = np.random.default_rng(rng_seed)
     n, width, hidden = 7, 3, 4
-    trans = directed_trans(rng, n)
+    p = directed_transition(rng, n)
     cfg = ModelConfig(hidden_dim=hidden, layers=3, cheb_order=order)
     params = init_params(cfg, width, rng)
     h_width = width if layer == 1 else hidden
@@ -153,7 +171,7 @@ def layer_run(layer_fn, rng_seed, order, layer, h_grad):
     h = make(rng.normal(size=(n, h_width)))
     probe = ad.constant(rng.normal(size=(n, hidden)))
     with Tape() as tape:
-        out = layer_fn(h, trans, layer, params, cfg)
+        out = layer_fn(h, p, layer, params, cfg)
         tape.backward(ad.reduce_sum(ad.hadamard(out, probe)))
     return out.values, [t.grad for t in [h, *params.values()]]
 
@@ -178,7 +196,7 @@ def test_dgcn_layer_is_one_tape_op():
     params = init_params(cfg, 4, rng)
     h = ad.parameter(rng.normal(size=(5, 4)))
     with Tape() as tape:
-        dgcn_layer(h, directed_trans(rng, 5), 2, params, cfg)
+        dgcn_layer(h, directed_transition(rng, 5), 2, params, cfg)
     assert len(tape.nodes) == 1
 
 
@@ -187,13 +205,12 @@ def test_dgcn_layer_dense_operator_matches_composite():
     cfg = ModelConfig(hidden_dim=3, layers=3, cheb_order=2)
     params = init_params(cfg, 3, rng)
     a = rng.uniform(-1.0, 1.0, (4, 4))
-    trans = TransitionPair(a)
     h_values = rng.normal(size=(4, 3))
     runs = []
     for fn in (composite_dgcn_layer, dgcn_layer):
         h = ad.parameter(h_values.copy())
         with Tape() as tape:
-            out = fn(h, trans, 3, params, cfg)
+            out = fn(h, a, 3, params, cfg)
             tape.backward(ad.reduce_sum(out))
         theta = params["theta_b_l3_k2"]
         runs.append((out.values, h.grad, theta.grad))

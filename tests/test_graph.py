@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from gapcast import autodiff as ad
 from gapcast.graph import (
     ParameterError,
     RoadGraph,
@@ -120,10 +119,9 @@ class TestCsrAdjacency:
         assert got.dtype == np.float64
         for part in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
-        for direction in ("forward", "backward"):
-            ours, theirs = getattr(normalize(got), direction), getattr(normalize(want), direction)
-            for part in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(ours, part), getattr(theirs, part))
+        ours, theirs = normalize(got), normalize(want)
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(ours, part), getattr(theirs, part))
 
     @pytest.mark.parametrize("kappa", [2.5, INF])
     def test_estimated_sigma_matches_dense_formula(self, kappa):
@@ -160,45 +158,33 @@ class TestCsrAdjacency:
 
 class TestNormalize:
     def test_identity(self):
-        pair = normalize(csr(np.eye(3)))
-        np.testing.assert_array_equal(pair.forward.toarray(), np.eye(3))
-        np.testing.assert_array_equal(pair.backward.toarray(), np.eye(3))
+        p = normalize(csr(np.eye(3)))
+        assert p.format == "csr"
+        np.testing.assert_array_equal(p.toarray(), np.eye(3))
 
     def test_row_definition(self):
-        pair = normalize(csr([[2.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]))
-        np.testing.assert_allclose(pair.forward.toarray()[0], [0.5, 0.5, 0.0])
+        p = normalize(csr([[2.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]))
+        np.testing.assert_allclose(p.toarray()[0], [0.5, 0.5, 0.0])
 
     def test_zero_row_stays_zero(self):
-        pair = normalize(csr([[0.0, 0.0], [1.0, 1.0]]))
-        np.testing.assert_array_equal(pair.forward.toarray()[0], [0.0, 0.0])
-
-    def test_backward_is_transpose(self):
-        rng = np.random.default_rng(3)
-        a = rng.uniform(0, 1, (5, 5))
-        pair = normalize(csr(a))
-        np.testing.assert_array_equal(pair.backward.toarray(), pair.forward.toarray().T)
-
-    def test_backward_is_a_view_of_forward(self):
-        g = build_adjacency(ORACLE_DISTANCES["directed"], sigma=1.0)
-        pair = normalize(g.adjacency)
-        assert pair.forward.format == "csr" and pair.backward.format == "csc"
-        for part in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(pair.backward, part), getattr(pair.forward, part))
+        p = normalize(csr([[0.0, 0.0], [1.0, 1.0]]))
+        np.testing.assert_array_equal(p.toarray()[0], [0.0, 0.0])
 
     @pytest.mark.parametrize("graph", ["ring", "directed"])
     def test_view_products_equal_csr_products_bitwise(self, rng, graph):
+        """The layers multiply by ``p.T``, a CSC view of the forward matrix:
+        its products are bitwise those of a CSR copy."""
         d = ring_distances(12) if graph == "ring" else rng.uniform(0.2, 3.0, (12, 12))
-        pair = normalize(build_adjacency(d, sigma=1.0, kappa=2.0).adjacency)
-        copy = pair.backward.tocsr()
+        p = normalize(build_adjacency(d, sigma=1.0, kappa=2.0).adjacency)
+        copy = p.T.tocsr()
         for cols in (1, 48):
             h = rng.normal(size=(12, cols))
-            np.testing.assert_array_equal(pair.backward @ h, copy @ h)
+            np.testing.assert_array_equal(p.T @ h, copy @ h)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(0, 10)))
     def test_nonzero_rows_sum_to_one(self, a):
-        pair = normalize(csr(a))
-        sums = pair.forward.toarray().sum(axis=1)
+        sums = normalize(csr(a)).toarray().sum(axis=1)
         degrees = a.sum(axis=1)
         for s, deg in zip(sums, degrees):
             if deg > 0:
@@ -216,23 +202,23 @@ def explicit_chebyshev_matrices(abar, order):
 
 class TestChebyshev:
     def test_first_order_is_abar_h(self, rng):
-        abar = normalize(csr(ring_distances(5) < 2)).forward
-        h = ad.constant(rng.normal(size=(5, 3)))
+        abar = normalize(csr(ring_distances(5) < 2))
+        h = rng.normal(size=(5, 3))
         terms = chebyshev_terms(abar, h, 1)
         assert len(terms) == 1
-        np.testing.assert_allclose(terms[0].values, abar.toarray() @ h.values, atol=1e-12)
+        np.testing.assert_allclose(terms[0], abar.toarray() @ h, atol=1e-12)
 
     def test_identity_transition_keeps_h(self, rng):
-        h = ad.constant(rng.normal(size=(4, 2)))
+        h = rng.normal(size=(4, 2))
         for term in chebyshev_terms(np.eye(4), h, 4):
-            np.testing.assert_allclose(term.values, h.values, atol=1e-12)
+            np.testing.assert_allclose(term, h, atol=1e-12)
 
     def test_second_order_matches_polynomial(self, rng):
         abar = rng.uniform(0, 1, (4, 4))
-        h = ad.constant(rng.normal(size=(4, 2)))
+        h = rng.normal(size=(4, 2))
         terms = chebyshev_terms(abar, h, 2)
-        explicit = (2 * abar @ abar - np.eye(4)) @ h.values
-        np.testing.assert_allclose(terms[1].values, explicit, atol=1e-10)
+        explicit = (2 * abar @ abar - np.eye(4)) @ h
+        np.testing.assert_allclose(terms[1], explicit, atol=1e-10)
 
     def test_recursion_matches_explicit_oracle(self):
         rng = np.random.default_rng(99)
@@ -240,26 +226,18 @@ class TestChebyshev:
             n = int(rng.integers(2, 11))
             order = int(rng.integers(1, 5))
             abar = rng.uniform(-1, 1, (n, n))
-            h = ad.constant(rng.normal(size=(n, 3)))
+            h = rng.normal(size=(n, 3))
             terms = chebyshev_terms(abar, h, order)
             for mat, term in zip(explicit_chebyshev_matrices(abar, order), terms):
-                np.testing.assert_allclose(term.values, mat @ h.values, atol=1e-8)
+                np.testing.assert_allclose(term, mat @ h, atol=1e-8)
 
     def test_order_below_one_rejected(self):
         with pytest.raises(ParameterError):
-            chebyshev_terms(np.eye(2), ad.constant(np.ones((2, 1))), 0)
+            chebyshev_terms(np.eye(2), np.ones((2, 1)), 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
-            chebyshev_terms(np.eye(3), ad.constant(np.ones((2, 1))), 1)
-
-    def test_gradients_flow_through_h(self, rng):
-        abar = rng.uniform(0, 1, (4, 4))
-        h = ad.parameter(rng.normal(size=(4, 2)))
-        with ad.Tape() as tape:
-            loss = ad.reduce_sum(chebyshev_terms(abar, h, 3)[-1])
-        tape.backward(loss)
-        assert h.grad is not None and np.isfinite(h.grad).all()
+            chebyshev_terms(np.eye(3), np.ones((2, 1)), 1)
 
 
 class TestSubgraph:
@@ -312,8 +290,8 @@ def test_block_diagonal_is_disjoint_union(rng):
     np.testing.assert_array_equal(union.toarray(), dense)
     # Row normalization acts row by row, so it commutes with the union.
     np.testing.assert_array_equal(
-        normalize(union).forward.toarray(),
-        block_diagonal([normalize(p).forward for p in parts]).toarray(),
+        normalize(union).toarray(),
+        block_diagonal([normalize(p) for p in parts]).toarray(),
     )
 
 
@@ -328,8 +306,8 @@ def test_normalize_after_subgraph_differs_from_before():
         ]
     )
     idx = [0, 1]
-    after = normalize(subgraph(csr(a), idx)).forward.toarray()
-    before = normalize(csr(a)).forward.toarray()[np.ix_(idx, idx)]
+    after = normalize(subgraph(csr(a), idx)).toarray()
+    before = normalize(csr(a)).toarray()[np.ix_(idx, idx)]
     assert not np.allclose(after, before)
     np.testing.assert_allclose(after.sum(axis=1), 1.0)
     assert (before.sum(axis=1) < 1.0).any()

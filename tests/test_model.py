@@ -11,7 +11,7 @@ from scipy import integrate, sparse, stats
 from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
 from gapcast.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from gapcast.graph import TransitionPair, normalize
+from gapcast.graph import normalize
 from gapcast.model import (
     EvidentialOutput,
     ModelConfig,
@@ -25,10 +25,6 @@ from gapcast.model import (
 )
 
 from conftest import finite_difference_gradient, relative_error
-
-
-def identity_trans(n):
-    return TransitionPair(np.eye(n))
 
 
 class TestInputLayer:
@@ -72,28 +68,28 @@ class TestDgcnLayer:
         cfg = ModelConfig(hidden_dim=4, layers=2, cheb_order=1)
         params = custom_params(cfg, 4, lambda s: np.eye(*s))
         h = ad.constant(rng.normal(size=(3, 4)))
-        out = dgcn_layer(h, identity_trans(3), 1, params, cfg)
+        out = dgcn_layer(h, np.eye(3), 1, params, cfg)
         np.testing.assert_allclose(out.values, 2 * h.values, atol=1e-12)
 
     def test_zero_weights_give_zero(self, rng):
         cfg = ModelConfig(hidden_dim=4, layers=3, cheb_order=2)
         params = custom_params(cfg, 4, np.zeros)
         h = ad.constant(rng.normal(size=(3, 4)))
-        out = dgcn_layer(h, identity_trans(3), 3, params, cfg)
+        out = dgcn_layer(h, np.eye(3), 3, params, cfg)
         np.testing.assert_array_equal(out.values, np.zeros((3, 4)))
 
     def test_layer2_applies_activation_and_residual(self, rng):
         cfg = ModelConfig(hidden_dim=4, layers=2, cheb_order=1)
         params = custom_params(cfg, 4, np.zeros)
         h1 = ad.constant(rng.normal(size=(3, 4)))
-        out = dgcn_layer(h1, identity_trans(3), 2, params, cfg)
+        out = dgcn_layer(h1, np.eye(3), 2, params, cfg)
         np.testing.assert_allclose(out.values, h1.values)  # relu(0) + H1
 
     def test_matches_naive_loop_oracle(self, rng):
         n, width, hidden, order = 5, 3, 4, 2
         cfg = ModelConfig(hidden_dim=hidden, layers=2, cheb_order=order)
         params = custom_params(cfg, width, lambda s: rng.normal(size=s))
-        trans = normalize(sparse.csr_array(rng.uniform(0, 1, (n, n))))
+        abar = normalize(sparse.csr_array(rng.uniform(0, 1, (n, n))))
         h = ad.constant(rng.normal(size=(n, width)))
 
         def cheb_mats(a):
@@ -102,7 +98,7 @@ class TestDgcnLayer:
                 mats.append(2 * a @ mats[-1] - mats[-2])
             return mats
 
-        tf, tb = cheb_mats(trans.forward), cheb_mats(trans.backward)
+        tf, tb = cheb_mats(abar), cheb_mats(abar.T)
         naive = np.zeros((n, hidden))
         for k in range(1, order + 1):
             for i in range(n):
@@ -119,7 +115,7 @@ class TestDgcnLayer:
                                 * h.values[p, q]
                                 * params[f"theta_b_l1_k{k}"].values[q, j]
                             )
-        out = dgcn_layer(h, trans, 1, params, cfg)
+        out = dgcn_layer(h, abar, 1, params, cfg)
         np.testing.assert_allclose(out.values, naive, atol=1e-10)
 
 
@@ -137,28 +133,28 @@ def small_setup(rng, n=4, history=5, hidden=6):
 class TestForward:
     def test_deterministic_bitwise(self, rng):
         cfg, params, x, mask, a = small_setup(rng)
-        trans = normalize(a)
-        f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), trans)
-        f2 = forward(params, cfg, ad.constant(x), ad.constant(mask), trans)
+        abar = normalize(a)
+        f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
+        f2 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
         assert np.array_equal(f1.gamma.values, f2.gamma.values)
         assert np.array_equal(f1.recovery.values, f2.recovery.values)
 
     def test_isolated_zero_mask_output_is_bias_only(self, rng):
         cfg = ModelConfig(hidden_dim=5, layers=3, cheb_order=2)
         params = init_params(cfg, 4, rng)
-        trans = identity_trans(1)
+        abar = np.eye(1)
         mask = ad.constant(np.zeros((1, 4)))
-        out1 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, trans)
-        out2 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, trans)
+        out1 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, abar)
+        out2 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, abar)
         assert np.array_equal(out1.gamma.values, out2.gamma.values)
 
     def test_masked_node_own_features_ignored(self, rng):
         cfg, params, x, mask, a = small_setup(rng)
-        trans = normalize(a)
+        abar = normalize(a)
         x2 = x.copy()
         x2[-1] = rng.normal(size=x.shape[1]) * 10  # masked row perturbed
-        f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), trans)
-        f2 = forward(params, cfg, ad.constant(x2), ad.constant(mask), trans)
+        f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
+        f2 = forward(params, cfg, ad.constant(x2), ad.constant(mask), abar)
         assert np.array_equal(f1.gamma.values, f2.gamma.values)
         assert np.array_equal(f1.recovery.values, f2.recovery.values)
 
@@ -186,12 +182,12 @@ class TestForward:
 
     def test_full_model_gradcheck(self, rng):
         cfg, params, x, mask, a = small_setup(rng, n=4, history=3, hidden=4)
-        trans = normalize(a)
+        abar = normalize(a)
         y = ad.constant(rng.normal(size=(4, 1)))
         w = ad.constant(np.full((4, 1), 0.25))
 
         def loss_value():
-            fp = forward(params, cfg, ad.constant(x), ad.constant(mask), trans)
+            fp = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
             pre = nig_nll(fp.gamma, fp.nu, fp.alpha, fp.beta, y, evidence_reg=0.01, weights=w)
             rec = weighted_mean(ad.square(ad.sub(fp.recovery, fp.h0)), w)
             return ad.add(pre, rec)

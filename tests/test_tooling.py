@@ -8,6 +8,7 @@ benchmark results, and the study scripts run end to end.
 graph change would otherwise surface only in a benchmark run.
 """
 
+import ast
 import csv
 import importlib
 import importlib.util
@@ -93,6 +94,19 @@ def test_traced_run_sees_every_fused_call():
         assert tracer.stats[name].calls > 0, name
     assert tracer.tape.batches == 2 and tracer.tape.matmul_flop > 0
     assert tracer.inference_normalize_calls == 2  # once per inference call
+
+
+def test_graph_imports_nothing_from_autodiff():
+    """The graph layer deals in plain matrices and arrays: no import in
+    ``gapcast/graph.py`` names the autodiff engine."""
+    tree = ast.parse((ROOT / "src" / "gapcast" / "graph.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert names and not [name for name in names if "autodiff" in name]
 
 
 def test_benchmark_inputs_load_to_the_generated_graph(tmp_path):

@@ -473,8 +473,8 @@ class TestPredictWindows:
             graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
                 graph.observable, graph.missing
             )
-            trans = normalize(graph.adjacency)
-            assert abs(trans.forward - trans.backward).max() > 0.1
+            p = normalize(graph.adjacency)
+            assert abs(p - p.T).max() > 0.1
         ev = predict_windows(graph, values, ends, model)
         assert ev.gamma.shape == ev.beta.shape == (len(ends), graph.n)
         for row, end in enumerate(ends):
