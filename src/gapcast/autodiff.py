@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
+from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -33,12 +33,8 @@ __all__ = [
     "sub",
     "scale",
     "add_scalar",
-    "relu",
     "softplus",
-    "log",
     "square",
-    "absval",
-    "lgamma",
     "reduce_sum",
     "slice_cols",
 ]
@@ -266,15 +262,6 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     return record(a.values + float(c), (a,), rule)
 
 
-def relu(a: Tensor) -> Tensor:
-    av = a.values
-
-    def rule(g: np.ndarray):
-        return (g * (av > 0.0),)
-
-    return record(np.maximum(av, 0.0), (a,), rule)
-
-
 def softplus(a: Tensor) -> Tensor:
     """ln(1 + e^x), overflow-safe (returns x for large x)."""
     av = a.values
@@ -285,17 +272,6 @@ def softplus(a: Tensor) -> Tensor:
     return record(np.logaddexp(0.0, av), (a,), rule)
 
 
-def log(a: Tensor) -> Tensor:
-    av = a.values
-    if np.min(av) <= 0.0:
-        raise DomainError("log requires strictly positive inputs")
-
-    def rule(g: np.ndarray):
-        return (g / av,)
-
-    return record(np.log(av), (a,), rule)
-
-
 def square(a: Tensor) -> Tensor:
     av = a.values
 
@@ -303,26 +279,6 @@ def square(a: Tensor) -> Tensor:
         return (2.0 * av * g,)
 
     return record(av * av, (a,), rule)
-
-
-def absval(a: Tensor) -> Tensor:
-    av = a.values
-
-    def rule(g: np.ndarray):
-        return (g * np.sign(av),)
-
-    return record(np.abs(av), (a,), rule)
-
-
-def lgamma(a: Tensor) -> Tensor:
-    av = a.values
-    if np.min(av) <= 0.0:
-        raise DomainError("lgamma requires strictly positive inputs")
-
-    def rule(g: np.ndarray):
-        return (g * digamma(av),)
-
-    return record(gammaln(av), (a,), rule)
 
 
 def reduce_sum(a: Tensor) -> Tensor:

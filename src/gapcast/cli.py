@@ -136,6 +136,10 @@ def parse_horizon(value, resolution: float) -> int:
             f"horizon {value!r} is neither a whole number of steps nor '<minutes>min'"
         ) from None
     if minutes:
+        if math.isnan(resolution):
+            raise ValueError(
+                f"horizon {value!r} needs a series of at least 2 rows to know the step length"
+            )
         steps_f = number * 60.0 / resolution
         if not math.isfinite(steps_f):
             raise ValueError(f"horizon {value!r} is not a finite number of minutes")

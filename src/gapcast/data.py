@@ -176,7 +176,7 @@ def load_speed_csv(path) -> SpeedSeries:
         body = _gaps_as_nan(fh)
         first = next(body, None)
         if first is None:
-            raise SeriesFormatError("values must be (steps, nodes) aligned with timestamps")
+            raise SeriesFormatError("the file has no readings after its header", row=2)
         try:
             table = np.loadtxt(
                 itertools.chain([first], body),
@@ -461,6 +461,8 @@ def generate_synthetic(
     """
     if n_nodes < 4:
         raise DataError(f"need at least 4 nodes, got {n_nodes}")
+    if steps < 2:  # one row has no step length
+        raise DataError(f"need at least 2 steps, got {steps}")
     positions = np.arange(n_nodes).astype(np.float64) * SPACING_KM
     circumference = n_nodes * SPACING_KM
     gaps = np.abs(positions[:, None] - positions[None, :])

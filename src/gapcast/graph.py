@@ -21,7 +21,6 @@ __all__ = [
     "normalize",
     "chebyshev_terms",
     "subgraph",
-    "block_diagonal",
 ]
 
 
@@ -176,25 +175,33 @@ def chebyshev_terms(abar, h: np.ndarray, order: int) -> list[np.ndarray]:
     return terms
 
 
-def subgraph(adjacency: sparse.csr_array, indices) -> sparse.csr_array:
-    """The adjacency submatrix at ``indices`` (order preserved), as CSR.
+def subgraph(adjacency: sparse.csr_array, node_lists) -> sparse.csr_array:
+    """The block-diagonal union of the adjacency submatrices at each list
+    of ``node_lists``: one block per list, in order, each keeping its
+    list's node order, built as one CSR matrix.
 
-    Gathers the CSR rows of the chosen nodes and keeps the entries whose
-    column is chosen too: O(len(indices) * degree), with no dense copy.
+    A node may appear in several lists but only once in each. Gathers the
+    CSR rows of every chosen node and keeps the entries whose column is
+    chosen in the same list: O(nodes * degree), with no dense copy.
     """
     a = _require_csr(adjacency, "adjacency")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"subgraph index out of range for {a.shape[0]} nodes")
-    order = np.argsort(idx, kind="stable")
-    chosen = idx[order]
+    n = a.shape[0]
+    lists = [np.asarray(nodes, dtype=np.int64) for nodes in node_lists]
+    idx = np.concatenate([np.empty(0, dtype=np.int64), *lists])
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"subgraph index out of range for {n} nodes")
+    # (list, node) keys, sorted: a repeat within one list is a repeated key
+    offsets = np.repeat(np.arange(len(lists)) * n, [nodes.size for nodes in lists])
+    keys = offsets + idx
+    order = np.argsort(keys, kind="stable")
+    chosen = keys[order]
     if (np.diff(chosen) == 0).any():
-        raise ParameterError("subgraph indices must be unique")
+        raise ParameterError("a node repeats within one subgraph node list")
     starts = a.indptr[idx]
     counts = a.indptr[idx + 1] - starts
     # Position in a.data of every entry of the gathered rows, row by row.
     pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    cols = a.indices[pos]
+    cols = np.repeat(offsets, counts) + a.indices[pos]
     slot = np.minimum(np.searchsorted(chosen, cols), idx.size - 1)
     keep = chosen[slot] == cols
     rows = np.repeat(np.arange(idx.size), counts)[keep]
@@ -202,25 +209,4 @@ def subgraph(adjacency: sparse.csr_array, indices) -> sparse.csr_array:
     np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
     return sparse.csr_array(
         (a.data[pos[keep]], order[slot[keep]], indptr), shape=(idx.size, idx.size)
-    )
-
-
-def block_diagonal(mats) -> sparse.csr_array:
-    """The disjoint union of square float64 CSR graphs: one block-diagonal
-    CSR matrix whose node order is the blocks' concatenated node order.
-    Other blocks raise ParameterError (a CSC one would land transposed)."""
-    mats = [_require_csr(m, "block") for m in mats]
-    sizes = np.array([m.shape[0] for m in mats])
-    node_offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    nnz_offsets = np.concatenate([[0], np.cumsum([m.nnz for m in mats])[:-1]])
-    indptr = np.concatenate(
-        [[0]] + [m.indptr[1:] + off for m, off in zip(mats, nnz_offsets)]
-    )
-    return sparse.csr_array(
-        (
-            np.concatenate([m.data for m in mats]),
-            np.concatenate([m.indices + off for m, off in zip(mats, node_offsets)]),
-            indptr,
-        ),
-        shape=(sizes.sum(), sizes.sum()),
     )

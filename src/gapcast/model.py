@@ -141,14 +141,14 @@ def input_layer(x: Tensor, mask: Tensor) -> Tensor:
 
 def dgcn_layer(
     h: Tensor,
-    p,
+    ops: tuple,
     layer: int,
     params: dict[str, Tensor],
     cfg: ModelConfig,
 ) -> Tensor:
     """One diffusion layer: Chebyshev expansion over both transition
-    directions, the forward matrix ``p`` and its transpose ``p.T``,
-    linearly combined through the layer's weights.
+    directions, the forward matrix P and its transpose, given together as
+    ``ops = (P, P.T)``, linearly combined through the layer's weights.
 
     The second layer applies relu and adds its own input, the first
     layer's output, back in, so fully masked rows keep a signal path.
@@ -160,7 +160,7 @@ def dgcn_layer(
     the separate ops.
     """
     order = cfg.cheb_order
-    p_t = p.T
+    p, p_t = ops
     # per direction: (operator transpose, Chebyshev terms, weight tensors)
     directions = [
         (
@@ -214,12 +214,14 @@ def forward(
     x and mask are (nodes, history); mask rows are all-ones (reserved) or
     all-zeros (masked). Returns per-node NIG parameters with positivity
     constraints applied, plus the recovery of the input window. ``p`` is
-    the forward transition matrix of :func:`gapcast.graph.normalize`.
+    the forward transition matrix of :func:`gapcast.graph.normalize`; its
+    transpose is built once and shared by every layer.
     """
     h0 = input_layer(x, mask)
     h = h0
+    ops = (p, p.T)
     for layer in range(1, cfg.layers + 1):
-        h = dgcn_layer(h, p, layer, params, cfg)
+        h = dgcn_layer(h, ops, layer, params, cfg)
 
     raw = ad.add(ad.matmul(h, params["head_w"]), params["head_b"])
     gamma = ad.slice_cols(raw, 0, 1)

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, SpeedSeries, check_node_ids, fill_small_gaps
-from .graph import RoadGraph, block_diagonal, normalize, subgraph
+from .graph import RoadGraph, normalize, subgraph
 from .model import (
     EvidentialOutput,
     ForwardPass,
@@ -110,14 +110,13 @@ class SubgraphSample:
     ``node_indices`` are graph-level indices; ``reserved`` keep their
     features, ``masked`` have them zeroed through the mask. ``features``
     is (n_s, history) with columns oldest-to-newest; ``target`` is the
-    horizon-ahead value per node; ``adjacency`` is the CSR subgraph.
+    horizon-ahead value per node.
     """
 
     node_indices: np.ndarray
     reserved: np.ndarray
     masked: np.ndarray
     mask: np.ndarray
-    adjacency: sparse.csr_array
     features: np.ndarray
     target: np.ndarray
     t: int
@@ -134,10 +133,11 @@ class SampleBatch:
     """Subgraph samples stacked into one disjoint-union graph.
 
     Rows follow the samples in order and ``adjacency`` is block-diagonal,
-    so one forward pass serves the whole batch. A node of a sample with
-    n_s nodes weighs 1 / (B n_s): the weighted loss is the mean over the B
-    samples of their per-sample losses, and a large sample counts no more
-    than a small one.
+    the samples' subgraphs gathered by one :func:`gapcast.graph.subgraph`
+    call, so one forward pass serves the whole batch. A node of a sample
+    with n_s nodes weighs 1 / (B n_s): the weighted loss is the mean over
+    the B samples of their per-sample losses, and a large sample counts
+    no more than a small one.
     """
 
     features: np.ndarray
@@ -147,12 +147,13 @@ class SampleBatch:
     weights: np.ndarray
 
     @classmethod
-    def stack(cls, samples: list[SubgraphSample]) -> "SampleBatch":
+    def stack(cls, samples: list[SubgraphSample], adjacency) -> "SampleBatch":
+        """The batch of ``samples`` drawn from the graph with ``adjacency``."""
         return cls(
             features=np.vstack([s.features for s in samples]),
             mask=np.vstack([s.mask for s in samples]),
             target=np.vstack([s.target for s in samples]),
-            adjacency=block_diagonal([s.adjacency for s in samples]),
+            adjacency=subgraph(adjacency, [s.node_indices for s in samples]),
             weights=np.vstack([s.weights for s in samples]) / len(samples),
         )
 
@@ -228,7 +229,6 @@ def draw_sample(
         reserved=reserved,
         masked=masked,
         mask=mask,
-        adjacency=subgraph(graph.adjacency, nodes),
         features=features,
         target=target,
         t=t,
@@ -306,7 +306,7 @@ def train(
         sums = {"j_pre": 0.0, "j_rec": 0.0, "j_total": 0.0}
         for start in range(0, len(samples), cfg.batch_size):
             members = samples[start : start + cfg.batch_size]
-            batch = SampleBatch.stack(members)
+            batch = SampleBatch.stack(members, graph.adjacency)
             with Tape() as tape:
                 fwd = forward(
                     params,
@@ -366,10 +366,10 @@ def predict_windows(
     (their input rows are zeroed and their mask rows are 0). The graph is
     normalized once. The windows run in chunks of ``INFERENCE_ROWS // n``
     (at least one), each as one tapeless forward pass over the
-    block-diagonal union of that many copies of the forward matrix. All
-    full chunks share one union; a short last chunk builds its own, and a
-    chunk of one window runs on the graph's own matrix. Returns a
-    (windows, n) record in speed units.
+    block-diagonal union of that many copies of the forward matrix, built
+    by :func:`gapcast.graph.subgraph`. All full chunks share one union; a
+    short last chunk builds its own, and a chunk of one window runs on the
+    graph's own matrix. Returns a (windows, n) record in speed units.
     """
     values = np.asarray(values, dtype=np.float64)
     ends = np.asarray(ends)
@@ -396,7 +396,7 @@ def predict_windows(
     def union(copies: int) -> sparse.csr_array:
         if copies == 1:  # the graph itself: no copy of its matrix to build
             return p
-        return block_diagonal([p] * copies)
+        return subgraph(p, [np.arange(n)] * copies)
 
     full = union(per_pass)
     offsets = np.arange(1 - t_hist, 1)

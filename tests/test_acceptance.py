@@ -74,7 +74,6 @@ def test_criterion_1_end_to_end_gradients():
         reserved=nodes[:3],
         masked=nodes[3:],
         mask=mask,
-        adjacency=graph.adjacency,
         features=values[t - 3 : t + 1].T.copy(),
         target=values[t + 2, :][:, None].copy(),
         t=t,
@@ -84,7 +83,7 @@ def test_criterion_1_end_to_end_gradients():
     def loss_fn():
         fwd = forward(
             params, cfg.model, ad.constant(sample.features), ad.constant(sample.mask),
-            normalize(sample.adjacency),
+            normalize(graph.adjacency),
         )
         return compute_loss(sample, fwd, cfg)[2]
 

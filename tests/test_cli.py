@@ -79,6 +79,13 @@ class TestParseHorizon:
         with pytest.raises(ValueError):
             parse_horizon("7min", 300.0)
 
+    def test_minutes_need_a_step_length(self):
+        """A one-row series has no step length (NaN resolution); bare steps
+        need none."""
+        with pytest.raises(ValueError, match="at least 2 rows to know the step length"):
+            parse_horizon("30min", float("nan"))
+        assert parse_horizon("4", float("nan")) == 4
+
 
 class TestGenerate:
     def test_files_exist_and_reload(self, tmp_path):
@@ -504,6 +511,30 @@ class TestRejectedValues:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "eval_stride" in err
+
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_generate_steps(self, tmp_path, capsys, steps):
+        code = run(["generate", "--nodes", "20", "--steps", steps, "--out", str(tmp_path / "g")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 2 steps" in err
+        assert not (tmp_path / "g" / "speed.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(0, "row 2: the file has no readings after its header"),
+         (1, "horizon '30min' needs a series of at least 2 rows")],
+    )
+    def test_train_on_too_short_series(self, tmp_path, capsys, rows, message):
+        """A speed CSV cut to its header, or to one row, is refused with an
+        error that names the cause."""
+        data = dataset(tmp_path, nodes=20)
+        speed = data / "speed.csv"
+        speed.write_text("".join(speed.read_text().splitlines(keepends=True)[: 1 + rows]))
+        files = ["--data", str(speed), "--distances", str(data / "distances.csv")]
+        code = run(["train", *files, "--horizon", "30min", "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, name",

@@ -77,6 +77,16 @@ class TestSpeedCsv:
             load_speed_csv(p)
         assert err.value.row == 1
 
+    def test_header_only_names_row_2(self, tmp_path):
+        p = write(tmp_path / "s.csv", "timestamp,a,b\n")
+        with pytest.raises(SeriesFormatError, match="no readings after its header") as err:
+            load_speed_csv(p)
+        assert err.value.row == 2
+
+    def test_one_row_loads_without_a_resolution(self, tmp_path):
+        s = load_speed_csv(write(tmp_path / "s.csv", "timestamp,a,b\n0,1,2\n"))
+        assert s.steps == 1 and np.isnan(s.resolution)
+
     def test_gap_cells_become_nan_not_zero(self, tmp_path):
         p = write(tmp_path / "s.csv", "timestamp,a,b\n0,,2\n300,3,\n")
         s = load_speed_csv(p)
@@ -583,6 +593,11 @@ class TestGenerateSynthetic:
     def test_too_few_nodes(self, rng):
         with pytest.raises(DataError):
             generate_synthetic(3, 10, rng)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_too_few_steps(self, rng, steps):
+        with pytest.raises(DataError, match="at least 2 steps"):
+            generate_synthetic(8, steps, rng)
 
     def test_graph_matches_series(self, rng):
         g, s = generate_synthetic(9, 20, rng)

@@ -28,7 +28,7 @@ from gapcast.evaluate import (
     row_metrics,
     two_step_pipeline,
 )
-from gapcast.graph import block_diagonal
+from gapcast.graph import subgraph
 from gapcast.model import EvidentialOutput, ModelConfig, nig_nll_values
 from gapcast.training import TrainConfig, predict_full, predict_windows, train
 
@@ -312,11 +312,11 @@ class TestStackedCollection:
         monkeypatch.setattr(training, "INFERENCE_ROWS", 4 * graph.n)
         built = []
 
-        def counted(blocks):
-            built.append(len(blocks))
-            return block_diagonal(blocks)
+        def counted(adjacency, node_lists):
+            built.append(len(node_lists))
+            return subgraph(adjacency, node_lists)
 
-        monkeypatch.setattr(training, "block_diagonal", counted)
+        monkeypatch.setattr(training, "subgraph", counted)
         wp = collect_predictions(model, graph, te, te, stride=1)
         ends = wp.target_steps - model.horizon
         assert ends.size > 8 and built == [4, ends.size % 4]

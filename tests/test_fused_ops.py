@@ -19,6 +19,8 @@ from gapcast.autodiff import Adam, DomainError, Tape
 from gapcast.graph import normalize
 from gapcast.model import ModelConfig, dgcn_layer, init_params, nig_nll, weighted_mean
 
+from oracle_ops import absval, lgamma, log, relu
+
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -35,20 +37,20 @@ def composite_nig_nll(gamma, nu, alpha, beta, target, evidence_reg, weights):
     nll = ad.add(
         ad.add(
             ad.sub(
-                ad.scale(ad.log(nu), -0.5),
-                ad.hadamard(alpha, ad.log(omega)),
+                ad.scale(log(nu), -0.5),
+                ad.hadamard(alpha, log(omega)),
             ),
             ad.hadamard(
                 ad.add_scalar(alpha, 0.5),
-                ad.log(ad.add(ad.hadamard(nu, ad.square(resid)), omega)),
+                log(ad.add(ad.hadamard(nu, ad.square(resid)), omega)),
             ),
         ),
-        ad.sub(ad.lgamma(alpha), ad.lgamma(ad.add_scalar(alpha, 0.5))),
+        ad.sub(lgamma(alpha), lgamma(ad.add_scalar(alpha, 0.5))),
     )
     nll = ad.add_scalar(nll, 0.5 * math.log(math.pi))
     loss = weighted_mean(nll, weights)
     if evidence_reg:
-        penalty = ad.hadamard(ad.absval(resid), ad.add(ad.scale(nu, 2.0), alpha))
+        penalty = ad.hadamard(absval(resid), ad.add(ad.scale(nu, 2.0), alpha))
         loss = ad.add(loss, ad.scale(weighted_mean(penalty, weights), evidence_reg))
     return loss
 
@@ -132,12 +134,13 @@ def composite_chebyshev_terms(op, op_t, h, order):
     return terms
 
 
-def composite_dgcn_layer(h, p, layer, params, cfg):
+def composite_dgcn_layer(h, ops, layer, params, cfg):
     """The diffusion layer as separate tape ops: the Chebyshev recursion
     through ``operator_product``, ``scale`` and ``sub``, then matmuls and
-    adds."""
-    terms_f = composite_chebyshev_terms(p, p.T, h, cfg.cheb_order)
-    terms_b = composite_chebyshev_terms(p.T, p, h, cfg.cheb_order)
+    adds. ``ops`` is the pair (P, P.T), as ``dgcn_layer`` takes it."""
+    p, p_t = ops
+    terms_f = composite_chebyshev_terms(p, p_t, h, cfg.cheb_order)
+    terms_b = composite_chebyshev_terms(p_t, p, h, cfg.cheb_order)
     total = None
     for k in range(1, cfg.cheb_order + 1):
         part = ad.add(
@@ -146,7 +149,7 @@ def composite_dgcn_layer(h, p, layer, params, cfg):
         )
         total = part if total is None else ad.add(total, part)
     if layer == 2:
-        return ad.add(ad.relu(total), h)
+        return ad.add(relu(total), h)
     return total
 
 
@@ -171,7 +174,7 @@ def layer_run(layer_fn, rng_seed, order, layer, h_grad):
     h = make(rng.normal(size=(n, h_width)))
     probe = ad.constant(rng.normal(size=(n, hidden)))
     with Tape() as tape:
-        out = layer_fn(h, p, layer, params, cfg)
+        out = layer_fn(h, (p, p.T), layer, params, cfg)
         tape.backward(ad.reduce_sum(ad.hadamard(out, probe)))
     return out.values, [t.grad for t in [h, *params.values()]]
 
@@ -196,7 +199,8 @@ def test_dgcn_layer_is_one_tape_op():
     params = init_params(cfg, 4, rng)
     h = ad.parameter(rng.normal(size=(5, 4)))
     with Tape() as tape:
-        dgcn_layer(h, directed_transition(rng, 5), 2, params, cfg)
+        p = directed_transition(rng, 5)
+        dgcn_layer(h, (p, p.T), 2, params, cfg)
     assert len(tape.nodes) == 1
 
 
@@ -210,7 +214,7 @@ def test_dgcn_layer_dense_operator_matches_composite():
     for fn in (composite_dgcn_layer, dgcn_layer):
         h = ad.parameter(h_values.copy())
         with Tape() as tape:
-            out = fn(h, a, 3, params, cfg)
+            out = fn(h, (a, a.T), 3, params, cfg)
             tape.backward(ad.reduce_sum(out))
         theta = params["theta_b_l3_k2"]
         runs.append((out.values, h.grad, theta.grad))

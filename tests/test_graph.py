@@ -11,7 +11,6 @@ from scipy import sparse
 from gapcast.graph import (
     ParameterError,
     RoadGraph,
-    block_diagonal,
     build_adjacency,
     chebyshev_terms,
     normalize,
@@ -240,21 +239,33 @@ class TestChebyshev:
             chebyshev_terms(np.eye(3), np.ones((2, 1)), 1)
 
 
+def dense_union(a, lists):
+    """The oracle for ``subgraph``: a dense block-diagonal of ``np.ix_``
+    gathers, one block per node list."""
+    sizes = [len(nodes) for nodes in lists]
+    out = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for nodes, size in zip(lists, sizes):
+        out[start : start + size, start : start + size] = a[np.ix_(nodes, nodes)]
+        start += size
+    return out
+
+
 class TestSubgraph:
     def test_full_selection_is_identity(self):
         g = build_adjacency(ring_distances(6), sigma=2.0)
         np.testing.assert_array_equal(
-            subgraph(g.adjacency, np.arange(6)).toarray(), g.adjacency.toarray()
+            subgraph(g.adjacency, [np.arange(6)]).toarray(), g.adjacency.toarray()
         )
 
     def test_single_index(self):
         g = build_adjacency(ring_distances(6), sigma=2.0)
-        np.testing.assert_array_equal(subgraph(g.adjacency, [3]).toarray(), [[1.0]])
+        np.testing.assert_array_equal(subgraph(g.adjacency, [[3]]).toarray(), [[1.0]])
 
     def test_permuted_matches_naive_gather(self, rng):
         a = rng.uniform(0, 1, (15, 15))
         idx = rng.permutation(15)[:7]
-        got = subgraph(csr(a), idx).toarray()
+        got = subgraph(csr(a), [idx]).toarray()
         naive = np.empty((7, 7))
         for p in range(7):
             for q in range(7):
@@ -266,33 +277,56 @@ class TestSubgraph:
         assert g.adjacency.nnz < 30 * 30  # a sparse graph, so the gather drops columns
         for size in (0, 1, 7, 19, 30):
             idx = rng.permutation(30)[:size]
-            got = subgraph(g.adjacency, idx)
+            got = subgraph(g.adjacency, [idx])
             assert got.format == "csr" and got.shape == (size, size)
             np.testing.assert_array_equal(got.toarray(), g.adjacency.toarray()[np.ix_(idx, idx)])
 
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            [[2, 3, 4], [4, 5, 2]],
+            [[1, 4], [], [5, 0, 2]],
+            [[]],
+            [],
+            [[7, 0, 3, 11], [11, 3, 0, 7], [5, 9]],
+            [[8, 1, 6, 2, 0]],
+            [[0, 1, 2], [0, 1, 2], [2, 1, 0]],
+        ],
+        ids=["node-in-two-lists", "empty-list", "only-empty", "no-lists", "permuted-lists",
+             "single-list", "repeat-across-lists"],
+    )
+    def test_union_matches_dense_block_oracle(self, lists):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0, 1, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.4)
+        got = subgraph(csr(a), lists)
+        assert got.format == "csr"
+        np.testing.assert_array_equal(got.toarray(), dense_union(a, lists))
+
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            subgraph(csr(np.eye(3)), [0, 3])
+            subgraph(csr(np.eye(3)), [[0, 3]])
+        with pytest.raises(IndexError):
+            subgraph(csr(np.eye(3)), [[0], [-1]])
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ParameterError):
-            subgraph(csr(np.eye(3)), [0, 0])
+        with pytest.raises(ParameterError, match="repeats within one"):
+            subgraph(csr(np.eye(3)), [[0, 0]])
+        with pytest.raises(ParameterError, match="repeats within one"):
+            subgraph(csr(np.eye(3)), [[1], [0, 2, 0]])
 
 
 def test_block_diagonal_is_disjoint_union(rng):
+    """The union of several lists is the block-diagonal of each list's own
+    subgraph, before and after row normalization."""
     g = build_adjacency(ring_distances(12), sigma=2.0, kappa=3.0)
-    parts = [subgraph(g.adjacency, rng.permutation(12)[:size]) for size in (5, 1, 12)]
-    union = block_diagonal(parts)
-    dense = np.zeros((18, 18))
-    dense[:5, :5] = parts[0].toarray()
-    dense[5:6, 5:6] = parts[1].toarray()
-    dense[6:, 6:] = parts[2].toarray()
-    np.testing.assert_array_equal(union.toarray(), dense)
-    # Row normalization acts row by row, so it commutes with the union.
-    np.testing.assert_array_equal(
-        normalize(union).toarray(),
-        block_diagonal([normalize(p) for p in parts]).toarray(),
-    )
+    lists = [rng.permutation(12)[:size] for size in (5, 1, 12)]
+    union = subgraph(g.adjacency, lists)
+    for transform in (lambda m: m, normalize):
+        want = np.zeros((18, 18))
+        for (lo, hi), nodes in zip(((0, 5), (5, 6), (6, 18)), lists):
+            want[lo:hi, lo:hi] = transform(subgraph(g.adjacency, [nodes])).toarray()
+        # Row normalization acts row by row, so it commutes with the union.
+        np.testing.assert_array_equal(transform(union).toarray(), want)
 
 
 def test_normalize_after_subgraph_differs_from_before():
@@ -306,7 +340,7 @@ def test_normalize_after_subgraph_differs_from_before():
         ]
     )
     idx = [0, 1]
-    after = normalize(subgraph(csr(a), idx)).toarray()
+    after = normalize(subgraph(csr(a), [idx])).toarray()
     before = normalize(csr(a)).toarray()[np.ix_(idx, idx)]
     assert not np.allclose(after, before)
     np.testing.assert_allclose(after.sum(axis=1), 1.0)
@@ -335,12 +369,7 @@ class TestOnlyFloat64Csr:
 
     def test_subgraph(self, wrong):
         with pytest.raises(ParameterError, match="float64 scipy.sparse.csr_array"):
-            subgraph(wrong, [0, 2])
-
-    def test_block_diagonal(self, wrong):
-        good = build_adjacency(ring_distances(4), sigma=2.0).adjacency
-        with pytest.raises(ParameterError, match="float64 scipy.sparse.csr_array"):
-            block_diagonal([good, wrong])
+            subgraph(wrong, [[0, 2]])
 
     def test_road_graph(self, wrong):
         g = build_adjacency(ring_distances(5), sigma=2.0)

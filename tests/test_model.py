@@ -68,21 +68,21 @@ class TestDgcnLayer:
         cfg = ModelConfig(hidden_dim=4, layers=2, cheb_order=1)
         params = custom_params(cfg, 4, lambda s: np.eye(*s))
         h = ad.constant(rng.normal(size=(3, 4)))
-        out = dgcn_layer(h, np.eye(3), 1, params, cfg)
+        out = dgcn_layer(h, (np.eye(3), np.eye(3)), 1, params, cfg)
         np.testing.assert_allclose(out.values, 2 * h.values, atol=1e-12)
 
     def test_zero_weights_give_zero(self, rng):
         cfg = ModelConfig(hidden_dim=4, layers=3, cheb_order=2)
         params = custom_params(cfg, 4, np.zeros)
         h = ad.constant(rng.normal(size=(3, 4)))
-        out = dgcn_layer(h, np.eye(3), 3, params, cfg)
+        out = dgcn_layer(h, (np.eye(3), np.eye(3)), 3, params, cfg)
         np.testing.assert_array_equal(out.values, np.zeros((3, 4)))
 
     def test_layer2_applies_activation_and_residual(self, rng):
         cfg = ModelConfig(hidden_dim=4, layers=2, cheb_order=1)
         params = custom_params(cfg, 4, np.zeros)
         h1 = ad.constant(rng.normal(size=(3, 4)))
-        out = dgcn_layer(h1, np.eye(3), 2, params, cfg)
+        out = dgcn_layer(h1, (np.eye(3), np.eye(3)), 2, params, cfg)
         np.testing.assert_allclose(out.values, h1.values)  # relu(0) + H1
 
     def test_matches_naive_loop_oracle(self, rng):
@@ -115,7 +115,7 @@ class TestDgcnLayer:
                                 * h.values[p, q]
                                 * params[f"theta_b_l1_k{k}"].values[q, j]
                             )
-        out = dgcn_layer(h, abar, 1, params, cfg)
+        out = dgcn_layer(h, (abar, abar.T), 1, params, cfg)
         np.testing.assert_allclose(out.values, naive, atol=1e-10)
 
 

@@ -69,9 +69,11 @@ def test_tracer_installs_on_every_gapcast_module():
 
 def test_traced_run_sees_every_fused_call():
     """A fused op must not hide a call the benchmark's spans and counters
-    read: every diffusion layer, the Chebyshev terms, the loss, Adam, the
-    heads' matmul work and the inference normalisation stay visible to the
-    tracer."""
+    read: every diffusion layer, the Chebyshev terms, the batch operator's
+    gather and normalisation, the loss, Adam, the heads' matmul work and
+    the inference normalisation stay visible to the tracer. A training
+    batch gathers its operator with one ``subgraph`` call and normalises
+    it with one ``normalize`` call."""
     graph, series = generate_synthetic(8, 200, np.random.default_rng(0))
     graph = hide_locations(graph, 2, np.random.default_rng(1))
     cfg = TrainConfig(
@@ -84,15 +86,17 @@ def test_traced_run_sees_every_fused_call():
     tracer = load_gapbench("spans").Tracer()
     with tracer:  # called through their modules, where the tracer wraps them
         model = training.train(graph, train_s, cfg, np.random.default_rng(2)).model
+        per_batch = [tracer.stats[name].calls for name in ("graph.subgraph", "graph.normalize")]
         evaluate.collect_predictions(model, graph, test, test, stride=3)
         training.predict_full(graph, test.values[: cfg.history], model)
     for name in (
         "model.dgcn_layer.l1", "model.dgcn_layer.l2", "model.dgcn_layer.l3",
-        "graph.chebyshev_terms", "model.nig_nll", "autodiff.Adam.step",
-        "evaluate.collect_predictions", "training.predict_full",
+        "graph.chebyshev_terms", "graph.subgraph", "graph.normalize", "model.nig_nll",
+        "autodiff.Adam.step", "evaluate.collect_predictions", "training.predict_full",
     ):
         assert tracer.stats[name].calls > 0, name
     assert tracer.tape.batches == 2 and tracer.tape.matmul_flop > 0
+    assert per_batch == [2, 2]  # one of each per training batch
     assert tracer.inference_normalize_calls == 2  # once per inference call
 
 

@@ -7,7 +7,7 @@ from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
 from gapcast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gapcast.data import DataError, NodeIdMismatch, generate_synthetic, hide_locations
-from gapcast.graph import build_adjacency, normalize
+from gapcast.graph import build_adjacency, normalize, subgraph
 from gapcast.model import (
     ForwardPass,
     ModelConfig,
@@ -175,7 +175,6 @@ def fake_sample(target, features, mask):
         reserved=np.arange(n),
         masked=np.empty(0, dtype=np.int64),
         mask=mask,
-        adjacency=np.eye(n),
         features=features,
         target=np.asarray(target, dtype=float),
         t=0,
@@ -224,14 +223,14 @@ class TestComputeLoss:
         assert totals[0] < totals[1] < totals[2]
 
 
-def per_sample_mean_loss(params, samples, cfg):
+def per_sample_mean_loss(params, samples, cfg, adjacency):
     """The batch loss as the mean over samples of plain per-node means,
     one forward pass per sample: the oracle for the disjoint-union batch."""
     total = None
     for s in samples:
         fwd = forward(
             params, cfg.model, ad.constant(s.features), ad.constant(s.mask),
-            normalize(s.adjacency),
+            normalize(subgraph(adjacency, [s.node_indices])),
         )
         n = s.node_indices.size
         plain = ad.constant(np.full((n, 1), 1.0 / n))
@@ -245,8 +244,8 @@ def per_sample_mean_loss(params, samples, cfg):
     return ad.scale(total, 1.0 / len(samples))
 
 
-def union_loss(params, samples, cfg):
-    batch = SampleBatch.stack(samples)
+def union_loss(params, samples, cfg, adjacency):
+    batch = SampleBatch.stack(samples, adjacency)
     fwd = forward(
         params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
         normalize(batch.adjacency),
@@ -254,9 +253,9 @@ def union_loss(params, samples, cfg):
     return compute_loss(batch, fwd, cfg)[2]
 
 
-def loss_and_grads(loss_fn, params, samples, cfg):
+def loss_and_grads(loss_fn, params, samples, cfg, adjacency):
     with Tape() as tape:
-        loss = loss_fn(params, samples, cfg)
+        loss = loss_fn(params, samples, cfg, adjacency)
     tape.backward(loss)
     grads = {k: p.grad.copy() for k, p in params.items()}
     for p in params.values():
@@ -275,8 +274,10 @@ class TestSampleBatch:
         for _ in range(4):
             samples = [draw_sample(graph, values, cfg, rng, steps) for _ in range(4)]
             assert len({s.node_indices.size for s in samples}) > 1  # unequal sizes
-            want, want_grads, _ = loss_and_grads(per_sample_mean_loss, params, samples, cfg)
-            got, got_grads, _ = loss_and_grads(union_loss, params, samples, cfg)
+            want, want_grads, _ = loss_and_grads(
+                per_sample_mean_loss, params, samples, cfg, graph.adjacency
+            )
+            got, got_grads, _ = loss_and_grads(union_loss, params, samples, cfg, graph.adjacency)
             assert abs(got - want) <= 1e-12 * abs(want)
             for name, ref in want_grads.items():
                 err = np.max(np.abs(got_grads[name] - ref))
@@ -289,10 +290,11 @@ class TestSampleBatch:
         rng = np.random.default_rng(5)
         steps = windows(graph, series.values, cfg)
         samples = [draw_sample(graph, series.values, cfg, rng, steps) for _ in range(4)]
-        ops_one = loss_and_grads(union_loss, params, samples[:1], cfg)[2]
-        ops_four = loss_and_grads(union_loss, params, samples, cfg)[2]
+        a = graph.adjacency
+        ops_one = loss_and_grads(union_loss, params, samples[:1], cfg, a)[2]
+        ops_four = loss_and_grads(union_loss, params, samples, cfg, a)[2]
         assert ops_one == ops_four
-        assert ops_four < loss_and_grads(per_sample_mean_loss, params, samples, cfg)[2] / 3
+        assert ops_four < loss_and_grads(per_sample_mean_loss, params, samples, cfg, a)[2] / 3
 
     def test_stacked_rows_follow_sample_order(self, small_world):
         graph, series = small_world
@@ -300,7 +302,7 @@ class TestSampleBatch:
         cfg = tiny_cfg()
         steps = windows(graph, series.values, cfg)
         samples = [draw_sample(graph, series.values, cfg, rng, steps) for _ in range(3)]
-        batch = SampleBatch.stack(samples)
+        batch = SampleBatch.stack(samples, graph.adjacency)
         sizes = [s.node_indices.size for s in samples]
         np.testing.assert_array_equal(batch.target, np.vstack([s.target for s in samples]))
         for s, block in zip(samples, np.split(batch.weights[:, 0], np.cumsum(sizes)[:-1])):
