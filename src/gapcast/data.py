@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -385,11 +386,17 @@ def split(
 def hide_locations(graph: RoadGraph, count, rng: np.random.Generator) -> RoadGraph:
     """Uniformly mark ``count`` nodes (or a fraction in (0,1)) as missing.
 
+    Any real number in (0, 1) is a fraction of the nodes, rounded down;
+    any other count must be a whole number, and a bool is refused.
     Only visibility flags change; series values are never altered.
     """
     n = graph.n
-    if isinstance(count, float) and 0 < count < 1:
-        count = int(n * count)
+    if isinstance(count, bool) or not isinstance(count, numbers.Real):
+        raise DataError(f"hide count must be a number, got {count!r}")
+    if 0 < count < 1:
+        count = int(n * float(count))
+    elif not float(count).is_integer():
+        raise DataError(f"hide count must be a whole number or in (0, 1), got {count!r}")
     count = int(count)
     if not 0 <= count < n:
         raise DataError(f"hide count must be in [0, {n}), got {count}")

@@ -12,7 +12,7 @@ import numpy as np
 from .data import DataError, SpeedSeries, SplitSpec, check_node_ids, split
 from .graph import RoadGraph
 from .model import EvidentialOutput, nig_nll_values
-from .training import TrainConfig, TrainedModel, gap_free_history, predict_windows, train
+from .training import TrainConfig, TrainedModel, predict_windows, train, valid_time_steps
 
 __all__ = [
     "MetricReport",
@@ -109,15 +109,10 @@ def collect_predictions(
         raise DataError(f"truth has {truth_series.steps} steps, the input {input_series.steps}")
     if tuple(truth_series.node_ids) != tuple(input_series.node_ids):
         raise DataError("truth and input series have different node ids")
-    t_hist, dt = model.history, model.horizon
+    dt = model.horizon
     values = input_series.values
-    steps = values.shape[0]
-    if steps < t_hist + dt:
-        raise DataError(f"evaluation series too short: {steps} < {t_hist + dt}")
-    finite_truth = np.isfinite(truth_series.values).all(axis=1)
-    ends = np.arange(t_hist - 1, steps - dt, stride)
-    finite = np.isfinite(values[:, eval_graph.observable]).all(axis=1)
-    ends = ends[gap_free_history(finite, ends, t_hist) & finite_truth[ends + dt]]
+    ends = valid_time_steps(values, model.history, dt, eval_graph.observable, stride)
+    ends = ends[np.isfinite(truth_series.values[ends + dt]).all(axis=1)]
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
     return WindowPredictions(

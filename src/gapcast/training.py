@@ -171,10 +171,11 @@ def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.n
 
 
 def valid_time_steps(
-    values: np.ndarray, history: int, horizon: int, columns: np.ndarray
+    values: np.ndarray, history: int, horizon: int, columns: np.ndarray, stride: int = 1
 ) -> np.ndarray:
-    """Time indices t whose [t-history+1, t] window and t+horizon target are
-    gap-free on the given columns."""
+    """Time indices t, every ``stride``-th from history - 1, whose
+    [t-history+1, t] window and t+horizon target are gap-free on the given
+    columns: the window rule of training and evaluation alike."""
     steps = values.shape[0]
     if steps < history + horizon:
         raise DataError(
@@ -182,10 +183,10 @@ def valid_time_steps(
             f"for history={history}, horizon={horizon}"
         )
     finite = np.isfinite(values[:, columns]).all(axis=1)
-    ts = np.arange(history - 1, steps - horizon)
+    ts = np.arange(history - 1, steps - horizon, stride)
     valid = ts[gap_free_history(finite, ts, history) & finite[ts + horizon]]
     if valid.size == 0:
-        raise DataError("no gap-free training windows available")
+        raise DataError("no gap-free windows in the series")
     return valid
 
 

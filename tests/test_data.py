@@ -503,6 +503,21 @@ class TestHideLocations:
         g = hide_locations(graph, 0.3, rng)
         assert g.missing.size == 3
 
+    @pytest.mark.parametrize(
+        "count, hidden",
+        [(0.2, 4), (np.float32(0.2), 4), (np.float64(0.2), 4), (4, 4), (np.int64(4), 4), (4.0, 4)],
+    )
+    def test_any_real_fraction_or_whole_count(self, count, hidden):
+        graph, _ = generate_synthetic(20, 10, np.random.default_rng(0))
+        g = hide_locations(graph, count, np.random.default_rng(1))
+        assert g.missing.size == hidden
+
+    @pytest.mark.parametrize("count", [2.7, 1.5, float("nan"), True, False, np.bool_(True), "3"])
+    def test_count_not_whole_rejected(self, rng, count):
+        graph, _ = generate_synthetic(20, 10, rng)
+        with pytest.raises(DataError, match="hide count"):
+            hide_locations(graph, count, rng)
+
     def test_seeded_reproducible(self, rng):
         graph, _ = generate_synthetic(12, 10, rng)
         a = hide_locations(graph, 4, np.random.default_rng(5))

@@ -1,6 +1,7 @@
 """The benchmark's span tracer still finds every function it wraps, its
 inputs still load, ``scripts/bench_compare.py`` pairs and summarises
-benchmark results, and the study scripts run end to end.
+benchmark results, and the study script runs end to end and summarises
+its seeds with the same sign test.
 
 ``gapbench/spans.py`` patches gapcast functions by name, and
 ``gapbench/workloads.py`` reaches the program through CSV files,
@@ -154,9 +155,10 @@ def test_benchmark_checks_run_on_a_trained_model():
     assert workloads.nig_row_ok(*got[:, None]).all()
 
 
-def load_bench_compare():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_compare.py"
-    spec = importlib.util.spec_from_file_location("bench_compare", path)
+def load_script(name):
+    """``scripts/<name>.py`` as a module; the scripts directory must be on
+    ``sys.path`` for a script that imports another."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -179,7 +181,7 @@ def write_result(directory, workload, seed, op_ms, failed=0):
 
 
 def test_bench_compare_pairs_runs_by_workload_and_seed(tmp_path):
-    bench = load_bench_compare()
+    bench = load_script("bench_compare")
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, (before, after) in enumerate([(10, 8), (11, 12), (12, 9), (13, 9)], start=1):
         write_result(parent, "eval-n200", seed, before)
@@ -209,15 +211,13 @@ def test_bench_compare_pairs_runs_by_workload_and_seed(tmp_path):
 
 
 def run_script(name, *args):
-    """Run ``scripts/<name>`` in a fresh interpreter; return its stdout."""
+    """Run ``scripts/<name>`` in a fresh interpreter; return the finished process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 def read_rows(path):
@@ -225,32 +225,101 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_sensing_study_script_runs_with_one_deployment_step(tmp_path):
-    out = run_script(
-        "run_sensing.py", "--seeds", 1, "--nodes", 8, "--steps", 300, "--init-sensors", 3,
-        "--budget", 1, "--deploy-steps", 1, "--train-iters", 2, "--out", tmp_path,
-    )
-    assert "seed 0 random: step 1 missing" in out
-    rows = read_rows(tmp_path / "sensing_curves.csv")
-    assert [(r["policy"], r["step"], r["n_observable"]) for r in rows] == [
-        ("uncertainty", "0", "3"), ("uncertainty", "1", "4"),
-        ("random", "0", "3"), ("random", "1", "4"),
-    ]
-    assert all(float(r["rmse_obs"]) > 0 and float(r["rmse_missing"]) > 0 for r in rows)
+STUDY_METHODS = ("inductive", "mean-two-step", "knn-two-step")
+GROUPS = ("observable", "missing")
+
+
+def test_study_script_writes_both_studies_and_reruns_identically(tmp_path):
+    """One seed at full size and 2 iterations, run twice: every forecasting
+    method and group, both policies at every sensing step, the episode and
+    per-node files, and study and summary files that rerun byte for byte;
+    wall-clock seconds go only to seconds.csv."""
+    for run in ("a", "b"):
+        done = run_script("run_study.py", "--seeds", "0:1", "--iters", 2, "--out", tmp_path / run)
+        assert done.returncode == 0, done.stderr
+    out = tmp_path / "a"
+    for name in ("study.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    assert "seed 0 missing rmse" in done.stdout
+    rows = read_rows(out / "study.csv")
+    values = {tuple(r[k] for k in ("study", "method", "step", "group", "metric")): float(r["value"])
+              for r in rows}
+    assert len(values) == len(rows) == 3 * 2 * 4 + 3 + 2 * 6 * 2
+    assert {r["seed"] for r in rows} == {"0"}
+    for method in STUDY_METHODS:
+        for group in GROUPS:
+            assert values["forecast", method, "", group, "rmse"] > 0
+            assert np.isfinite(values["forecast", method, "", group, "nll"])
+            assert ("forecast", method, "", group, "r2") in values
+    assert np.isfinite(values["forecast", "inductive", "", "all", "spearman"])
     for policy in ("uncertainty", "random"):
-        assert len(read_rows(tmp_path / f"episode_seed0_{policy}.csv")) == 2
-
-
-def test_benchmark_script_writes_every_method_and_group(tmp_path):
-    run_script(
-        "run_benchmark.py", "--seeds", 1, "--nodes", 8, "--steps", 300, "--hide-count", 2,
-        "--epochs", 2, "--hidden", 8, "--out", tmp_path,
-    )
-    rows = read_rows(tmp_path / "benchmark.csv")
-    assert [(r["method"], r["seed"], r["group"]) for r in rows] == [
-        (method, "0", group)
-        for method in ("inductive", "mean-two-step", "knn-two-step")
-        for group in ("observable", "missing")
+        for step in range(6):
+            assert all(values["sensing", policy, str(step), g, "rmse"] > 0 for g in GROUPS)
+        episode = read_rows(out / f"episode_seed0_{policy}.csv")
+        assert [int(r["n_observable"]) for r in episode] == [10, 15, 20, 25, 30, 35]
+    assert len(read_rows(out / "per_node_seed0.csv")) == 20
+    assert len(read_rows(out / "summary.csv")) == 2 + 2 + 1 + 5
+    seconds = read_rows(out / "seconds.csv")
+    assert [(r["study"], r["method"]) for r in seconds] == [
+        *(("forecast", m) for m in STUDY_METHODS), ("sensing", "uncertainty"), ("sensing", "random")
     ]
-    assert all(float(r["rmse"]) > 0 and np.isfinite(float(r["nll"])) for r in rows)
-    assert len(read_rows(tmp_path / "per_node_seed0.csv")) == 8
+    assert all(float(r["seconds"]) > 0 for r in seconds)
+    files = sorted(path.name for path in out.iterdir())
+    assert files == ["episode_seed0_random.csv", "episode_seed0_uncertainty.csv",
+                     "per_node_seed0.csv", "seconds.csv", "study.csv", "summary.csv"]
+    assert [name for name in files if "seconds" in (out / name).read_text()] == ["seconds.csv"]
+
+
+@pytest.mark.parametrize("seeds", ["5:5", "a:b", "3"])
+def test_study_script_refuses_a_bad_seed_range(tmp_path, seeds):
+    done = run_script("run_study.py", "--seeds", seeds, "--out", tmp_path)
+    assert done.returncode == 2 and "--seeds" in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_study_summary_counts_wins_and_reuses_the_sign_test(monkeypatch):
+    """Hand-made rows with known wins, losses and ties: a lower RMSE wins
+    against a baseline, a higher uncertainty wins at missing locations,
+    the Spearman values are compared with 0.3, step 0 of sensing is not
+    compared, and each p-value is bench_compare's sign test."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    study, bench = load_script("run_study"), load_script("bench_compare")
+
+    def seeds(kind, method, step, group, metric, values):
+        return [(kind, seed, method, step, group, metric, v) for seed, v in enumerate(values)]
+
+    rows = [
+        *seeds("forecast", "inductive", "", "missing", "rmse", [1, 2, 3, 4, 5]),
+        *seeds("forecast", "mean-two-step", "", "missing", "rmse", [2, 1, 4, 4, 6]),
+        *seeds("forecast", "knn-two-step", "", "missing", "rmse", [0.5, 0.5, 0.5]),
+        *seeds("forecast", "inductive", "", "missing", "epistemic", [5, 5, 5, 5, 5]),
+        *seeds("forecast", "inductive", "", "observable", "epistemic", [1, 1, 1, 9, 5]),
+        *seeds("forecast", "inductive", "", "missing", "nll", [2, 2, 2, 2, 2]),
+        *seeds("forecast", "inductive", "", "observable", "nll", [1, 1, 1, 1, 1]),
+        *seeds("forecast", "inductive", "", "all", "spearman", [0.5, 0.2, 0.3, 0.9, 0.4]),
+    ]
+    for step, unc, rand in [(0, [9] * 5, [1] * 5), (1, [1] * 5, [2] * 5), (2, [3] * 5, [2, 2, 2, 2, 3])]:
+        rows += seeds("sensing", "uncertainty", step, "missing", "rmse", unc)
+        rows += seeds("sensing", "random", step, "missing", "rmse", rand)
+        rows += seeds("sensing", "random", step, "observable", "rmse", [0] * 5)
+    got = {(a, b): rest for a, b, *rest in study.summarize(rows)}
+    want = {
+        ("forecast/inductive/missing/rmse", "forecast/mean-two-step/missing/rmse"):
+            ("lower", 5, 3, 4, 3, 1, 1),
+        ("forecast/inductive/missing/rmse", "forecast/knn-two-step/missing/rmse"):
+            ("lower", 3, 2, 0.5, 0, 3, 0),
+        ("forecast/inductive/missing/epistemic", "forecast/inductive/observable/epistemic"):
+            ("higher", 5, 5, 1, 3, 1, 1),
+        ("forecast/inductive/missing/nll", "forecast/inductive/observable/nll"):
+            ("higher", 5, 2, 1, 5, 0, 0),
+        ("forecast/inductive/all/spearman", "0.3"): ("higher", 5, 0.4, 0.3, 3, 1, 1),
+        ("sensing/uncertainty/1/missing/rmse", "sensing/random/1/missing/rmse"):
+            ("lower", 5, 1, 2, 5, 0, 0),
+        ("sensing/uncertainty/2/missing/rmse", "sensing/random/2/missing/rmse"):
+            ("lower", 5, 3, 2, 0, 4, 1),
+    }
+    assert list(got) == list(want)
+    for key, (*counts, p) in got.items():
+        assert tuple(counts) == want[key], key
+        assert p == bench.sign_test(*counts[4:6])
+    assert got["forecast/inductive/missing/nll", "forecast/inductive/observable/nll"][-1] == 0.0625

@@ -94,6 +94,20 @@ class TestValidTimeSteps:
             assert t not in ts
         assert 8 in ts and 13 in ts
 
+    @pytest.mark.parametrize("stride", [2, 3, 7])
+    def test_stride_keeps_every_strided_window(self, stride):
+        values = np.ones((30, 2))
+        values[10, 0] = np.nan
+        every = valid_time_steps(values, history=3, horizon=1, columns=np.array([0, 1]))
+        ts = valid_time_steps(values, 3, 1, np.array([0, 1]), stride=stride)
+        np.testing.assert_array_equal(ts, every[(every - 2) % stride == 0])
+
+    def test_no_window_left_is_named(self):
+        values = np.ones((20, 2))
+        values[::3, 1] = np.nan
+        with pytest.raises(DataError, match="no gap-free windows in the series"):
+            valid_time_steps(values, history=3, horizon=1, columns=np.array([0, 1]))
+
 
 class TestDrawSample:
     def test_two_observable_forces_one_and_one(self, rng):
