@@ -26,6 +26,7 @@ import pytest
 import gapcast
 from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
 from gapcast.model import ModelConfig
+from gapcast.sensing import SensingConfig
 from gapcast.training import TrainConfig, predict_full, train
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -229,35 +230,78 @@ STUDY_METHODS = ("inductive", "mean-two-step", "knn-two-step")
 GROUPS = ("observable", "missing")
 
 
-def test_study_script_writes_both_studies_and_reruns_identically(tmp_path):
-    """One seed at full size and 2 iterations, run twice: every forecasting
-    method and group, both policies at every sensing step, the episode and
-    per-node files, and study and summary files that rerun byte for byte;
-    wall-clock seconds go only to seconds.csv."""
+@pytest.fixture(scope="module")
+def study_runs(tmp_path_factory):
+    """Two runs of ``run_study.py`` on one seed at full size and 2
+    iterations: the first run's directory, the second's, and the second's
+    stdout."""
+    runs = tmp_path_factory.mktemp("study")
     for run in ("a", "b"):
-        done = run_script("run_study.py", "--seeds", "0:1", "--iters", 2, "--out", tmp_path / run)
+        done = run_script("run_study.py", "--seeds", "0:1", "--iters", 2, "--out", runs / run)
         assert done.returncode == 0, done.stderr
-    out = tmp_path / "a"
-    for name in ("study.csv", "summary.csv"):
-        assert (out / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
-    assert "seed 0 missing rmse" in done.stdout
+    return runs / "a", runs / "b", done.stdout
+
+
+def study_values(out):
     rows = read_rows(out / "study.csv")
     values = {tuple(r[k] for k in ("study", "method", "step", "group", "metric")): float(r["value"])
               for r in rows}
-    assert len(values) == len(rows) == 3 * 2 * 4 + 3 + 2 * 6 * 2
-    assert {r["seed"] for r in rows} == {"0"}
+    assert len(values) == len(rows)
+    return values
+
+
+def test_benchmark_script_writes_every_method_and_group(study_runs):
+    """The forecasting study: every method and group with a positive RMSE,
+    a finite NLL and an R2, the Spearman value, and the per-node CSV."""
+    out, _, stdout = study_runs
+    values = study_values(out)
+    assert "seed 0 missing rmse" in stdout
     for method in STUDY_METHODS:
         for group in GROUPS:
             assert values["forecast", method, "", group, "rmse"] > 0
             assert np.isfinite(values["forecast", method, "", group, "nll"])
             assert ("forecast", method, "", group, "r2") in values
     assert np.isfinite(values["forecast", "inductive", "", "all", "spearman"])
+    assert len(read_rows(out / "per_node_seed0.csv")) == 20
+
+
+def test_sensing_study_script_runs_with_one_deployment_step(tmp_path, monkeypatch):
+    """The study's sensing function on a one-step episode: both policies at
+    steps 0 and 1 with positive RMSEs, n_observable grown by the budget in
+    each episode CSV, and one timing per policy."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    study = load_script("run_study")
+    cfg = SensingConfig(initial_count=3, budget_per_step=1, steps=1, eval_stride=8,
+                        train=TrainConfig(iterations=2, history=12, horizon=3,
+                                          model=ModelConfig(hidden_dim=8)))
+    seconds = []
+    rows = study.sensing(0, cfg, tmp_path, seconds)
+    assert [row[:5] for row in rows] == [
+        ("sensing", 0, policy, step, group)
+        for policy in ("uncertainty", "random") for step in (0, 1) for group in GROUPS
+    ]
+    assert all(row[5] == "rmse" and row[6] > 0 for row in rows)
+    for policy in ("uncertainty", "random"):
+        episode = read_rows(tmp_path / f"episode_seed0_{policy}.csv")
+        assert [(r["step"], r["n_observable"]) for r in episode] == [("0", "3"), ("1", "4")]
+    assert [key[:3] for key in seconds] == [("sensing", 0, "uncertainty"), ("sensing", 0, "random")]
+
+
+def test_study_script_writes_both_studies_and_reruns_identically(study_runs):
+    """Both studies in one study.csv, both policies at every full-size
+    sensing step, study and summary files that rerun byte for byte, and
+    wall-clock seconds only in seconds.csv."""
+    out, rerun, _ = study_runs
+    for name in ("study.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (rerun / name).read_bytes(), name
+    values = study_values(out)
+    assert len(values) == 3 * 2 * 4 + 3 + 2 * 6 * 2
+    assert {r["seed"] for r in read_rows(out / "study.csv")} == {"0"}
     for policy in ("uncertainty", "random"):
         for step in range(6):
             assert all(values["sensing", policy, str(step), g, "rmse"] > 0 for g in GROUPS)
         episode = read_rows(out / f"episode_seed0_{policy}.csv")
         assert [int(r["n_observable"]) for r in episode] == [10, 15, 20, 25, 30, 35]
-    assert len(read_rows(out / "per_node_seed0.csv")) == 20
     assert len(read_rows(out / "summary.csv")) == 2 + 2 + 1 + 5
     seconds = read_rows(out / "seconds.csv")
     assert [(r["study"], r["method"]) for r in seconds] == [
