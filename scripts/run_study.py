@@ -27,7 +27,7 @@ from bench_compare import sign_test
 from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
 from gapcast.evaluate import GROUP_METRICS, collect_predictions, make_report, two_step_pipeline
 from gapcast.model import ModelConfig
-from gapcast.sensing import POLICIES, SensingConfig, run_episode
+from gapcast.sensing import POLICIES, SensingConfig, run_episodes
 from gapcast.training import TrainConfig, train
 
 GROUPS = ("observable", "missing")
@@ -79,14 +79,13 @@ def forecast(seed, cfg, out, seconds):
 def sensing(seed, cfg, out, seconds):
     gen = np.random.default_rng(seed)
     graph, series = generate_synthetic(40, 2000, gen, kappa_hops=6.5, wave_het=0.9, noise_amp=1.5)
-    rows = []
-    for policy in POLICIES:
-        with clock(seconds, "sensing", seed, policy):
-            episode = run_episode(graph, series, cfg, policy, np.random.default_rng(seed))
-        episode.to_csv(out / f"episode_seed{seed}_{policy}.csv")
-        rows += [("sensing", seed, policy, r.step, group, "rmse", value) for r in episode.records
-                 for group, value in zip(GROUPS, (r.rmse_observable, r.rmse_missing))]
-    return rows
+    with clock(seconds, "sensing", seed, "+".join(POLICIES)):
+        episodes = run_episodes(graph, series, cfg, POLICIES, np.random.default_rng(seed))
+    for episode in episodes:
+        episode.to_csv(out / f"episode_seed{seed}_{episode.policy}.csv")
+    return [("sensing", seed, episode.policy, r.step, group, "rmse", value)
+            for episode in episodes for r in episode.records
+            for group, value in zip(GROUPS, (r.rmse_observable, r.rmse_missing))]
 
 
 def summarize(rows) -> list[tuple]:

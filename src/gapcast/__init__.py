@@ -6,7 +6,7 @@ from .data import SpeedSeries, SplitSpec, generate_synthetic, hide_locations, sp
 from .evaluate import MetricReport, knn_impute, mean_impute, two_step_pipeline
 from .graph import RoadGraph, build_adjacency, normalize
 from .model import EvidentialOutput, ModelConfig
-from .sensing import SensingConfig, SensingEpisode, run_episode
+from .sensing import SensingConfig, SensingEpisode, run_episode, run_episodes
 from .training import (
     TrainConfig,
     TrainedModel,
@@ -41,6 +41,7 @@ __all__ = [
     "SensingConfig",
     "SensingEpisode",
     "run_episode",
+    "run_episodes",
     "TrainConfig",
     "TrainedModel",
     "draw_sample",

@@ -34,7 +34,7 @@ from .checkpoint import CheckpointError
 from .evaluate import collect_predictions, make_report
 from .graph import build_adjacency
 from .model import ModelConfig
-from .sensing import POLICIES, SensingConfig, run_episode
+from .sensing import POLICIES, SensingConfig, run_episodes
 from .training import TrainConfig, load_model, save_model, train
 
 
@@ -293,13 +293,12 @@ def cmd_sense(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
         train=_train_config(cfg, series.resolution),
         eval_stride=cfg["eval_stride"],
     )
-    for policy in cfg["policy"]:
-        rng = np.random.default_rng(cfg["seed"])
-        episode = run_episode(graph, series, sense_cfg, policy, rng)
-        episode.to_csv(out / f"episode_{policy}.csv")
+    rng = np.random.default_rng(cfg["seed"])
+    for episode in run_episodes(graph, series, sense_cfg, cfg["policy"], rng):
+        episode.to_csv(out / f"episode_{episode.policy}.csv")
         last = episode.records[-1]
         print(
-            f"{policy}: final coverage {last.n_observable}, "
+            f"{episode.policy}: final coverage {last.n_observable}, "
             f"rmse obs {last.rmse_observable:.3f}, missing {last.rmse_missing:.3f}"
         )
 

@@ -394,7 +394,7 @@ def hide_locations(graph: RoadGraph, count, rng: np.random.Generator) -> RoadGra
     if isinstance(count, bool) or not isinstance(count, numbers.Real):
         raise DataError(f"hide count must be a number, got {count!r}")
     if 0 < count < 1:
-        count = int(n * float(count))
+        count = math.floor(round(n * float(count), 9))  # 0.29 * 100 is 28.999...
     elif not float(count).is_integer():
         raise DataError(f"hide count must be a whole number or in (0, 1), got {count!r}")
     count = int(count)

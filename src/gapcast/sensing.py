@@ -15,7 +15,8 @@ from .evaluate import collect_predictions, make_report
 from .graph import RoadGraph
 from .training import TrainConfig, train
 
-__all__ = ["SensingConfig", "StepRecord", "SensingEpisode", "selection", "run_episode"]
+__all__ = ["SensingConfig", "StepRecord", "SensingEpisode", "selection", "run_episode",
+           "run_episodes"]
 
 POLICIES = ("uncertainty", "random")
 
@@ -50,7 +51,6 @@ class StepRecord:
     added: list[int]
     rmse_observable: float
     rmse_missing: float
-    truncated: bool = False
 
 
 @dataclass
@@ -98,28 +98,30 @@ def selection(uncertainties: np.ndarray, excluded, budget: int) -> np.ndarray:
     return candidates[order[:budget]]
 
 
-def run_episode(
+def run_episodes(
     graph: RoadGraph,
     series: SpeedSeries,
     cfg: SensingConfig,
-    policy: str,
+    policies,
     rng: np.random.Generator,
-) -> SensingEpisode:
-    """One deployment episode under a policy.
-
-    Starts from a random initial sensor set, then alternates train /
-    evaluate / deploy. Each record holds metrics for the coverage it was
-    trained on, including one final record after the last deployment. A
-    final step whose budget exceeds the remaining nodes is truncated and
-    flagged.
+) -> list[SensingEpisode]:
+    """One deployment episode per policy, in the order given, all from one
+    step 0: the initial sensor set is drawn, and its model trained and
+    scored, once. Each record holds metrics for the coverage it was
+    trained on. A final step whose budget exceeds the remaining nodes
+    deploys what is left. An empty, unknown or repeated policy raises
+    DataError.
     """
-    if policy not in POLICIES:
-        raise DataError(f"policy must be one of {POLICIES}, got {policy!r}")
+    for i, policy in enumerate(policies):
+        if policy not in POLICIES or policy in policies[:i]:
+            raise DataError(f"policies must be distinct names from {POLICIES}, got {policy!r}")
+    if not policies:
+        raise DataError(f"policies must name at least one of {POLICIES}")
     n = graph.n
     if cfg.initial_count < 2 or cfg.initial_count > n:
         raise DataError(f"initial_count must be in [2, {n}]")
     min_steps = cfg.train.history + cfg.train.horizon
-    train_series, _, test_series = split(series, SplitSpec(), min_steps=min_steps)
+    train_s, _, test_s = split(series, SplitSpec(), min_steps=min_steps)
 
     # Child generators are derived once so that two episodes with the same
     # seed are paired: identical initial coverage, and identical retraining
@@ -127,40 +129,44 @@ def run_episode(
     # differ between policies.
     base = int(rng.integers(2**62))
     init_rng = np.random.default_rng([base, 0])
-    observable = np.sort(init_rng.choice(n, size=cfg.initial_count, replace=False))
-    records: list[StepRecord] = []
-    added: list[int] = []
-    truncated = False
-    for step in range(cfg.steps + 1):
-        missing = np.setdiff1d(np.arange(n), observable)
-        current = graph.with_partition(observable, missing)
-        result = train(current, train_series, cfg.train, np.random.default_rng([base, 1, step]))
-        wp = collect_predictions(
-            result.model, current, test_series, test_series, stride=cfg.eval_stride
-        )
-        report = make_report(wp, current, cfg.train.horizon)
-        records.append(
-            StepRecord(
-                step=step,
-                n_observable=int(observable.size),
-                added=added,
-                rmse_observable=report.groups["observable"]["rmse"],
-                rmse_missing=report.groups["missing"]["rmse"],
-                truncated=truncated,
-            )
-        )
-        if step == cfg.steps or missing.size == 0:
-            break
-        budget = cfg.budget_per_step
-        if budget > missing.size:
-            budget = missing.size
-            truncated = True
-        if policy == "uncertainty":
-            epistemic = np.array([row["epistemic"] for row in report.per_node])
-            chosen = selection(epistemic, observable, budget)
-        else:
-            select_rng = np.random.default_rng([base, 2, step])
-            chosen = np.sort(select_rng.choice(missing, size=budget, replace=False))
-        added = sorted(int(i) for i in chosen)
-        observable = np.sort(np.concatenate([observable, chosen]))
-    return SensingEpisode(policy=policy, records=records)
+    initial = np.sort(init_rng.choice(n, size=cfg.initial_count, replace=False))
+
+    def assess(observable, step):
+        current = graph.with_partition(observable, np.setdiff1d(np.arange(n), observable))
+        result = train(current, train_s, cfg.train, np.random.default_rng([base, 1, step]))
+        wp = collect_predictions(result.model, current, test_s, test_s, stride=cfg.eval_stride)
+        return make_report(wp, current, cfg.train.horizon)
+
+    start = assess(initial, 0)
+    episodes = []
+    for policy in policies:
+        observable, added, records = initial, [], []
+        for step in range(cfg.steps + 1):
+            report = assess(observable, step) if step else start
+            rmse = [report.groups[group]["rmse"] for group in ("observable", "missing")]
+            records.append(StepRecord(step, int(observable.size), added, *rmse))
+            missing = np.setdiff1d(np.arange(n), observable)
+            if step == cfg.steps or missing.size == 0:
+                break
+            budget = min(cfg.budget_per_step, missing.size)
+            if policy == "uncertainty":
+                epistemic = np.array([row["epistemic"] for row in report.per_node])
+                chosen = selection(epistemic, observable, budget)
+            else:
+                select_rng = np.random.default_rng([base, 2, step])
+                chosen = np.sort(select_rng.choice(missing, size=budget, replace=False))
+            added = sorted(int(i) for i in chosen)
+            observable = np.sort(np.concatenate([observable, chosen]))
+        episodes.append(SensingEpisode(policy=policy, records=records))
+    return episodes
+
+
+def run_episode(
+    graph: RoadGraph,
+    series: SpeedSeries,
+    cfg: SensingConfig,
+    policy: str,
+    rng: np.random.Generator,
+) -> SensingEpisode:
+    """One deployment episode: :func:`run_episodes` for ``policy`` alone."""
+    return run_episodes(graph, series, cfg, (policy,), rng)[0]

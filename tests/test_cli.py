@@ -454,6 +454,16 @@ class TestSense:
         assert run(args) == 0
         assert (out / "episode_random.csv").read_bytes() == blob
 
+    def test_repeated_policy_refused(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        files = ["--data", str(data / "speed.csv"), "--distances", str(data / "distances.csv")]
+        out = tmp_path / "s"
+        code = run(["sense", *files, "--policy", "random", "--policy", "random", *SENSE_ARGS,
+                    "--out", str(out)])
+        assert code == 1
+        assert "'random'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestRejectedValues:
     """Out-of-range option values exit 1 with a message naming the option."""

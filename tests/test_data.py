@@ -512,6 +512,17 @@ class TestHideLocations:
         g = hide_locations(graph, count, np.random.default_rng(1))
         assert g.missing.size == hidden
 
+    @pytest.mark.parametrize(
+        "nodes, count, hidden",
+        [(100, 0.29, 29), (100, 0.57, 57), (100, 0.58, 58), (100, 0.999, 99),
+         (20, 0.2, 4), (200, 0.2, 40), (1000, 0.2, 200)],
+    )
+    def test_fraction_rounds_down_exactly(self, nodes, count, hidden):
+        """The floor of the decimal product: 0.29 * 100 is 28.999999999999996
+        in binary, and still hides 29 nodes."""
+        graph, _ = generate_synthetic(nodes, 10, np.random.default_rng(0))
+        assert hide_locations(graph, count, np.random.default_rng(1)).missing.size == hidden
+
     @pytest.mark.parametrize("count", [2.7, 1.5, float("nan"), True, False, np.bool_(True), "3"])
     def test_count_not_whole_rejected(self, rng, count):
         graph, _ = generate_synthetic(20, 10, rng)

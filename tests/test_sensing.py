@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gapcast import evaluate, sensing
+from gapcast import evaluate, sensing, training
 from gapcast.data import DataError, SplitSpec, generate_synthetic
 from gapcast.model import ModelConfig
-from gapcast.sensing import SensingConfig, run_episode, selection
+from gapcast.sensing import POLICIES, SensingConfig, run_episode, run_episodes, selection
 from gapcast.training import TrainConfig
 
 
@@ -122,11 +122,44 @@ class TestRunEpisode:
             assert ra.rmse_missing == rb.rmse_missing
 
     def test_policies_share_initial_record(self, world):
+        """Episodes of one seed start alike, and run_episodes over both
+        policies gives, record by record, each policy's run_episode."""
         graph, series = world
         u = run_episode(graph, series, tiny_sensing_cfg(), "uncertainty", np.random.default_rng(3))
         r = run_episode(graph, series, tiny_sensing_cfg(), "random", np.random.default_rng(3))
         assert u.records[0].n_observable == r.records[0].n_observable
         assert u.records[0].rmse_missing == r.records[0].rmse_missing
+        cfg, rng = tiny_sensing_cfg(), np.random.default_rng(3)
+        together = run_episodes(graph, series, cfg, POLICIES, rng)
+        assert [ep.policy for ep in together] == list(POLICIES)
+        for ep, alone in zip(together, (u, r)):
+            assert len(ep.records) == len(alone.records) == 3
+            for a, b in zip(ep.records, alone.records):
+                assert a.added == b.added and a.n_observable == b.n_observable
+                assert a.rmse_observable == b.rmse_observable
+                assert a.rmse_missing == b.rmse_missing
+
+    def test_step_zero_trained_once(self, world, monkeypatch):
+        trained = []
+
+        def counted(*args):
+            trained.append(args)
+            return training.train(*args)
+
+        monkeypatch.setattr(sensing, "train", counted)
+        graph, series = world
+        run_episodes(graph, series, tiny_sensing_cfg(steps=2), POLICIES, np.random.default_rng(5))
+        assert len(trained) == 1 + 2 * 2
+
+    @pytest.mark.parametrize(
+        "policies, named",
+        [((), "at least one"), (("greedy",), "'greedy'"), (("random", "random"), "'random'"),
+         (("uncertainty", "random", "uncertainty"), "'uncertainty'")],
+    )
+    def test_policies_refused(self, world, policies, named):
+        graph, series = world
+        with pytest.raises(DataError, match=named):
+            run_episodes(graph, series, tiny_sensing_cfg(), policies, np.random.default_rng(0))
 
     def test_full_coverage_in_one_step(self, world):
         graph, series = world
@@ -140,7 +173,7 @@ class TestRunEpisode:
         cfg = tiny_sensing_cfg(initial_count=7, budget_per_step=5, steps=2)
         ep = run_episode(graph, series, cfg, "random", np.random.default_rng(1))
         assert ep.records[-1].n_observable == graph.n
-        assert ep.records[-1].truncated
+        assert len(ep.records[-1].added) == 3 < cfg.budget_per_step
 
     def test_steps_read_the_report(self, world, monkeypatch):
         reports, scored = [], []

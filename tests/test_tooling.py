@@ -75,7 +75,8 @@ def test_traced_run_sees_every_fused_call():
     gather and normalisation, the loss, Adam, the heads' matmul work and
     the inference normalisation stay visible to the tracer. A training
     batch gathers its operator with one ``subgraph`` call and normalises
-    it with one ``normalize`` call."""
+    it with one ``normalize`` call. A sensing episode fires the spans
+    sense-n40 requires."""
     graph, series = generate_synthetic(8, 200, np.random.default_rng(0))
     graph = hide_locations(graph, 2, np.random.default_rng(1))
     cfg = TrainConfig(
@@ -100,6 +101,12 @@ def test_traced_run_sees_every_fused_call():
     assert tracer.tape.batches == 2 and tracer.tape.matmul_flop > 0
     assert per_batch == [2, 2]  # one of each per training batch
     assert tracer.inference_normalize_calls == 2  # once per inference call
+    sensing = importlib.import_module("gapcast.sensing")
+    sense_cfg = SensingConfig(initial_count=4, budget_per_step=2, steps=1, train=cfg, eval_stride=3)
+    with load_gapbench("spans").Tracer() as tracer:
+        sensing.run_episode(graph, series, sense_cfg, "uncertainty", np.random.default_rng(3))
+    for name in ("sensing.run_episode", "sensing.selection", "training.train"):
+        assert tracer.stats[name].calls > 0, name
 
 
 def test_graph_imports_nothing_from_autodiff():
@@ -268,7 +275,7 @@ def test_benchmark_script_writes_every_method_and_group(study_runs):
 def test_sensing_study_script_runs_with_one_deployment_step(tmp_path, monkeypatch):
     """The study's sensing function on a one-step episode: both policies at
     steps 0 and 1 with positive RMSEs, n_observable grown by the budget in
-    each episode CSV, and one timing per policy."""
+    each episode CSV, and one timing for both policies, which share step 0."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     study = load_script("run_study")
     cfg = SensingConfig(initial_count=3, budget_per_step=1, steps=1, eval_stride=8,
@@ -284,7 +291,7 @@ def test_sensing_study_script_runs_with_one_deployment_step(tmp_path, monkeypatc
     for policy in ("uncertainty", "random"):
         episode = read_rows(tmp_path / f"episode_seed0_{policy}.csv")
         assert [(r["step"], r["n_observable"]) for r in episode] == [("0", "3"), ("1", "4")]
-    assert [key[:3] for key in seconds] == [("sensing", 0, "uncertainty"), ("sensing", 0, "random")]
+    assert [key[:3] for key in seconds] == [("sensing", 0, "uncertainty+random")]
 
 
 def test_study_script_writes_both_studies_and_reruns_identically(study_runs):
@@ -305,7 +312,7 @@ def test_study_script_writes_both_studies_and_reruns_identically(study_runs):
     assert len(read_rows(out / "summary.csv")) == 2 + 2 + 1 + 5
     seconds = read_rows(out / "seconds.csv")
     assert [(r["study"], r["method"]) for r in seconds] == [
-        *(("forecast", m) for m in STUDY_METHODS), ("sensing", "uncertainty"), ("sensing", "random")
+        *(("forecast", m) for m in STUDY_METHODS), ("sensing", "uncertainty+random")
     ]
     assert all(float(r["seconds"]) > 0 for r in seconds)
     files = sorted(path.name for path in out.iterdir())
