@@ -14,7 +14,6 @@ between reruns), the first seed's per-node CSV and each episode's CSV.
 """
 
 import argparse
-import csv
 import statistics
 import time
 from contextlib import contextmanager
@@ -24,7 +23,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from bench_compare import sign_test
-from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
+from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split, write_csv
 from gapcast.evaluate import GROUP_METRICS, collect_predictions, make_report, two_step_pipeline
 from gapcast.model import ModelConfig
 from gapcast.sensing import POLICIES, SensingConfig, run_episodes
@@ -118,14 +117,6 @@ def summarize(rows) -> list[tuple]:
     return summary
 
 
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header.split())
-        writer.writerows([v if isinstance(v, (str, int)) else repr(float(v)) for v in row]
-                         for row in rows)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default="10:30",
@@ -148,10 +139,10 @@ def main() -> int:
         print(f"seed {seed} missing rmse (sensing at step 2):", *(f"{row[2]} {row[6]:.3f}"
               for row in new if row[3] in ("", 2) and row[4:6] == ("missing", "rmse")), flush=True)
         rows += new
-    write_csv(args.out / "study.csv", "study seed method step group metric value", rows)
+    write_csv(args.out / "study.csv", "study seed method step group metric value".split(), rows)
     write_csv(args.out / "summary.csv", "a b better seeds median_a median_b wins losses ties "
-              "sign_test_p", summarize(rows))
-    write_csv(args.out / "seconds.csv", "study seed method seconds", seconds)
+              "sign_test_p".split(), summarize(rows))
+    write_csv(args.out / "seconds.csv", "study seed method seconds".split(), seconds)
     print((args.out / "summary.csv").read_text(), end="")
     return 0
 

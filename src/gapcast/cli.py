@@ -29,6 +29,7 @@ from .data import (
     save_distances_csv,
     save_speed_csv,
     split,
+    write_csv,
 )
 from .checkpoint import CheckpointError
 from .evaluate import collect_predictions, make_report
@@ -179,11 +180,9 @@ def _resolve(ns: argparse.Namespace) -> dict:
     return resolved
 
 
-def _write_run_config(out: Path, command: str, resolved: dict) -> None:
-    payload = {"command": command, **resolved}
-    (out / "run_config.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    )
+def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as sorted, indented JSON, so a rerun writes the same bytes."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
 
 
 def _load_graph(ns_data, ns_distances, sigma, kappa):
@@ -227,7 +226,7 @@ def cmd_generate(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
         "kernel_kappa": graph.kernel_kappa,
         "resolution_seconds": series.resolution,
     }
-    (out / "graph.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "graph.json", manifest)
     print(f"wrote {series.steps}x{graph.n} series to {out}")
 
 
@@ -251,12 +250,8 @@ def cmd_train(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
             "sigma": graph.kernel_sigma,
         },
     )
-    with open(out / "loss_trace.csv", "w") as fh:
-        fh.write("iteration,j_pre,j_rec,j_total\n")
-        for row in result.trace:
-            fh.write(
-                f"{row['iteration']},{row['j_pre']!r},{row['j_rec']!r},{row['j_total']!r}\n"
-            )
+    columns = ["iteration", "j_pre", "j_rec", "j_total"]
+    write_csv(out / "loss_trace.csv", columns, ([row[c] for c in columns] for row in result.trace))
     final = result.trace[-1]
     print(f"trained {cfg['epochs']} epochs; final j_total {final['j_total']:.4f}")
 
@@ -342,7 +337,7 @@ def main(argv=None) -> int:
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         ns.func(ns, cfg, out)
-        _write_run_config(out, ns.command, cfg)
+        _write_json(out / "run_config.json", {"command": ns.command, **cfg})
     except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

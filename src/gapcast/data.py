@@ -43,6 +43,7 @@ __all__ = [
     "save_speed_csv",
     "load_distances_csv",
     "save_distances_csv",
+    "write_csv",
     "split",
     "hide_locations",
     "fill_small_gaps",
@@ -251,12 +252,25 @@ def _speed_fault(path, err: ValueError | None) -> SeriesFormatError:
     return SeriesFormatError(f"unparsable content: {err}")
 
 
-def save_speed_csv(series: SpeedSeries, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a table: the ``header`` row, then ``rows``, with LF line ends.
+
+    A str or integer cell is written as it is and any other number as
+    ``repr(float(x))``, which round-trips, so a rerun writes the same bytes.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", *series.node_ids])
-        for t, row in zip(series.timestamps, series.values):
-            writer.writerow([_fmt(float(t)), *(_fmt(float(x)) for x in row)])
+        writer.writerow(header)
+        writer.writerows(
+            [c if isinstance(c, (str, numbers.Integral)) else repr(float(c)) for c in row]
+            for row in rows
+        )
+
+
+def save_speed_csv(series: SpeedSeries, path) -> None:
+    rows = zip(series.timestamps, series.values)
+    write_csv(path, ["timestamp", *series.node_ids],
+              ([_fmt(float(t)), *(_fmt(float(x)) for x in row)] for t, row in rows))
 
 
 # Distance rows parsed per np.loadtxt call: large enough to amortise the
@@ -350,16 +364,12 @@ def _distance_fault(lines, first_row, index, listed, err) -> SeriesFormatError:
 
 def save_distances_csv(distances: np.ndarray, node_ids, path) -> None:
     """Write finite off-diagonal entries as directed rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["from", "to", "distance"])
-        keep = np.isfinite(distances)
-        np.fill_diagonal(keep, False)
-        rows, cols = np.nonzero(keep)
-        writer.writerows(
-            [node_ids[i], node_ids[j], _fmt(d)]
-            for i, j, d in zip(rows.tolist(), cols.tolist(), distances[rows, cols].tolist())
-        )
+    keep = np.isfinite(distances)
+    np.fill_diagonal(keep, False)
+    rows, cols = np.nonzero(keep)
+    pairs = zip(rows.tolist(), cols.tolist(), distances[rows, cols].tolist())
+    write_csv(path, ["from", "to", "distance"],
+              ([node_ids[i], node_ids[j], _fmt(d)] for i, j, d in pairs))
 
 
 def split(

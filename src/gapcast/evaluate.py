@@ -4,12 +4,19 @@ two-step baselines.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, SpeedSeries, SplitSpec, check_node_ids, split
+from .data import (
+    DataError,
+    SpeedSeries,
+    SplitSpec,
+    check_node_ids,
+    fill_small_gaps,
+    split,
+    write_csv,
+)
 from .graph import RoadGraph
 from .model import EvidentialOutput, nig_nll_values
 from .training import TrainConfig, TrainedModel, predict_windows, train, valid_time_steps
@@ -91,7 +98,10 @@ def collect_predictions(
     truth_series: SpeedSeries,
     stride: int = 1,
 ) -> WindowPredictions:
-    """Run the model over every gap-free window of the input series.
+    """Run the model over every window of the input series that training's
+    rule keeps (:func:`valid_time_steps` after :func:`fill_small_gaps`)
+    and whose truth row is finite: a gap is never scored against a filled
+    value.
 
     ``eval_graph``'s partition controls the input mask (missing rows are
     zeroed), while the truth may cover all nodes; window t predicts
@@ -111,7 +121,9 @@ def collect_predictions(
         raise DataError("truth and input series have different node ids")
     dt = model.horizon
     values = input_series.values
-    ends = valid_time_steps(values, model.history, dt, eval_graph.observable, stride)
+    ends = valid_time_steps(
+        fill_small_gaps(values), model.history, dt, eval_graph.observable, stride
+    )
     ends = ends[np.isfinite(truth_series.values[ends + dt]).all(axis=1)]
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
@@ -162,23 +174,12 @@ class MetricReport:
     per_node: list[dict]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["group", *GROUP_METRICS])
-            for group in ("observable", "missing"):
-                row = self.groups[group]
-                writer.writerow([group, *(repr(row[m]) for m in GROUP_METRICS)])
+        rows = ([g, *(self.groups[g][m] for m in GROUP_METRICS)] for g in ("observable", "missing"))
+        write_csv(path, ["group", *GROUP_METRICS], rows)
 
     def per_node_csv(self, path) -> None:
         cols = ["node_id", "node_index", "group", "rmse", "mae", "r2", "nll", "epistemic"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for row in self.per_node:
-                writer.writerow(
-                    [row["node_id"], row["node_index"], row["group"]]
-                    + [repr(row[c]) for c in cols[3:]]
-                )
+        write_csv(path, cols, ([row[c] for c in cols] for row in self.per_node))
 
     def format_table(self) -> str:
         lines = [f"{'group':<12}" + "".join(f"{m:>10}" for m in GROUP_METRICS)]

@@ -5,12 +5,11 @@ at random), reveal their history, retrain.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, SpeedSeries, SplitSpec, split
+from .data import DataError, SpeedSeries, SplitSpec, split, write_csv
 from .evaluate import collect_predictions, make_report
 from .graph import RoadGraph
 from .training import TrainConfig, train
@@ -59,22 +58,12 @@ class SensingEpisode:
     records: list[StepRecord]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["step", "policy", "n_observable", "node_ids_added", "rmse_obs", "rmse_missing"]
-            )
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.step,
-                        self.policy,
-                        rec.n_observable,
-                        " ".join(str(i) for i in rec.added),
-                        repr(rec.rmse_observable),
-                        repr(rec.rmse_missing),
-                    ]
-                )
+        write_csv(
+            path,
+            ["step", "policy", "n_observable", "node_ids_added", "rmse_obs", "rmse_missing"],
+            ([rec.step, self.policy, rec.n_observable, " ".join(str(i) for i in rec.added),
+              rec.rmse_observable, rec.rmse_missing] for rec in self.records),
+        )
 
 
 def selection(uncertainties: np.ndarray, excluded, budget: int) -> np.ndarray:

@@ -164,7 +164,8 @@ def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.n
     steps up to and including each end.
 
     The one window rule: training and evaluation both take only windows
-    whose observable history has no gap.
+    whose observable history has no gap once :func:`fill_small_gaps` has
+    run.
     """
     gaps = np.concatenate([[0], np.cumsum(~finite)])
     return gaps[ends + 1] == gaps[ends + 1 - history]
@@ -362,15 +363,18 @@ def predict_windows(
     """Predict every node from each window of ``history`` steps of a
     (steps, n) speed series ``values`` that ends at a step in ``ends``.
 
-    Each window's observable history must be gap-free
-    (:func:`gap_free_history`); missing-location columns are ignored
-    (their input rows are zeroed and their mask rows are 0). The graph is
-    normalized once. The windows run in chunks of ``INFERENCE_ROWS // n``
-    (at least one), each as one tapeless forward pass over the
-    block-diagonal union of that many copies of the forward matrix, built
-    by :func:`gapcast.graph.subgraph`. All full chunks share one union; a
-    short last chunk builds its own, and a chunk of one window runs on the
-    graph's own matrix. Returns a (windows, n) record in speed units.
+    The observable columns get training's :func:`fill_small_gaps` first;
+    each window's observable history must then be gap-free
+    (:func:`gap_free_history`), so a window through a longer gap, or
+    through a gap at an edge of ``values``, is refused. Missing-location
+    columns are ignored (their input rows are zeroed and their mask rows
+    are 0). The graph is normalized once. The windows run in chunks of
+    ``INFERENCE_ROWS // n`` (at least one), each as one tapeless forward
+    pass over the block-diagonal union of that many copies of the forward
+    matrix, built by :func:`gapcast.graph.subgraph`. All full chunks share
+    one union; a short last chunk builds its own, and a chunk of one window
+    runs on the graph's own matrix. Returns a (windows, n) record in speed
+    units.
     """
     values = np.asarray(values, dtype=np.float64)
     ends = np.asarray(ends)
@@ -385,7 +389,7 @@ def predict_windows(
             "window ends must be a nonempty 1-D integer array of steps in "
             f"[{t_hist - 1}, {values.shape[0] - 1}]"
         )
-    observed = values[:, graph.observable]
+    observed = fill_small_gaps(values[:, graph.observable])
     if not gap_free_history(np.isfinite(observed).all(axis=1), ends, t_hist).all():
         raise DataError("window has gaps at observable locations")
     scaled = model.scaler.transform(observed)
@@ -433,7 +437,9 @@ def predict_full(
     """Predict every node from the last ``history`` observed steps.
 
     ``window`` is (history, n) in speed units; this is
-    :func:`predict_windows` on the one window it holds.
+    :func:`predict_windows` on the one window it holds, so a short interior
+    gap is filled, while a gap at its first or last step cannot be and is
+    refused.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.shape != (model.history, graph.n):

@@ -19,7 +19,7 @@ from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
 from gapcast.evaluate import collect_predictions, make_report, two_step_pipeline
 from gapcast.graph import chebyshev_terms, normalize, subgraph
 from gapcast.model import ModelConfig, forward, nig_nll_values
-from gapcast.sensing import SensingConfig, run_episode
+from gapcast.sensing import SensingConfig, run_episodes
 from gapcast.training import (
     SubgraphSample,
     TrainConfig,
@@ -270,8 +270,10 @@ def sensing_runs():
             eval_stride=1,
         )
         episodes = {
-            policy: run_episode(graph, series, cfg, policy, np.random.default_rng(seed))
-            for policy in ("uncertainty", "random")
+            episode.policy: episode
+            for episode in run_episodes(
+                graph, series, cfg, ("uncertainty", "random"), np.random.default_rng(seed)
+            )
         }
         rows.append(
             {

@@ -23,6 +23,7 @@ from gapcast.data import (
     save_distances_csv,
     save_speed_csv,
     split,
+    write_csv,
 )
 
 
@@ -163,6 +164,19 @@ class TestDistanceCsv:
         path = tmp_path / "d.csv"
         save_distances_csv(d, ("a", "b", "c"), path)
         assert path.read_text() == "from,to,distance\na,b,2\nb,a,0.5\nb,c,1.25\nc,b,3\n"
+
+
+class TestWriteCsv:
+    def test_cell_rule_header_and_line_ends(self, tmp_path):
+        # Integers of any type stay integers; every other number is
+        # repr(float(x)); an id holding a comma is quoted; lines end in LF.
+        path = tmp_path / "t.csv"
+        write_csv(path, ["id", "a", "b"], [
+            ["x,y", np.int64(3), 3],
+            ["z", np.float64(1e-5), math.nan],
+            ["w", -math.inf, 3.0],
+        ])
+        assert path.read_bytes() == b'id,a,b\n"x,y",3,3\nz,1e-05,nan\nw,-inf,3.0\n'
 
 
 def reference_speed(path):

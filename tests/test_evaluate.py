@@ -10,10 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from gapcast import training
 from gapcast.data import (
+    MAX_FILL_GAP,
     DataError,
     NodeIdMismatch,
     SpeedSeries,
     SplitSpec,
+    fill_small_gaps,
     generate_synthetic,
     hide_locations,
     split,
@@ -30,7 +32,13 @@ from gapcast.evaluate import (
 )
 from gapcast.graph import subgraph
 from gapcast.model import EvidentialOutput, ModelConfig, nig_nll_values
-from gapcast.training import TrainConfig, predict_full, predict_windows, train
+from gapcast.training import (
+    TrainConfig,
+    predict_full,
+    predict_windows,
+    train,
+    valid_time_steps,
+)
 
 from test_model import nig_marginal_nll_quadrature
 from test_training import nig_rows, per_window_forward
@@ -341,14 +349,34 @@ class TestStackedCollection:
     def test_observable_gap_skips_windows_mid_chunk(self, trained_world, monkeypatch):
         graph, _, te, _, model = trained_world
         monkeypatch.setattr(training, "INFERENCE_ROWS", 8 * graph.n)
+        gap = MAX_FILL_GAP + 1  # longer than fill_small_gaps fills
+        values = te.values.copy()
+        values[20 : 20 + gap, graph.observable[0]] = np.nan
+        gappy = replace(te, values=values)
+        wp = self.check(model, graph, gappy, stride=1)
+        # every window holding a gap step is gone, as is every window whose
+        # truth row holds one, and the neighbours stay
+        ends, last = wp.target_steps - model.horizon, 20 + gap - 1
+        assert not ((ends >= 20 - model.horizon) & (ends < last + model.history)).any()
+        assert {19 - model.horizon, last + model.history} <= set(ends.tolist())
+
+    def test_one_step_gap_filled_as_in_training(self, trained_world):
+        graph, _, te, _, model = trained_world
+        dt = model.horizon
         values = te.values.copy()
         values[20, graph.observable[0]] = np.nan
         gappy = replace(te, values=values)
-        wp = self.check(model, graph, gappy, stride=1)
-        # every window holding step 20 is gone, and the neighbours stay
-        ends = wp.target_steps - model.horizon
-        assert not ((ends >= 20) & (ends < 20 + model.history)).any()
-        assert {19, 20 + model.history} <= set(ends.tolist())
+        wp = collect_predictions(model, graph, gappy, gappy, stride=1)
+        # training's windows, less the one whose truth row holds the gap
+        kept = valid_time_steps(fill_small_gaps(values), model.history, dt, graph.observable)
+        ends = wp.target_steps - dt
+        np.testing.assert_array_equal(ends, kept[kept + dt != 20])
+        assert 20 in ends  # a window through the gap is predicted
+        ev = predict_windows(graph, values, ends, model)
+        filled = predict_windows(graph, fill_small_gaps(values), ends, model)
+        for name in ("gamma", "nu", "alpha_nig", "beta"):
+            np.testing.assert_array_equal(getattr(ev, name), getattr(filled, name))
+            np.testing.assert_array_equal(getattr(wp.evidential, name), getattr(ev, name))
 
     def test_single_window(self, trained_world):
         graph, _, te, _, model = trained_world

@@ -122,6 +122,27 @@ def test_graph_imports_nothing_from_autodiff():
     assert names and not [name for name in names if "autodiff" in name]
 
 
+def test_data_write_csv_is_the_only_csv_writer():
+    """Every table is written by ``gapcast.data.write_csv``: it holds the
+    only ``csv.writer(...)`` call in ``src/gapcast`` and ``scripts/``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            call = child.func if isinstance(child, ast.Call) else None
+            if (
+                isinstance(call, ast.Attribute) and call.attr == "writer"
+                and isinstance(call.value, ast.Name) and call.value.id == "csv"
+            ):
+                found.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    for path in [*(ROOT / "src" / "gapcast").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == ["data.write_csv"]
+
+
 def test_benchmark_inputs_load_to_the_generated_graph(tmp_path):
     workloads = load_gapbench("workloads")
     corridor = workloads.Corridor(nodes=12, steps=40)

@@ -6,7 +6,14 @@ import pytest
 from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
 from gapcast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from gapcast.data import DataError, NodeIdMismatch, generate_synthetic, hide_locations
+from gapcast.data import (
+    MAX_FILL_GAP,
+    DataError,
+    NodeIdMismatch,
+    fill_small_gaps,
+    generate_synthetic,
+    hide_locations,
+)
 from gapcast.graph import build_adjacency, normalize, subgraph
 from gapcast.model import (
     ForwardPass,
@@ -551,9 +558,22 @@ class TestPredictWindows:
         values = values.copy()
         values[ends[-1] - 3, graph.missing] = np.nan
         predict_windows(graph, values, ends, model)  # ignored column
-        values[ends[3] - model.history + 1, graph.observable[-1]] = np.nan
+        # longer than fill_small_gaps fills, and inside the series
+        start = ends[3] - model.history + 1
+        values[start : start + MAX_FILL_GAP + 1, graph.observable[-1]] = np.nan
         with pytest.raises(DataError, match="gaps at observable"):
             predict_windows(graph, values, ends, model)
+
+    def test_predict_full_fills_interior_gaps_only(self, world):
+        graph, model, values, ends = world
+        window = self.window(values, ends[2], model).copy()
+        window[1, graph.observable[0]] = np.nan
+        filled = predict_full(graph, fill_small_gaps(window), model).evidential
+        one = predict_full(graph, window, model).evidential
+        np.testing.assert_array_equal(nig_rows(one), nig_rows(filled))
+        window[0, graph.observable[0]] = np.nan  # now a gap at the window's edge
+        with pytest.raises(DataError, match="gaps at observable"):
+            predict_full(graph, window, model)
 
     def test_predict_full_is_the_one_window_row(self, world):
         graph, model, values, ends = world
