@@ -8,18 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (
-    DataError,
-    SpeedSeries,
-    SplitSpec,
-    check_node_ids,
-    fill_small_gaps,
-    split,
-    write_csv,
-)
+from .data import DataError, SpeedSeries, SplitSpec, check_node_ids, split, write_csv
 from .graph import RoadGraph
 from .model import EvidentialOutput, nig_nll_values
-from .training import TrainConfig, TrainedModel, predict_windows, train, valid_time_steps
+from .training import TrainConfig, TrainedModel, _observed_input, _predict_observed, train
 
 __all__ = [
     "MetricReport",
@@ -98,16 +90,15 @@ def collect_predictions(
     truth_series: SpeedSeries,
     stride: int = 1,
 ) -> WindowPredictions:
-    """Run the model over every window of the input series that training's
-    rule keeps (:func:`valid_time_steps` after :func:`fill_small_gaps`)
-    and whose truth row is finite: a gap is never scored against a filled
-    value.
+    """Run the model over every window of the input series that
+    :func:`predict_windows` accepts and whose truth row is finite: a gap is
+    never scored against a filled value.
 
     ``eval_graph``'s partition controls the input mask (missing rows are
     zeroed), while the truth may cover all nodes; window t predicts
     t + horizon. The truth must have the input's steps and node ids, and a
-    graph with node ids must name the input's columns in order. The
-    windows run through one :func:`predict_windows` call.
+    graph with node ids must name the input's columns in order. The input
+    is filled once and every window runs in one stacked prediction.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
@@ -120,17 +111,17 @@ def collect_predictions(
     if tuple(truth_series.node_ids) != tuple(input_series.node_ids):
         raise DataError("truth and input series have different node ids")
     dt = model.horizon
-    values = input_series.values
-    ends = valid_time_steps(
-        fill_small_gaps(values), model.history, dt, eval_graph.observable, stride
+    ends = np.arange(model.history - 1, input_series.steps - dt, stride)
+    observed, accepted = _observed_input(
+        input_series.values, eval_graph.observable, ends, model.history
     )
-    ends = ends[np.isfinite(truth_series.values[ends + dt]).all(axis=1)]
+    ends = ends[accepted & np.isfinite(truth_series.values[ends + dt]).all(axis=1)]
     if ends.size == 0:
         raise DataError("no evaluable windows in the series")
     return WindowPredictions(
         target_steps=ends + dt,
         truth=truth_series.values[ends + dt],
-        evidential=predict_windows(eval_graph, values, ends, model),
+        evidential=_predict_observed(eval_graph, observed, ends, model),
     )
 
 

@@ -163,9 +163,9 @@ def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.n
     of rows with every observable value finite, holds on the ``history``
     steps up to and including each end.
 
-    The one window rule: training and evaluation both take only windows
-    whose observable history has no gap once :func:`fill_small_gaps` has
-    run.
+    Training and inference both take only windows whose observable
+    history has no gap once :func:`fill_small_gaps` has run; inference
+    also needs the window's first and last rows observed before the fill.
     """
     gaps = np.concatenate([[0], np.cumsum(~finite)])
     return gaps[ends + 1] == gaps[ends + 1 - history]
@@ -357,24 +357,34 @@ class FullPrediction:
 INFERENCE_ROWS = 1024
 
 
+def _observed_input(
+    values: np.ndarray, observable: np.ndarray, ends: np.ndarray, history: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``observable`` columns of ``values`` after :func:`fill_small_gaps`,
+    and a mask over ``ends``: True where the window of ``history`` steps
+    ending there is gap-free after the fill and its first and last rows
+    were gap-free before it. A filled value then comes from two observed
+    steps of its own window, never from past its end, so a window is
+    filled alike whether it is cut from a longer series or given alone.
+    """
+    observed = values[:, observable]
+    raw = np.isfinite(observed).all(axis=1)
+    observed = fill_small_gaps(observed)
+    filled = gap_free_history(np.isfinite(observed).all(axis=1), ends, history)
+    return observed, filled & raw[ends] & raw[ends + 1 - history]
+
+
 def predict_windows(
     graph: RoadGraph, values: np.ndarray, ends: np.ndarray, model: TrainedModel
 ) -> EvidentialOutput:
     """Predict every node from each window of ``history`` steps of a
     (steps, n) speed series ``values`` that ends at a step in ``ends``.
 
-    The observable columns get training's :func:`fill_small_gaps` first;
-    each window's observable history must then be gap-free
-    (:func:`gap_free_history`), so a window through a longer gap, or
-    through a gap at an edge of ``values``, is refused. Missing-location
-    columns are ignored (their input rows are zeroed and their mask rows
-    are 0). The graph is normalized once. The windows run in chunks of
-    ``INFERENCE_ROWS // n`` (at least one), each as one tapeless forward
-    pass over the block-diagonal union of that many copies of the forward
-    matrix, built by :func:`gapcast.graph.subgraph`. All full chunks share
-    one union; a short last chunk builds its own, and a chunk of one window
-    runs on the graph's own matrix. Returns a (windows, n) record in speed
-    units.
+    The observable columns get training's :func:`fill_small_gaps`, and a
+    window is refused if its first or last observable row has a gap, or a
+    gap longer than ``MAX_FILL_GAP`` steps remains (:func:`_observed_input`).
+    Missing-location columns are ignored (their input rows are zeroed and
+    their mask rows are 0). Returns a (windows, n) record in speed units.
     """
     values = np.asarray(values, dtype=np.float64)
     ends = np.asarray(ends)
@@ -389,9 +399,26 @@ def predict_windows(
             "window ends must be a nonempty 1-D integer array of steps in "
             f"[{t_hist - 1}, {values.shape[0] - 1}]"
         )
-    observed = fill_small_gaps(values[:, graph.observable])
-    if not gap_free_history(np.isfinite(observed).all(axis=1), ends, t_hist).all():
+    observed, accepted = _observed_input(values, graph.observable, ends, t_hist)
+    if not accepted.all():
         raise DataError("window has gaps at observable locations")
+    return _predict_observed(graph, observed, ends, model)
+
+
+def _predict_observed(
+    graph: RoadGraph, observed: np.ndarray, ends: np.ndarray, model: TrainedModel
+) -> EvidentialOutput:
+    """:func:`predict_windows` on the ``observed`` columns of
+    :func:`_observed_input`, at ends it accepts.
+
+    The graph is normalized once. The windows run in chunks of
+    ``INFERENCE_ROWS // n`` (at least one), each as one tapeless forward
+    pass over the block-diagonal union of that many copies of the forward
+    matrix, built by :func:`gapcast.graph.subgraph`. All full chunks share
+    one union; a short last chunk builds its own, and a chunk of one window
+    runs on the graph's own matrix.
+    """
+    t_hist, n = model.history, graph.n
     scaled = model.scaler.transform(observed)
     mask = np.zeros((n, t_hist))
     mask[graph.observable] = 1.0

@@ -360,23 +360,40 @@ class TestStackedCollection:
         assert not ((ends >= 20 - model.horizon) & (ends < last + model.history)).any()
         assert {19 - model.horizon, last + model.history} <= set(ends.tolist())
 
-    def test_one_step_gap_filled_as_in_training(self, trained_world):
+    def test_one_step_gap_filled_within_its_windows(self, trained_world):
         graph, _, te, _, model = trained_world
-        dt = model.horizon
+        h, dt, at = model.history, model.horizon, 20
         values = te.values.copy()
-        values[20, graph.observable[0]] = np.nan
+        values[at, graph.observable[0]] = np.nan
         gappy = replace(te, values=values)
         wp = collect_predictions(model, graph, gappy, gappy, stride=1)
-        # training's windows, less the one whose truth row holds the gap
-        kept = valid_time_steps(fill_small_gaps(values), model.history, dt, graph.observable)
         ends = wp.target_steps - dt
-        np.testing.assert_array_equal(ends, kept[kept + dt != 20])
-        assert 20 in ends  # a window through the gap is predicted
+        # training's windows, less the one whose truth row holds the gap and
+        # the two with the gap at their last or first step, which only a
+        # step outside the window could fill
+        kept = valid_time_steps(fill_small_gaps(values), h, dt, graph.observable)
+        np.testing.assert_array_equal(ends, np.setdiff1d(kept, [at - dt, at, at + h - 1]))
+        assert at + 1 in ends  # a window through the gap is predicted
+        for end in (at, at + h - 1):
+            with pytest.raises(DataError, match="gaps at observable"):
+                predict_windows(graph, values, np.array([end]), model)
         ev = predict_windows(graph, values, ends, model)
         filled = predict_windows(graph, fill_small_gaps(values), ends, model)
         for name in ("gamma", "nu", "alpha_nig", "beta"):
             np.testing.assert_array_equal(getattr(ev, name), getattr(filled, name))
             np.testing.assert_array_equal(getattr(wp.evidential, name), getattr(ev, name))
+        # each window near the gap is predicted, or refused, as when given alone
+        for end in range(at - 1, at + h + 1):
+            window = values[end - h + 1 : end + 1]
+            if end not in ends:
+                with pytest.raises(DataError, match="gaps at observable"):
+                    predict_full(graph, window, model)
+                continue
+            one = predict_full(graph, window, model).evidential
+            np.testing.assert_allclose(
+                nig_rows(one), nig_rows(wp.evidential)[:, np.flatnonzero(ends == end)[0]],
+                rtol=1e-12,
+            )
 
     def test_single_window(self, trained_world):
         graph, _, te, _, model = trained_world
