@@ -13,7 +13,9 @@ for neither side), and whether the median gain exceeds the parent's
 interquartile range. It adds the median per-pair ratio change/parent, the
 figure that survives a host whose speed drifts between runs, and the
 two-sided paired sign test's p-value, ties dropped. It also keeps the
-per-pair values and each side's machine record.
+per-pair values and each side's machine record. The printed summary ends
+with each side's median host-speed probe (``host_probe_ms``), so a busy
+host shows next to the ratios.
 """
 
 from __future__ import annotations
@@ -118,6 +120,24 @@ def compare(parent: dict, change: dict, spec: dict) -> dict:
     }
 
 
+def report_lines(record: dict) -> list[str]:
+    """The printed summary: a line per workload and metric, then each
+    side's median host probe, which tells how busy the host was."""
+    lines = []
+    for workload, metrics in record["workloads"].items():
+        for metric, row in metrics.items():
+            ratio = row["median_ratio"]
+            lines.append(f"{workload:<12} {metric:<12} parent {row['parent']['median']:.6g} "
+                         f"change {row['change']['median']:.6g} "
+                         f"wins {row['change_wins']}/{row['pairs']} "
+                         f"ratio {'-' if ratio is None else format(ratio, '.4g')} "
+                         f"sign p {row['sign_test_p']:.3g}")
+    probes = {side: m["host_probe_ms"]["median"] for side, m in record["machine"].items()}
+    lines.append(f"{'host':<12} {'probe_ms':<12} parent {probes['parent']:.6g} "
+                 f"change {probes['change']:.6g}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent's results directory")
@@ -127,14 +147,7 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     record = compare(load_runs(args.parent), load_runs(args.change), spec)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    for workload, metrics in record["workloads"].items():
-        for metric, row in metrics.items():
-            ratio = row["median_ratio"]
-            print(f"{workload:<12} {metric:<12} parent {row['parent']['median']:.6g} "
-                  f"change {row['change']['median']:.6g} "
-                  f"wins {row['change_wins']}/{row['pairs']} "
-                  f"ratio {'-' if ratio is None else format(ratio, '.4g')} "
-                  f"sign p {row['sign_test_p']:.3g}")
+    print("\n".join(report_lines(record)))
     return 0
 
 

@@ -56,9 +56,10 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     """Read back (params, meta); arrays come out as trainable tensors.
 
-    A truncated file, a header that is not JSON or lacks a field, an array
-    whose bytes disagree with its shape, or a parameter that is not finite
-    raises CheckpointError.
+    A truncated file, a header that is not JSON or lacks a field, a shape
+    that is not a list of whole numbers >= 0, an array whose bytes disagree
+    with its shape, or a parameter that is not finite raises
+    CheckpointError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -79,16 +80,19 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     try:
         for spec in header["arrays"]:
             name, start, nbytes = spec["name"], spec["offset"], spec["nbytes"]
-            if nbytes != 8 * math.prod(spec["shape"]):
+            shape = spec["shape"]
+            if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+                raise CheckpointError(f"array {name!r} has a malformed shape {shape!r}")
+            if nbytes != 8 * math.prod(shape):
                 raise CheckpointError(
-                    f"array {name!r}: {nbytes} bytes for shape {spec['shape']}"
+                    f"array {name!r}: {nbytes} bytes for shape {shape}"
                 )
             if not 0 <= start <= len(payload) - nbytes:
                 raise CheckpointError(
                     f"array {name!r} runs past the {len(payload)}-byte payload"
                 )
             raw = payload[start : start + nbytes]
-            arr = np.frombuffer(raw, dtype=np.float64).reshape(spec["shape"]).copy()
+            arr = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"array {name!r} has non-finite values")
             params[name] = Tensor(arr, requires_grad=True)

@@ -21,6 +21,7 @@ __all__ = [
     "normalize",
     "chebyshev_terms",
     "subgraph",
+    "diagonal_block",
 ]
 
 
@@ -209,4 +210,16 @@ def subgraph(adjacency: sparse.csr_array, node_lists) -> sparse.csr_array:
     np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
     return sparse.csr_array(
         (a.data[pos[keep]], order[slot[keep]], indptr), shape=(idx.size, idx.size)
+    )
+
+
+def diagonal_block(matrix: sparse.csr_array, start: int, stop: int) -> sparse.csr_array:
+    """Rows and columns [start, stop) of a block-diagonal CSR ``matrix``
+    whose blocks do not straddle ``start`` or ``stop``, such as a union of
+    :func:`subgraph` blocks: one CSR built from slices of its arrays,
+    holding the block's entries in their order, with no gather."""
+    lo, hi = matrix.indptr[start], matrix.indptr[stop]
+    return sparse.csr_array(
+        (matrix.data[lo:hi], matrix.indices[lo:hi] - start, matrix.indptr[start : stop + 1] - lo),
+        shape=(stop - start, stop - start),
     )

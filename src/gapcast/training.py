@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, SpeedSeries, check_node_ids, fill_small_gaps
-from .graph import RoadGraph, normalize, subgraph
+from .graph import RoadGraph, diagonal_block, normalize, subgraph
 from .model import (
     EvidentialOutput,
     ForwardPass,
@@ -128,34 +128,65 @@ class SubgraphSample:
         return np.full((n, 1), 1.0 / n)
 
 
+def _rows(samples: list[SubgraphSample]) -> int:
+    return sum(s.node_indices.size for s in samples)
+
+
 @dataclass
 class SampleBatch:
-    """Subgraph samples stacked into one disjoint-union graph.
+    """Subgraph samples stacked into one disjoint-union graph: one Adam
+    batch, or a chunk of consecutive batches that :meth:`batches` splits.
 
-    Rows follow the samples in order and ``adjacency`` is block-diagonal,
-    the samples' subgraphs gathered by one :func:`gapcast.graph.subgraph`
-    call, so one forward pass serves the whole batch. A node of a sample
-    with n_s nodes weighs 1 / (B n_s): the weighted loss is the mean over
-    the B samples of their per-sample losses, and a large sample counts
-    no more than a small one.
+    Rows follow the samples in order. ``operator`` is the block-diagonal
+    forward transition matrix P of the samples' subgraphs, gathered by one
+    :func:`gapcast.graph.subgraph` call and row-normalised by one
+    :func:`gapcast.graph.normalize` call, so one forward pass serves a whole
+    batch. A node of a sample with n_s nodes in a batch of B samples weighs
+    1 / (B n_s): a batch's weighted loss is the mean over its B samples of
+    their per-sample losses, and a large sample counts no more than a small
+    one. ``bounds`` holds each batch's first row, then the row count.
     """
 
     features: np.ndarray
     mask: np.ndarray
     target: np.ndarray
-    adjacency: sparse.csr_array
+    operator: sparse.csr_array
     weights: np.ndarray
+    bounds: tuple[int, ...]
 
     @classmethod
-    def stack(cls, samples: list[SubgraphSample], adjacency) -> "SampleBatch":
-        """The batch of ``samples`` drawn from the graph with ``adjacency``."""
+    def stack(cls, batches: list[list[SubgraphSample]], adjacency) -> "SampleBatch":
+        """The ``batches`` of samples drawn from the graph with ``adjacency``,
+        stacked in order."""
+        samples = [s for batch in batches for s in batch]
+        rows = np.cumsum([0] + [_rows(batch) for batch in batches])
         return cls(
             features=np.vstack([s.features for s in samples]),
             mask=np.vstack([s.mask for s in samples]),
             target=np.vstack([s.target for s in samples]),
-            adjacency=subgraph(adjacency, [s.node_indices for s in samples]),
-            weights=np.vstack([s.weights for s in samples]) / len(samples),
+            operator=normalize(subgraph(adjacency, [s.node_indices for s in samples])),
+            weights=np.vstack([s.weights / len(batch) for batch in batches for s in batch]),
+            bounds=tuple(rows.tolist()),
         )
+
+    def batches(self) -> list["SampleBatch"]:
+        """Each batch of the stack: views of its rows, and its diagonal block
+        of ``operator``, which holds the entries, in the same order, that a
+        stack of that batch alone would hold. A stack of one batch is
+        that batch, with no block to build."""
+        if len(self.bounds) == 2:
+            return [self]
+        return [
+            SampleBatch(
+                features=self.features[start:stop],
+                mask=self.mask[start:stop],
+                target=self.target[start:stop],
+                operator=diagonal_block(self.operator, start, stop),
+                weights=self.weights[start:stop],
+                bounds=(0, stop - start),
+            )
+            for start, stop in zip(self.bounds, self.bounds[1:])
+        ]
 
 
 def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.ndarray:
@@ -164,8 +195,8 @@ def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.n
     steps up to and including each end.
 
     Training and inference both take only windows whose observable
-    history has no gap once :func:`fill_small_gaps` has run; inference
-    also needs the window's first and last rows observed before the fill.
+    history has no gap once :func:`fill_small_gaps` has run, and whose
+    first and last rows were observed before the fill.
     """
     gaps = np.concatenate([[0], np.cumsum(~finite)])
     return gaps[ends + 1] == gaps[ends + 1 - history]
@@ -174,18 +205,20 @@ def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.n
 def valid_time_steps(
     values: np.ndarray, history: int, horizon: int, columns: np.ndarray, stride: int = 1
 ) -> np.ndarray:
-    """Time indices t, every ``stride``-th from history - 1, whose
-    [t-history+1, t] window and t+horizon target are gap-free on the given
-    columns: the window rule of training and evaluation alike."""
+    """Time indices t, every ``stride``-th from history - 1, of the windows
+    of raw ``values`` that :func:`_observed_input` accepts on the given
+    columns and whose t+horizon target row is finite there: the window rule
+    of training, which inference applies to its input."""
     steps = values.shape[0]
     if steps < history + horizon:
         raise DataError(
             f"series has {steps} steps, need at least {history + horizon} "
             f"for history={history}, horizon={horizon}"
         )
-    finite = np.isfinite(values[:, columns]).all(axis=1)
     ts = np.arange(history - 1, steps - horizon, stride)
-    valid = ts[gap_free_history(finite, ts, history) & finite[ts + horizon]]
+    _, accepted = _observed_input(values, columns, ts, history)
+    finite = np.isfinite(values[:, columns]).all(axis=1)
+    valid = ts[accepted & finite[ts + horizon]]
     if valid.size == 0:
         raise DataError("no gap-free windows in the series")
     return valid
@@ -276,6 +309,14 @@ class TrainResult:
     optimizer_steps: int
 
 
+# Rows of one stacked inference pass (windows x nodes), and of one chunk
+# of training batches prepared together. It bounds the working set: at
+# hidden width 48 one activation is 0.4 MB. On 2 CPUs with OpenBLAS, 1024
+# inference rows ran as fast as 2048 at n=200 and faster at n=40, with half
+# the extra peak memory; 4096 rows ran slower.
+INFERENCE_ROWS = 1024
+
+
 def train(
     graph: RoadGraph,
     series: SpeedSeries,
@@ -284,38 +325,54 @@ def train(
 ) -> TrainResult:
     """Run the sampling/masking loop: I iterations of S subgraph draws,
     batched with gradient averaging into Adam steps. Each batch runs as
-    one forward pass over the disjoint union of its samples.
+    one forward pass over the disjoint union of its samples. The batches
+    are prepared in chunks of at most ``INFERENCE_ROWS`` rows (at least one
+    batch): a chunk is stacked and normalised once, and each of its batches
+    takes its rows and its diagonal block. The rng serves only the draws,
+    made one sample at a time in iteration order, so a run does not depend
+    on the chunking.
 
     Deterministic for a fixed rng. Raises TrainingDiverged on a non-finite
     loss. The returned trace has one row per iteration with the mean
-    prediction/recovery/total losses. A graph with node ids must name the
-    series' columns in order.
+    prediction/recovery/total losses. Training takes the windows of
+    :func:`valid_time_steps`. A graph with node ids must name the series'
+    columns in order.
     """
     if graph.node_ids:
         check_node_ids(graph.node_ids, series.node_ids, "the graph")
     scaler = Scaler.fit(series.values, graph.observable)
+    valid_steps = valid_time_steps(series.values, cfg.history, cfg.horizon, graph.observable)
     values = scaler.transform(fill_small_gaps(series.values))
-    valid_steps = valid_time_steps(values, cfg.history, cfg.horizon, graph.observable)
 
     params = init_params(cfg.model, cfg.history, rng)
     opt = Adam(params, lr=cfg.lr)
-    trace: list[dict] = []
-    for iteration in range(cfg.iterations):
-        samples = [
-            draw_sample(graph, values, cfg, rng, valid_steps)
-            for _ in range(cfg.samples_per_iter)
-        ]
-        sums = {"j_pre": 0.0, "j_rec": 0.0, "j_total": 0.0}
-        for start in range(0, len(samples), cfg.batch_size):
-            members = samples[start : start + cfg.batch_size]
-            batch = SampleBatch.stack(members, graph.adjacency)
+
+    def chunks():
+        """Every batch as (iteration, samples), drawn in order and grouped
+        into chunks of whole batches."""
+        chunk, rows = [], 0
+        for iteration in range(cfg.iterations):
+            for start in range(0, cfg.samples_per_iter, cfg.batch_size):
+                size = min(cfg.batch_size, cfg.samples_per_iter - start)
+                members = [draw_sample(graph, values, cfg, rng, valid_steps) for _ in range(size)]
+                if chunk and rows + _rows(members) > INFERENCE_ROWS:
+                    yield chunk
+                    chunk, rows = [], 0
+                chunk.append((iteration, members))
+                rows += _rows(members)
+        yield chunk
+
+    sums = np.zeros((cfg.iterations, 3))  # j_pre, j_rec, j_total
+    for chunk in chunks():
+        stacked = SampleBatch.stack([members for _, members in chunk], graph.adjacency)
+        for (iteration, members), batch in zip(chunk, stacked.batches()):
             with Tape() as tape:
                 fwd = forward(
                     params,
                     cfg.model,
                     ad.constant(batch.features),
                     ad.constant(batch.mask),
-                    normalize(batch.adjacency),
+                    batch.operator,
                 )
                 losses = compute_loss(batch, fwd, cfg)
                 j_total = losses[2]
@@ -323,16 +380,12 @@ def train(
                     raise TrainingDiverged(iteration, j_total.item())
                 tape.backward(j_total)
             opt.step()
-            for key, loss in zip(("j_pre", "j_rec", "j_total"), losses):
-                sums[key] += loss.item() * len(members)
-        trace.append(
-            {
-                "iteration": iteration,
-                "j_pre": sums["j_pre"] / len(samples),
-                "j_rec": sums["j_rec"] / len(samples),
-                "j_total": sums["j_total"] / len(samples),
-            }
-        )
+            sums[iteration] += [loss.item() * len(members) for loss in losses]
+    count = cfg.samples_per_iter
+    trace = [
+        {"iteration": i, "j_pre": pre / count, "j_rec": rec / count, "j_total": total / count}
+        for i, (pre, rec, total) in enumerate(sums.tolist())
+    ]
     model = TrainedModel(
         params=params,
         model_cfg=cfg.model,
@@ -348,13 +401,6 @@ class FullPrediction:
     """Per-node NIG outputs in speed units, so uncertainties are variances."""
 
     evidential: EvidentialOutput
-
-
-# Rows (windows x nodes) of one stacked inference pass. It bounds the
-# working set: at hidden width 48 one activation is 0.4 MB. On 2 CPUs with
-# OpenBLAS, 1024 rows ran as fast as 2048 at n=200 and faster at n=40, with
-# half the extra peak memory; 4096 rows ran slower.
-INFERENCE_ROWS = 1024
 
 
 def _observed_input(

@@ -368,11 +368,12 @@ class TestStackedCollection:
         gappy = replace(te, values=values)
         wp = collect_predictions(model, graph, gappy, gappy, stride=1)
         ends = wp.target_steps - dt
-        # training's windows, less the one whose truth row holds the gap and
-        # the two with the gap at their last or first step, which only a
-        # step outside the window could fill
-        kept = valid_time_steps(fill_small_gaps(values), h, dt, graph.observable)
-        np.testing.assert_array_equal(ends, np.setdiff1d(kept, [at - dt, at, at + h - 1]))
+        # every window less the one whose truth row holds the gap and the two
+        # with the gap at their last or first step, which only a step outside
+        # the window could fill: the windows training keeps
+        every = np.arange(h - 1, te.steps - dt)
+        np.testing.assert_array_equal(ends, np.setdiff1d(every, [at - dt, at, at + h - 1]))
+        np.testing.assert_array_equal(ends, valid_time_steps(values, h, dt, graph.observable))
         assert at + 1 in ends  # a window through the gap is predicted
         for end in (at, at + h - 1):
             with pytest.raises(DataError, match="gaps at observable"):

@@ -13,6 +13,7 @@ from gapcast.graph import (
     RoadGraph,
     build_adjacency,
     chebyshev_terms,
+    diagonal_block,
     normalize,
     subgraph,
 )
@@ -327,6 +328,22 @@ def test_block_diagonal_is_disjoint_union(rng):
             want[lo:hi, lo:hi] = transform(subgraph(g.adjacency, [nodes])).toarray()
         # Row normalization acts row by row, so it commutes with the union.
         np.testing.assert_array_equal(transform(union).toarray(), want)
+
+
+def test_diagonal_block_holds_each_list_alone(rng):
+    """A block of a normalized union holds the entries, in their order, of
+    the normalized subgraph of that block's list alone, so a product with
+    it, or with its transpose, sums in the same order."""
+    g = build_adjacency(ring_distances(12), sigma=2.0, kappa=3.0)
+    lists = [rng.permutation(12)[:size] for size in (5, 1, 0, 12)]
+    union = normalize(subgraph(g.adjacency, lists))
+    bounds = np.cumsum([0] + [nodes.size for nodes in lists])
+    for lo, hi, nodes in zip(bounds, bounds[1:], lists):
+        got = diagonal_block(union, lo, hi)
+        alone = normalize(subgraph(g.adjacency, [nodes]))
+        assert got.format == "csr" and got.shape == alone.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
 
 
 def test_normalize_after_subgraph_differs_from_before():

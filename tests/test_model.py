@@ -414,6 +414,24 @@ class TestCorruptCheckpoint:
         with pytest.raises(CheckpointError, match="24 bytes for shape"):
             load_checkpoint(path)
 
+    def test_negative_shape_entry_names_the_array(self, tmp_path):
+        # the entries' product, 8, agrees with nbytes: numpy alone would
+        # fail in reshape with "can only specify one unknown dimension"
+        spec = {"name": "w", "shape": [-2, -4], "offset": 0, "nbytes": 64}
+        path = tmp_path / "negative_shape.bin"
+        path.write_bytes(checkpoint_bytes([spec], np.zeros(8).tobytes()))
+        with pytest.raises(CheckpointError, match=r"array 'w' has a malformed shape \[-2, -4\]"):
+            load_checkpoint(path)
+
+    def test_fractional_shape_entry_names_the_array(self, tmp_path):
+        # 20 bytes for shape [2.5] agree by product; numpy alone would fail
+        # with "buffer size must be a multiple of element size"
+        spec = {"name": "w", "shape": [2.5], "offset": 0, "nbytes": 20}
+        path = tmp_path / "fractional_shape.bin"
+        path.write_bytes(checkpoint_bytes([spec], np.zeros(3).tobytes()))
+        with pytest.raises(CheckpointError, match=r"array 'w' has a malformed shape \[2.5\]"):
+            load_checkpoint(path)
+
     def test_negative_offset(self, tmp_path):
         spec = {"name": "w", "shape": [1], "offset": -8, "nbytes": 8}
         path = tmp_path / "negative.bin"

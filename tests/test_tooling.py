@@ -73,10 +73,11 @@ def test_traced_run_sees_every_fused_call():
     """A fused op must not hide a call the benchmark's spans and counters
     read: every diffusion layer, the Chebyshev terms, the batch operator's
     gather and normalisation, the loss, Adam, the heads' matmul work and
-    the inference normalisation stay visible to the tracer. A training
-    batch gathers its operator with one ``subgraph`` call and normalises
-    it with one ``normalize`` call. A sensing episode fires the spans
-    sense-n40 requires."""
+    the inference normalisation stay visible to the tracer. Training
+    gathers the operators of a chunk of batches with one ``subgraph`` call
+    and normalises them with one ``normalize`` call; this run's two
+    batches fit one chunk. A sensing episode fires the spans sense-n40
+    requires."""
     graph, series = generate_synthetic(8, 200, np.random.default_rng(0))
     graph = hide_locations(graph, 2, np.random.default_rng(1))
     cfg = TrainConfig(
@@ -89,7 +90,7 @@ def test_traced_run_sees_every_fused_call():
     tracer = load_gapbench("spans").Tracer()
     with tracer:  # called through their modules, where the tracer wraps them
         model = training.train(graph, train_s, cfg, np.random.default_rng(2)).model
-        per_batch = [tracer.stats[name].calls for name in ("graph.subgraph", "graph.normalize")]
+        per_chunk = [tracer.stats[name].calls for name in ("graph.subgraph", "graph.normalize")]
         evaluate.collect_predictions(model, graph, test, test, stride=3)
         training.predict_full(graph, test.values[: cfg.history], model)
     for name in (
@@ -99,7 +100,7 @@ def test_traced_run_sees_every_fused_call():
     ):
         assert tracer.stats[name].calls > 0, name
     assert tracer.tape.batches == 2 and tracer.tape.matmul_flop > 0
-    assert per_batch == [2, 2]  # one of each per training batch
+    assert per_chunk == [1, 1]  # one of each per chunk: both batches fit one
     assert tracer.inference_normalize_calls == 2  # once per inference call
     sensing = importlib.import_module("gapcast.sensing")
     sense_cfg = SensingConfig(initial_count=4, budget_per_step=2, steps=1, train=cfg, eval_stride=3)
@@ -193,7 +194,7 @@ def load_script(name):
     return module
 
 
-def write_result(directory, workload, seed, op_ms, failed=0):
+def write_result(directory, workload, seed, op_ms, failed=0, probe=15.0):
     result = {
         "workload": workload, "seed": seed, "seconds": 30.0, "trace": 0,
         "attempted": 100, "failed": failed,
@@ -203,7 +204,7 @@ def write_result(directory, workload, seed, op_ms, failed=0):
             "peak_rss_mb": {"value": 100.0 + seed, "unit": "MB"},
         },
         "machine": {"nproc": 2, "blas_threads": 2,
-                    "host_probe_ms_before": 15.0 + seed, "host_probe_ms_after": 16.0},
+                    "host_probe_ms_before": probe + seed, "host_probe_ms_after": 16.0},
     }
     directory.mkdir(exist_ok=True)
     (directory / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(result))
@@ -214,7 +215,7 @@ def test_bench_compare_pairs_runs_by_workload_and_seed(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, (before, after) in enumerate([(10, 8), (11, 12), (12, 9), (13, 9)], start=1):
         write_result(parent, "eval-n200", seed, before)
-        write_result(change, "eval-n200", seed, after, failed=seed == 4)
+        write_result(change, "eval-n200", seed, after, failed=seed == 4, probe=25.0)
     write_result(parent, "eval-n200", 9, 1.0)  # unpaired: ignored
     spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
     record = bench.compare(bench.load_runs(parent), bench.load_runs(change), spec)
@@ -237,6 +238,13 @@ def test_bench_compare_pairs_runs_by_workload_and_seed(tmp_path):
     assert failed["sign_test_p"] == 1.0  # one loss alone
     assert record["machine"]["parent"]["nproc"] == 2
     assert record["machine"]["parent"]["runs"] == 4
+    # probes of the paired runs: parent 16-19 and four 16s, change 26-29 and four 16s
+    assert record["machine"]["parent"]["host_probe_ms"]["median"] == 16.0
+    assert record["machine"]["change"]["host_probe_ms"]["median"] == 21.0
+    lines = bench.report_lines(record)
+    assert len(lines) == 4 + 1  # three end-to-end metrics and failed_frac, then the probes
+    assert lines[0].startswith("eval-n200    setup_s      parent 1 change 1 wins 0/4")
+    assert lines[-1].split() == ["host", "probe_ms", "parent", "16", "change", "21"]
 
 
 def run_script(name, *args):

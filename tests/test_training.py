@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gapcast import autodiff as ad
+from gapcast import training
 from gapcast.autodiff import Tape
 from gapcast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gapcast.data import (
@@ -96,10 +97,40 @@ class TestValidTimeSteps:
         values = np.ones((20, 2))
         values[10, 0] = np.nan
         ts = valid_time_steps(values, history=3, horizon=1, columns=np.array([0, 1]))
-        # windows touching step 10 (t in 10..12) and target at 10 (t=9) are gone
-        for t in (9, 10, 11, 12):
+        # the windows with the gap in their target (t=9), last row (t=10) or
+        # first row (t=12) are gone; t=11 holds it inside, where it is filled
+        for t in (9, 10, 12):
             assert t not in ts
-        assert 8 in ts and 13 in ts
+        assert {8, 11, 13} <= set(ts.tolist())
+        values[10:10 + MAX_FILL_GAP + 1, 0] = np.nan  # too long to fill
+        ts = valid_time_steps(values, history=3, horizon=1, columns=np.array([0, 1]))
+        assert not set(range(9, 15)) & set(ts.tolist()) and {8, 15} <= set(ts.tolist())
+
+    def test_keeps_the_ends_inference_accepts(self):
+        """One missing reading at step 100 of an observable column drops
+        exactly the three windows whose target, last or first row holds it:
+        training keeps the ends ``collect_predictions`` scores."""
+        graph, series = generate_synthetic(12, 300, np.random.default_rng(0))
+        graph = hide_locations(graph, 3, np.random.default_rng(1))
+        values = series.values.copy()
+        values[100, graph.observable[0]] = np.nan
+        cfg = tiny_cfg(history=12, horizon=3)
+        ts = valid_time_steps(values, cfg.history, cfg.horizon, graph.observable)
+        every = np.arange(cfg.history - 1, 300 - cfg.horizon)
+        np.testing.assert_array_equal(ts, np.setdiff1d(every, [97, 100, 111]))
+        assert ts.size == 283
+        drawn_from = []
+        draw = training.draw_sample
+
+        def spy(graph, values, cfg, rng, valid_steps):
+            drawn_from.append(valid_steps)
+            return draw(graph, values, cfg, rng, valid_steps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "draw_sample", spy)
+            train(graph, replace(series, values=values), replace(cfg, iterations=1),
+                  np.random.default_rng(2))
+        np.testing.assert_array_equal(drawn_from[0], ts)
 
     @pytest.mark.parametrize("stride", [2, 3, 7])
     def test_stride_keeps_every_strided_window(self, stride):
@@ -111,7 +142,7 @@ class TestValidTimeSteps:
 
     def test_no_window_left_is_named(self):
         values = np.ones((20, 2))
-        values[::3, 1] = np.nan
+        values[::2, 1] = np.nan  # every window's first, last or target row
         with pytest.raises(DataError, match="no gap-free windows in the series"):
             valid_time_steps(values, history=3, horizon=1, columns=np.array([0, 1]))
 
@@ -266,10 +297,10 @@ def per_sample_mean_loss(params, samples, cfg, adjacency):
 
 
 def union_loss(params, samples, cfg, adjacency):
-    batch = SampleBatch.stack(samples, adjacency)
+    batch = SampleBatch.stack([samples], adjacency)
     fwd = forward(
         params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
-        normalize(batch.adjacency),
+        batch.operator,
     )
     return compute_loss(batch, fwd, cfg)[2]
 
@@ -323,12 +354,34 @@ class TestSampleBatch:
         cfg = tiny_cfg()
         steps = windows(graph, series.values, cfg)
         samples = [draw_sample(graph, series.values, cfg, rng, steps) for _ in range(3)]
-        batch = SampleBatch.stack(samples, graph.adjacency)
+        batch = SampleBatch.stack([samples], graph.adjacency)
         sizes = [s.node_indices.size for s in samples]
         np.testing.assert_array_equal(batch.target, np.vstack([s.target for s in samples]))
         for s, block in zip(samples, np.split(batch.weights[:, 0], np.cumsum(sizes)[:-1])):
             np.testing.assert_allclose(block, 1.0 / (3 * s.node_indices.size))
         assert batch.weights.sum() == pytest.approx(1.0)
+        assert batch.bounds == (0, sum(sizes)) and batch.batches() == [batch]
+
+    def test_each_batch_of_a_stack_is_that_batch_stacked_alone(self, small_world):
+        graph, series = small_world
+        rng = np.random.default_rng(11)
+        cfg = tiny_cfg()
+        steps = windows(graph, series.values, cfg)
+        groups = [[draw_sample(graph, series.values, cfg, rng, steps) for _ in range(size)]
+                  for size in (2, 3, 1, 2)]
+        chunk = SampleBatch.stack(groups, graph.adjacency)
+        assert chunk.bounds[-1] == chunk.features.shape[0] == chunk.operator.shape[0]
+        for members, batch in zip(groups, chunk.batches(), strict=True):
+            alone = SampleBatch.stack([members], graph.adjacency)
+            for name in ("features", "mask", "target", "weights"):
+                got = getattr(batch, name)
+                assert np.shares_memory(got, getattr(chunk, name))  # a view, no copy
+                np.testing.assert_array_equal(got, getattr(alone, name))
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(
+                    getattr(batch.operator, name), getattr(alone.operator, name)
+                )
+            assert batch.bounds == alone.bounds
 
 
 class TestTrain:
@@ -383,6 +436,76 @@ class TestTrain:
         cfg = tiny_cfg(iterations=30, lr=1e154)
         with pytest.raises(TrainingDiverged):
             train(graph, series, cfg, np.random.default_rng(0))
+
+
+def one_batch_per_chunk(monkeypatch):
+    """Shrink the chunk row budget so that every chunk holds one batch."""
+    monkeypatch.setattr(training, "INFERENCE_ROWS", 1)
+
+
+def spy_gathers(monkeypatch):
+    """The node lists of every ``subgraph`` call ``train`` makes, in order."""
+    calls = []
+    gather = training.subgraph
+
+    def spy(adjacency, node_lists):
+        calls.append(node_lists)
+        return gather(adjacency, node_lists)
+
+    monkeypatch.setattr(training, "subgraph", spy)
+    return calls
+
+
+class TestChunkedPreparation:
+    """``train`` stacks and normalises its batches a chunk at a time; the
+    chunking changes no draw, loss, gradient or parameter."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"samples_per_iter": 5, "batch_size": 2}, {"mask_training": False}],
+        ids=["default", "short-last-batch", "no-masking"],
+    )
+    def test_one_batch_per_chunk_is_bitwise_the_default(self, small_world, monkeypatch, changes):
+        graph, series = small_world
+        cfg = tiny_cfg(iterations=4, **changes)
+        gathers = spy_gathers(monkeypatch)
+        chunked = train(graph, series, cfg, np.random.default_rng(8))
+        assert len(gathers) == 1  # every batch of the run fits one chunk
+        one_batch_per_chunk(monkeypatch)
+        single = train(graph, series, cfg, np.random.default_rng(8))
+        assert len(gathers) == 1 + chunked.optimizer_steps
+        assert chunked.trace == single.trace
+        assert chunked.optimizer_steps == single.optimizer_steps
+        for name, param in chunked.model.params.items():
+            np.testing.assert_array_equal(param.values, single.model.params[name].values)
+
+    @pytest.mark.parametrize("budget", [1, 20, 45])
+    def test_chunks_are_whole_batches_within_the_row_budget(self, small_world, monkeypatch, budget):
+        graph, series = small_world
+        cfg = tiny_cfg(iterations=6, samples_per_iter=6, batch_size=3)
+        monkeypatch.setattr(training, "INFERENCE_ROWS", budget)
+        chunks = spy_gathers(monkeypatch)
+        train(graph, series, cfg, np.random.default_rng(4))
+        batches = [[len(nodes) for nodes in chunk] for chunk in chunks]
+        assert sum(map(len, batches)) == cfg.iterations * cfg.samples_per_iter
+        for sizes, after in zip(batches, [*batches[1:], None]):
+            assert len(sizes) % cfg.batch_size == 0  # whole batches only
+            first = sum(sizes[: cfg.batch_size])
+            assert sum(sizes) <= max(budget, first)
+            if after is not None:  # the next batch would not have fit
+                assert sum(sizes) + sum(after[: cfg.batch_size]) > budget
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_same_iteration(self, small_world, monkeypatch):
+        graph, series = small_world
+        cfg = tiny_cfg(iterations=30, samples_per_iter=2, lr=1e154)  # one batch an iteration
+        with pytest.raises(TrainingDiverged) as chunked:
+            train(graph, series, cfg, np.random.default_rng(0))
+        one_batch_per_chunk(monkeypatch)
+        with pytest.raises(TrainingDiverged) as single:
+            train(graph, series, cfg, np.random.default_rng(0))
+        assert chunked.value.iteration == single.value.iteration > 0
+        assert str(chunked.value) == str(single.value)
 
 
 def per_window_forward(graph, window, model):
