@@ -3,8 +3,9 @@ synthetic corridor generator for desk-scale experiments.
 
 CSV contracts
 -------------
-speed CSV: header ``timestamp,<id0>,<id1>,...``; one row per step; first
-column is the numeric timestamp in seconds; empty cells are gaps.
+speed CSV: header ``timestamp,<id0>,<id1>,...`` with distinct, nonempty
+ids; one row per step; first column is the finite numeric timestamp in
+seconds; empty cells are gaps.
 distance CSV: header ``from,to,distance``; one directed pair per row;
 absent pairs are infinite, self pairs default to 0.
 
@@ -151,7 +152,7 @@ def _fmt(x: float) -> str:
     """Shortest round-trip decimal form; empty string for gaps."""
     if math.isnan(x):
         return ""
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):  # abs first: int(inf) raises
         return str(int(x))
     return repr(x)
 
@@ -172,6 +173,8 @@ def load_speed_csv(path) -> SpeedSeries:
         node_ids = tuple(header[1:])
         seen: set[str] = set()
         for node in node_ids:
+            if not node:
+                raise SeriesFormatError("empty sensor id in header", row=1)
             if node in seen:
                 raise SeriesFormatError(f"duplicate sensor id {node!r} in header", row=1)
             seen.add(node)
@@ -187,7 +190,11 @@ def load_speed_csv(path) -> SpeedSeries:
         except ValueError as err:
             raise _speed_fault(path, err) from None
     times = table[:, 0].copy()
-    if table.shape[1] != len(header) or (times[1:] <= times[:-1]).any():
+    if (
+        table.shape[1] != len(header)
+        or not np.isfinite(times).all()
+        or (times[1:] <= times[:-1]).any()
+    ):
         raise _speed_fault(path, None)
     step = _uneven_step(times)
     if step is not None:  # timestamps[i + 1] is on file row i + 3
@@ -240,6 +247,8 @@ def _speed_fault(path, err: ValueError | None) -> SeriesFormatError:
                 t = float(row[0])
             except ValueError:
                 return SeriesFormatError(f"unparsable timestamp {row[0]!r}", row=lineno)
+            if not math.isfinite(t):
+                return SeriesFormatError(f"non-finite timestamp {row[0]!r}", row=lineno)
             if last is not None and t <= last:
                 return SeriesFormatError(f"timestamp {row[0]} not strictly increasing", row=lineno)
             last = t

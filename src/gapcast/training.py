@@ -35,7 +35,6 @@ __all__ = [
     "TrainedModel",
     "FullPrediction",
     "TrainingDiverged",
-    "gap_free_history",
     "valid_time_steps",
     "draw_sample",
     "compute_loss",
@@ -172,10 +171,7 @@ class SampleBatch:
     def batches(self) -> list["SampleBatch"]:
         """Each batch of the stack: views of its rows, and its diagonal block
         of ``operator``, which holds the entries, in the same order, that a
-        stack of that batch alone would hold. A stack of one batch is
-        that batch, with no block to build."""
-        if len(self.bounds) == 2:
-            return [self]
+        stack of that batch alone would hold."""
         return [
             SampleBatch(
                 features=self.features[start:stop],
@@ -189,33 +185,20 @@ class SampleBatch:
         ]
 
 
-def gap_free_history(finite: np.ndarray, ends: np.ndarray, history: int) -> np.ndarray:
-    """Mask over window end steps: True where ``finite``, a per-step mask
-    of rows with every observable value finite, holds on the ``history``
-    steps up to and including each end.
-
-    Training and inference both take only windows whose observable
-    history has no gap once :func:`fill_small_gaps` has run, and whose
-    first and last rows were observed before the fill.
-    """
-    gaps = np.concatenate([[0], np.cumsum(~finite)])
-    return gaps[ends + 1] == gaps[ends + 1 - history]
-
-
 def valid_time_steps(
-    values: np.ndarray, history: int, horizon: int, columns: np.ndarray, stride: int = 1
+    values: np.ndarray, history: int, horizon: int, columns: np.ndarray
 ) -> np.ndarray:
-    """Time indices t, every ``stride``-th from history - 1, of the windows
-    of raw ``values`` that :func:`_observed_input` accepts on the given
-    columns and whose t+horizon target row is finite there: the window rule
-    of training, which inference applies to its input."""
+    """Time indices t of the windows of raw ``values`` that
+    :func:`_observed_input` accepts on the given columns and whose
+    t+horizon target row is finite there: the window rule of training,
+    which inference applies to its input."""
     steps = values.shape[0]
     if steps < history + horizon:
         raise DataError(
             f"series has {steps} steps, need at least {history + horizon} "
             f"for history={history}, horizon={horizon}"
         )
-    ts = np.arange(history - 1, steps - horizon, stride)
+    ts = np.arange(history - 1, steps - horizon)
     _, accepted = _observed_input(values, columns, ts, history)
     finite = np.isfinite(values[:, columns]).all(axis=1)
     valid = ts[accepted & finite[ts + horizon]]
@@ -231,30 +214,25 @@ def draw_sample(
     rng: np.random.Generator,
     valid_steps: np.ndarray,
 ) -> SubgraphSample:
-    """One masked-subgraph draw over the observable set, at a time step
-    drawn from ``valid_steps`` (see :func:`valid_time_steps`).
+    """One draw over the observable set, at a time step drawn from
+    ``valid_steps`` (see :func:`valid_time_steps`); hidden nodes are never
+    read.
 
-    Sample size n_s is uniform on [max(2, N_o // 3), N_o], the masked count
-    uniform on [1, n_s - 1], so both groups are nonempty; with
-    mask_training=False the sample is the full node set with nothing masked
-    (the no-masking baseline regime).
+    With mask_training, a random subgraph is masked: sample size n_s is
+    uniform on [max(2, N_o // 3), N_o] and the masked count uniform on
+    [1, n_s - 1], so both groups are nonempty. Without it the sample is
+    every observable node, in order, with nothing masked (the no-masking
+    baseline regime).
     """
     t = int(valid_steps[rng.integers(valid_steps.size)])
-
+    nodes, n_m = graph.observable, 0
     if cfg.mask_training:
-        n_obs = graph.observable.size
-        if n_obs < 2:
+        if nodes.size < 2:
             raise DataError("need at least 2 observable nodes to sample and mask")
-        n_s = int(rng.integers(max(2, n_obs // 3), n_obs + 1))
+        n_s = int(rng.integers(max(2, nodes.size // 3), nodes.size + 1))
         n_m = int(rng.integers(1, n_s))
-        nodes = rng.permutation(graph.observable)[:n_s]
-        reserved = nodes[: n_s - n_m]
-        masked = nodes[n_s - n_m :]
-    else:
-        nodes = np.arange(graph.n, dtype=np.int64)
-        reserved = nodes
-        masked = np.empty(0, dtype=np.int64)
-
+        nodes = rng.permutation(nodes)[:n_s]
+    reserved, masked = nodes[: nodes.size - n_m], nodes[nodes.size - n_m :]
     mask = np.zeros((nodes.size, cfg.history))
     mask[: reserved.size] = 1.0
     features = values[t - cfg.history + 1 : t + 1, nodes].T.copy()
@@ -409,14 +387,16 @@ def _observed_input(
     """The ``observable`` columns of ``values`` after :func:`fill_small_gaps`,
     and a mask over ``ends``: True where the window of ``history`` steps
     ending there is gap-free after the fill and its first and last rows
-    were gap-free before it. A filled value then comes from two observed
-    steps of its own window, never from past its end, so a window is
-    filled alike whether it is cut from a longer series or given alone.
+    were gap-free before it. This is the one window rule of training and
+    inference. A filled value then comes from two observed steps of its own
+    window, never from past its end, so a window is filled alike whether it
+    is cut from a longer series or given alone.
     """
     observed = values[:, observable]
     raw = np.isfinite(observed).all(axis=1)
     observed = fill_small_gaps(observed)
-    filled = gap_free_history(np.isfinite(observed).all(axis=1), ends, history)
+    gaps = np.concatenate([[0], np.cumsum(~np.isfinite(observed).all(axis=1))])
+    filled = gaps[ends + 1] == gaps[ends + 1 - history]
     return observed, filled & raw[ends] & raw[ends + 1 - history]
 
 
@@ -460,9 +440,10 @@ def _predict_observed(
     The graph is normalized once. The windows run in chunks of
     ``INFERENCE_ROWS // n`` (at least one), each as one tapeless forward
     pass over the block-diagonal union of that many copies of the forward
-    matrix, built by :func:`gapcast.graph.subgraph`. All full chunks share
-    one union; a short last chunk builds its own, and a chunk of one window
-    runs on the graph's own matrix.
+    matrix, built once per call by :func:`gapcast.graph.subgraph` (the
+    graph's own matrix when a chunk holds one window). A short last chunk
+    runs on the :func:`gapcast.graph.diagonal_block` sliced from the one
+    union.
     """
     t_hist, n = model.history, graph.n
     scaled = model.scaler.transform(observed)
@@ -470,13 +451,7 @@ def _predict_observed(
     mask[graph.observable] = 1.0
     p = normalize(graph.adjacency)
     per_pass = min(max(1, INFERENCE_ROWS // n), ends.size)
-
-    def union(copies: int) -> sparse.csr_array:
-        if copies == 1:  # the graph itself: no copy of its matrix to build
-            return p
-        return subgraph(p, [np.arange(n)] * copies)
-
-    full = union(per_pass)
+    full = p if per_pass == 1 else subgraph(p, [np.arange(n)] * per_pass)
     offsets = np.arange(1 - t_hist, 1)
     std = model.scaler.std
     parts = []
@@ -490,7 +465,7 @@ def _predict_observed(
             model.model_cfg,
             ad.constant(x.reshape(count * n, t_hist)),
             ad.constant(np.tile(mask, (count, 1))),
-            full if count == per_pass else union(count),
+            full if count == per_pass else diagonal_block(full, 0, count * n),
         )
         parts.append((
             model.scaler.inverse(fwd.gamma.values).reshape(count, n),

@@ -240,6 +240,26 @@ class TestTrainRejectsInput:
         assert f"row 1: duplicate sensor id {header[1]!r}" in err
         assert "Traceback" not in err
 
+    def test_infinite_timestamp_exits_1(self, tmp_path, capsys):
+        data = dataset(tmp_path)
+        lines = (data / "speed.csv").read_text().splitlines()
+        last = lines[-1].split(",")
+        bad = tmp_path / "inf.csv"
+        bad.write_text("\n".join([*lines[:-1], ",".join(["inf", *last[1:]])]) + "\n")
+        code = run(
+            [
+                "train",
+                "--data", str(bad),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "t"),
+                *TRAIN_ARGS,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"row {len(lines)}: non-finite timestamp" in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_missing_checkpoint_nonzero_exit(self, tmp_path, capsys):

@@ -78,6 +78,36 @@ class TestSpeedCsv:
             load_speed_csv(p)
         assert err.value.row == 1
 
+    def test_empty_sensor_id_rejected(self, tmp_path):
+        p = write(tmp_path / "s.csv", "timestamp,a,\n0,1,2\n300,1,2\n")
+        with pytest.raises(SeriesFormatError, match="empty sensor id") as err:
+            load_speed_csv(p)
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize(
+        "times, row",
+        [
+            (("0", "300", "nan", "900"), 4),  # nan mid-file
+            (("0", "300", "600", "nan"), 5),  # nan last
+            (("-inf", "0", "300"), 2),
+            (("0", "300", "inf"), 4),
+        ],
+        ids=["nan-mid", "nan-last", "-inf-first", "inf-last"],
+    )
+    def test_nonfinite_timestamp_names_its_row(self, tmp_path, times, row):
+        body = "".join(f"{t},{i}\n" for i, t in enumerate(times))
+        p = write(tmp_path / "s.csv", "timestamp,a\n" + body)
+        with pytest.raises(SeriesFormatError, match="non-finite timestamp") as err:
+            load_speed_csv(p)
+        assert err.value.row == row
+
+    def test_infinite_values_round_trip(self, tmp_path):
+        series = SpeedSeries(("a", "b"), np.array([0.0, 300.0]),
+                             np.array([[np.inf, 1.5], [-np.inf, np.nan]]))
+        save_speed_csv(series, tmp_path / "s.csv")  # _fmt spells them, no OverflowError
+        assert (tmp_path / "s.csv").read_text().splitlines()[1:] == ["0,inf,1.5", "300,-inf,"]
+        assert_same_bits(load_speed_csv(tmp_path / "s.csv").values, series.values)
+
     def test_header_only_names_row_2(self, tmp_path):
         p = write(tmp_path / "s.csv", "timestamp,a,b\n")
         with pytest.raises(SeriesFormatError, match="no readings after its header") as err:
@@ -195,6 +225,8 @@ def reference_speed(path):
                 t = float(row[0])
             except ValueError:
                 raise SeriesFormatError(f"unparsable timestamp {row[0]!r}", row=lineno) from None
+            if not math.isfinite(t):
+                raise SeriesFormatError(f"non-finite timestamp {row[0]!r}", row=lineno)
             if times and t <= times[-1]:
                 raise SeriesFormatError(f"timestamp {row[0]} not strictly increasing", row=lineno)
             vals = []
@@ -280,7 +312,7 @@ distance_cells = st.one_of(
 )
 terminators = st.sampled_from(["\n", "\r\n"])
 quotings = st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
-SPEED_FAULTS = ("ragged", "blank", "timestamp", "value", "order")
+SPEED_FAULTS = ("ragged", "blank", "timestamp", "nonfinite", "value", "order")
 DISTANCE_FAULTS = ("ragged", "blank", "unknown", "distance", "negative", "duplicate")
 PATCHED = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -320,6 +352,8 @@ def inject(rows, at, kind, ids=()):
         row = []
     elif kind == "timestamp":
         row[0] = "" if at % 2 else "1.0.0"
+    elif kind == "nonfinite":
+        row[0] = ("nan", "inf", "-inf")[at % 3]
     elif kind == "value":
         row[-1] = "abc"
     elif kind == "order":  # the previous row's timestamp (or the header's)

@@ -69,6 +69,22 @@ def test_tracer_installs_on_every_gapcast_module():
     assert replaced() == []
 
 
+def test_every_export_resolves():
+    """Every name in ``gapcast.__all__`` and in each module's ``__all__``
+    exists, so a deleted helper cannot leave its export behind."""
+    modules = [gapcast] + [
+        importlib.import_module(f"gapcast.{info.name}")
+        for info in pkgutil.iter_modules(gapcast.__path__)
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 1 and missing == []
+
+
 def test_traced_run_sees_every_fused_call():
     """A fused op must not hide a call the benchmark's spans and counters
     read: every diffusion layer, the Chebyshev terms, the batch operator's

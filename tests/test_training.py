@@ -132,14 +132,6 @@ class TestValidTimeSteps:
                   np.random.default_rng(2))
         np.testing.assert_array_equal(drawn_from[0], ts)
 
-    @pytest.mark.parametrize("stride", [2, 3, 7])
-    def test_stride_keeps_every_strided_window(self, stride):
-        values = np.ones((30, 2))
-        values[10, 0] = np.nan
-        every = valid_time_steps(values, history=3, horizon=1, columns=np.array([0, 1]))
-        ts = valid_time_steps(values, 3, 1, np.array([0, 1]), stride=stride)
-        np.testing.assert_array_equal(ts, every[(every - 2) % stride == 0])
-
     def test_no_window_left_is_named(self):
         values = np.ones((20, 2))
         values[::2, 1] = np.nan  # every window's first, last or target row
@@ -190,7 +182,7 @@ class TestDrawSample:
         cfg = tiny_cfg(mask_training=False)
         steps = windows(graph, series.values, cfg)
         s = draw_sample(graph, series.values, cfg, np.random.default_rng(0), steps)
-        assert s.node_indices.size == graph.n
+        np.testing.assert_array_equal(s.node_indices, graph.observable)
         assert s.masked.size == 0
         assert (s.mask == 1.0).all()
 
@@ -360,7 +352,14 @@ class TestSampleBatch:
         for s, block in zip(samples, np.split(batch.weights[:, 0], np.cumsum(sizes)[:-1])):
             np.testing.assert_allclose(block, 1.0 / (3 * s.node_indices.size))
         assert batch.weights.sum() == pytest.approx(1.0)
-        assert batch.bounds == (0, sum(sizes)) and batch.batches() == [batch]
+        assert batch.bounds == (0, sum(sizes))
+        (alone,) = batch.batches()
+        for name in ("features", "mask", "target", "weights"):
+            np.testing.assert_array_equal(getattr(alone, name), getattr(batch, name))
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(alone.operator, name), getattr(batch.operator, name)
+            )
 
     def test_each_batch_of_a_stack_is_that_batch_stacked_alone(self, small_world):
         graph, series = small_world
@@ -430,6 +429,24 @@ class TestTrain:
         flipped = replace(series, node_ids=series.node_ids[::-1], values=series.values[:, ::-1])
         with pytest.raises(NodeIdMismatch, match="node index 0"):
             train(graph, flipped, tiny_cfg(), np.random.default_rng(0))
+
+    def test_unmasked_training_never_reads_hidden_columns(self, small_world, monkeypatch):
+        graph, series = small_world
+        values = series.values.copy()
+        values[:, graph.missing] = np.nan
+        drawn = []
+        draw = training.draw_sample
+
+        def spy(*args):
+            sample = draw(*args)
+            drawn.append(sample.node_indices)
+            return sample
+
+        monkeypatch.setattr(training, "draw_sample", spy)
+        res = train(graph, replace(series, values=values), tiny_cfg(mask_training=False),
+                    np.random.default_rng(0))
+        assert all(np.isfinite(row["j_total"]) for row in res.trace)
+        assert drawn and not np.isin(np.concatenate(drawn), graph.missing).any()
 
     def test_divergence_aborts_with_diagnostic(self, small_world):
         graph, series = small_world
