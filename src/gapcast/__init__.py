@@ -1,7 +1,6 @@
 """gapcast: traffic forecasting with uncertainty at sensed and unsensed
 road-network locations."""
 
-from .autodiff import Adam, Tape, Tensor
 from .data import SpeedSeries, SplitSpec, generate_synthetic, hide_locations, split
 from .evaluate import MetricReport, knn_impute, mean_impute, two_step_pipeline
 from .graph import RoadGraph, build_adjacency, normalize
@@ -13,7 +12,6 @@ from .training import (
     draw_sample,
     load_model,
     predict_full,
-    predict_windows,
     save_model,
     train,
 )
@@ -21,9 +19,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam",
-    "Tape",
-    "Tensor",
     "SpeedSeries",
     "SplitSpec",
     "generate_synthetic",
@@ -47,7 +42,6 @@ __all__ = [
     "draw_sample",
     "load_model",
     "predict_full",
-    "predict_windows",
     "save_model",
     "train",
     "__version__",

@@ -201,8 +201,14 @@ def _train_config(cfg: dict, resolution: float) -> TrainConfig:
     )
 
 
-# Metadata cmd_train stores with a checkpoint and cmd_eval reads back.
-EVAL_META = ("node_ids", "observable", "missing", "sigma", "kappa")
+# Metadata cmd_train stores with a checkpoint, and how cmd_eval reads each back.
+EVAL_META = {
+    "node_ids": tuple,
+    "observable": lambda nodes: np.asarray(nodes, dtype=np.int64),
+    "missing": lambda nodes: np.asarray(nodes, dtype=np.int64),
+    "sigma": float,
+    "kappa": float,
+}
 
 
 def cmd_generate(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
@@ -258,18 +264,24 @@ def cmd_train(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
 
 def cmd_eval(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
     model, extra = load_model(ns.checkpoint)
-    for key in EVAL_META:
-        if key not in extra:
+    meta = {}
+    for key, build in EVAL_META.items():
+        try:
+            value = extra[key]
+        except (KeyError, TypeError):  # TypeError: the extra meta is not a JSON object
             raise CheckpointError(
                 f"{ns.checkpoint} has no {key!r} in its metadata; "
                 "eval needs a checkpoint written by 'gapcast train'"
-            )
-    graph, series = _load_graph(ns.data, ns.distances, extra["sigma"], extra["kappa"])
-    check_node_ids(extra["node_ids"], series.node_ids, "the checkpoint")
-    graph = graph.with_partition(
-        np.asarray(extra["observable"], dtype=np.int64),
-        np.asarray(extra["missing"], dtype=np.int64),
-    )
+            ) from None
+        try:
+            meta[key] = build(value)
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(
+                f"{ns.checkpoint} metadata {key!r} is malformed: {err}"
+            ) from None
+    graph, series = _load_graph(ns.data, ns.distances, meta["sigma"], meta["kappa"])
+    check_node_ids(meta["node_ids"], series.node_ids, "the checkpoint")
+    graph = graph.with_partition(meta["observable"], meta["missing"])
     min_steps = model.history + model.horizon
     _, _, test_series = split(series, SplitSpec(), min_steps=min_steps)
     wp = collect_predictions(model, graph, test_series, test_series, stride=cfg["stride"])

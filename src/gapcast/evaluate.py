@@ -91,14 +91,16 @@ def collect_predictions(
     stride: int = 1,
 ) -> WindowPredictions:
     """Run the model over every window of the input series that
-    :func:`predict_windows` accepts and whose truth row is finite: a gap is
-    never scored against a filled value.
+    :func:`gapcast.training._observed_input` accepts and whose truth row is
+    finite: a gap is never scored against a filled value. This is the
+    series entry to inference; :func:`gapcast.training.predict_full` is the
+    one-window entry, and both run :func:`gapcast.training._predict_observed`.
 
     ``eval_graph``'s partition controls the input mask (missing rows are
     zeroed), while the truth may cover all nodes; window t predicts
     t + horizon. The truth must have the input's steps and node ids, and a
     graph with node ids must name the input's columns in order. The input
-    is filled once and every window runs in one stacked prediction.
+    is filled once and every window runs in one call of the engine.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")

@@ -39,7 +39,6 @@ __all__ = [
     "draw_sample",
     "compute_loss",
     "train",
-    "predict_windows",
     "predict_full",
     "save_model",
     "load_model",
@@ -190,8 +189,10 @@ def valid_time_steps(
 ) -> np.ndarray:
     """Time indices t of the windows of raw ``values`` that
     :func:`_observed_input` accepts on the given columns and whose
-    t+horizon target row is finite there: the window rule of training,
-    which inference applies to its input."""
+    t+horizon target row is finite there: the window rule of training.
+    Both inference entries, :func:`gapcast.evaluate.collect_predictions`
+    and :func:`predict_full`, apply its window rule to their input before
+    the one engine, :func:`_predict_observed`, runs."""
     steps = values.shape[0]
     if steps < history + horizon:
         raise DataError(
@@ -400,42 +401,15 @@ def _observed_input(
     return observed, filled & raw[ends] & raw[ends + 1 - history]
 
 
-def predict_windows(
-    graph: RoadGraph, values: np.ndarray, ends: np.ndarray, model: TrainedModel
-) -> EvidentialOutput:
-    """Predict every node from each window of ``history`` steps of a
-    (steps, n) speed series ``values`` that ends at a step in ``ends``.
-
-    The observable columns get training's :func:`fill_small_gaps`, and a
-    window is refused if its first or last observable row has a gap, or a
-    gap longer than ``MAX_FILL_GAP`` steps remains (:func:`_observed_input`).
-    Missing-location columns are ignored (their input rows are zeroed and
-    their mask rows are 0). Returns a (windows, n) record in speed units.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    ends = np.asarray(ends)
-    t_hist, n = model.history, graph.n
-    if values.ndim != 2 or values.shape[1] != n:
-        raise DataError(f"values must be (steps, {n}), got {values.shape}")
-    if (
-        ends.ndim != 1 or not ends.size or ends.dtype.kind not in "iu"
-        or ends.min() < t_hist - 1 or ends.max() >= values.shape[0]
-    ):
-        raise DataError(
-            "window ends must be a nonempty 1-D integer array of steps in "
-            f"[{t_hist - 1}, {values.shape[0] - 1}]"
-        )
-    observed, accepted = _observed_input(values, graph.observable, ends, t_hist)
-    if not accepted.all():
-        raise DataError("window has gaps at observable locations")
-    return _predict_observed(graph, observed, ends, model)
-
-
 def _predict_observed(
     graph: RoadGraph, observed: np.ndarray, ends: np.ndarray, model: TrainedModel
 ) -> EvidentialOutput:
-    """:func:`predict_windows` on the ``observed`` columns of
-    :func:`_observed_input`, at ends it accepts.
+    """The one inference engine: predict every node from each window of
+    ``history`` steps of the ``observed`` columns of :func:`_observed_input`
+    that ends at a step in ``ends``, each an end it accepts. Its two
+    entries are :func:`gapcast.evaluate.collect_predictions` for a series
+    and :func:`predict_full` for one window. Missing-location rows get zero
+    input and a zero mask. Returns a (windows, n) record in speed units.
 
     The graph is normalized once. The windows run in chunks of
     ``INFERENCE_ROWS // n`` (at least one), each as one tapeless forward
@@ -482,17 +456,23 @@ def _predict_observed(
 def predict_full(
     graph: RoadGraph, window: np.ndarray, model: TrainedModel
 ) -> FullPrediction:
-    """Predict every node from the last ``history`` observed steps.
+    """Predict every node from the last ``history`` observed steps: the
+    one-window entry to :func:`_predict_observed`, the engine that
+    :func:`gapcast.evaluate.collect_predictions` runs over a series.
 
-    ``window`` is (history, n) in speed units; this is
-    :func:`predict_windows` on the one window it holds, so a short interior
-    gap is filled, while a gap at its first or last step cannot be and is
-    refused.
+    ``window`` is (history, n) in speed units. A short interior gap is
+    filled, while a gap at its first or last step cannot be and is
+    refused, as is a gap longer than ``MAX_FILL_GAP`` steps
+    (:func:`_observed_input`). Missing-location columns are ignored.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.shape != (model.history, graph.n):
         raise DataError(f"window must be ({model.history}, {graph.n}), got {window.shape}")
-    ev = predict_windows(graph, window, [model.history - 1], model)
+    ends = np.array([model.history - 1])
+    observed, accepted = _observed_input(window, graph.observable, ends, model.history)
+    if not accepted[0]:
+        raise DataError("window has gaps at observable locations")
+    ev = _predict_observed(graph, observed, ends, model)
     return FullPrediction(EvidentialOutput(ev.gamma[0], ev.nu[0], ev.alpha_nig[0], ev.beta[0]))
 
 

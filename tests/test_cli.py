@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapcast import cli
-from gapcast.checkpoint import CheckpointError, save_checkpoint
+from gapcast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gapcast.cli import main, parse_horizon
 from gapcast.data import RESOLUTION_S, generate_synthetic, load_speed_csv
 from gapcast.evaluate import collect_predictions
@@ -333,6 +333,29 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'model_cfg'" in err
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("sigma", "abc"), ("kappa", "abc"), ("node_ids", 5), ("missing", None), ("sigma", [1])],
+    )
+    def test_wrong_typed_cli_metadata_names_its_key(self, tmp_path, capsys, key, bad):
+        data = dataset(tmp_path)
+        params, meta = load_checkpoint(train_run(tmp_path, data) / "checkpoint.bin")
+        meta["extra"][key] = bad
+        edited = tmp_path / "edited.bin"
+        save_checkpoint(edited, params, meta)
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(edited),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key!r} is malformed" in err
 
     @pytest.mark.parametrize(
         "cut, message", [(6, "preamble"), (20, "not JSON"), (-1, "runs past")]

@@ -35,7 +35,6 @@ from gapcast.model import EvidentialOutput, ModelConfig, nig_nll_values
 from gapcast.training import (
     TrainConfig,
     predict_full,
-    predict_windows,
     train,
     valid_time_steps,
 )
@@ -296,6 +295,13 @@ def collect_oracle(model, graph, series, stride):
     return np.array(targets), np.stack(rows, axis=1)
 
 
+def series_rows(series, start, stop):
+    """The rows ``start:stop`` of ``series``."""
+    return replace(
+        series, timestamps=series.timestamps[start:stop], values=series.values[start:stop]
+    )
+
+
 class TestStackedCollection:
     """collect_predictions against the per-window loop it replaced."""
 
@@ -328,10 +334,11 @@ class TestStackedCollection:
         wp = collect_predictions(model, graph, te, te, stride=1)
         ends = wp.target_steps - model.horizon
         assert ends.size > 8 and ends.size % 4 and built == [4]
-        parts = [
-            predict_windows(graph, te.values, chunk, model)
-            for chunk in np.split(ends, np.arange(4, ends.size, 4))
-        ]
+        # a series cut to one chunk's windows runs them as one union
+        parts = []
+        for chunk in np.split(ends, np.arange(4, ends.size, 4)):
+            cut = series_rows(te, chunk[0] - model.history + 1, chunk[-1] + model.horizon + 1)
+            parts.append(collect_predictions(model, graph, cut, cut).evidential)
         for name in ("gamma", "nu", "alpha_nig", "beta"):
             want = np.concatenate([getattr(p, name) for p in parts])
             np.testing.assert_array_equal(getattr(wp.evidential, name), want)
@@ -375,14 +382,16 @@ class TestStackedCollection:
         np.testing.assert_array_equal(ends, np.setdiff1d(every, [at - dt, at, at + h - 1]))
         np.testing.assert_array_equal(ends, valid_time_steps(values, h, dt, graph.observable))
         assert at + 1 in ends  # a window through the gap is predicted
-        for end in (at, at + h - 1):
-            with pytest.raises(DataError, match="gaps at observable"):
-                predict_windows(graph, values, np.array([end]), model)
-        ev = predict_windows(graph, values, ends, model)
-        filled = predict_windows(graph, fill_small_gaps(values), ends, model)
+        # the fill stays inside each window: the same rows as on a series
+        # filled beforehand, which keeps the edge windows too
+        filled = replace(te, values=fill_small_gaps(values))
+        ev = collect_predictions(model, graph, filled, gappy, stride=1)
+        kept = np.isin(ev.target_steps - dt, ends)
+        np.testing.assert_array_equal(ev.target_steps[~kept] - dt, [at, at + h - 1])
         for name in ("gamma", "nu", "alpha_nig", "beta"):
-            np.testing.assert_array_equal(getattr(ev, name), getattr(filled, name))
-            np.testing.assert_array_equal(getattr(wp.evidential, name), getattr(ev, name))
+            np.testing.assert_array_equal(
+                getattr(wp.evidential, name), getattr(ev.evidential, name)[kept]
+            )
         # each window near the gap is predicted, or refused, as when given alone
         for end in range(at - 1, at + h + 1):
             window = values[end - h + 1 : end + 1]
@@ -398,11 +407,7 @@ class TestStackedCollection:
 
     def test_single_window(self, trained_world):
         graph, _, te, _, model = trained_world
-        short = replace(
-            te,
-            timestamps=te.timestamps[: model.history + model.horizon],
-            values=te.values[: model.history + model.horizon],
-        )
+        short = series_rows(te, 0, model.history + model.horizon)
         wp = self.check(model, graph, short, stride=1)
         assert wp.evidential.gamma.shape == (1, graph.n)
 

@@ -139,25 +139,55 @@ def test_graph_imports_nothing_from_autodiff():
     assert names and not [name for name in names if "autodiff" in name]
 
 
-def test_data_write_csv_is_the_only_csv_writer():
-    """Every table is written by ``gapcast.data.write_csv``: it holds the
-    only ``csv.writer(...)`` call in ``src/gapcast`` and ``scripts/``."""
+def callers(paths, is_target):
+    """``module.function`` (or ``module`` at module level) around every call
+    in ``paths`` whose callee expression satisfies ``is_target``."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            call = child.func if isinstance(child, ast.Call) else None
-            if (
-                isinstance(call, ast.Attribute) and call.attr == "writer"
-                and isinstance(call.value, ast.Name) and call.value.id == "csv"
-            ):
+            if isinstance(child, ast.Call) and is_target(child.func):
                 found.append(where)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}" if named else where)
 
-    for path in [*(ROOT / "src" / "gapcast").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+    for path in paths:
         visit(ast.parse(path.read_text()), path.stem)
-    assert found == ["data.write_csv"]
+    return sorted(found)
+
+
+def named(name):
+    """A callee test for ``name(...)`` and ``anything.name(...)``."""
+    return lambda func: (
+        isinstance(func, ast.Name) and func.id == name
+        or isinstance(func, ast.Attribute) and func.attr == name
+    )
+
+
+def test_data_write_csv_is_the_only_csv_writer():
+    """Every table is written by ``gapcast.data.write_csv``: it holds the
+    only ``csv.writer(...)`` call in ``src/gapcast`` and ``scripts/``."""
+
+    def csv_writer(func):
+        return (
+            isinstance(func, ast.Attribute) and func.attr == "writer"
+            and isinstance(func.value, ast.Name) and func.value.id == "csv"
+        )
+
+    paths = [*(ROOT / "src" / "gapcast").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    assert callers(paths, csv_writer) == ["data.write_csv"]
+
+
+def test_inference_has_two_entries_over_one_engine():
+    """``model.forward`` runs only in training and in the inference engine
+    ``training._predict_observed``, whose only callers are the series entry
+    ``collect_predictions`` and the one-window entry ``predict_full``, so a
+    third inference path cannot come back unseen."""
+    paths = list((ROOT / "src" / "gapcast").glob("*.py"))
+    assert callers(paths, named("forward")) == ["training._predict_observed", "training.train"]
+    assert callers(paths, named("_predict_observed")) == [
+        "evaluate.collect_predictions", "training.predict_full"
+    ]
 
 
 def test_benchmark_inputs_load_to_the_generated_graph(tmp_path):

@@ -15,6 +15,7 @@ from gapcast.data import (
     generate_synthetic,
     hide_locations,
 )
+from gapcast.evaluate import collect_predictions
 from gapcast.graph import build_adjacency, normalize, subgraph
 from gapcast.model import (
     ForwardPass,
@@ -36,7 +37,6 @@ from gapcast.training import (
     draw_sample,
     load_model,
     predict_full,
-    predict_windows,
     save_model,
     train,
     valid_time_steps,
@@ -451,7 +451,8 @@ class TestTrain:
     def test_divergence_aborts_with_diagnostic(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg(iterations=30, lr=1e154)
-        with pytest.raises(TrainingDiverged):
+        # the huge step overflows on purpose before the loss turns non-finite
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDiverged):
             train(graph, series, cfg, np.random.default_rng(0))
 
 
@@ -616,34 +617,45 @@ class TestPredictFull:
 
 
 class TestPredictWindows:
+    """The stacked inference engine through its two entries:
+    ``collect_predictions`` for a series and ``predict_full`` for one
+    window."""
+
     @pytest.fixture
     def world(self, small_world):
         graph, series = small_world
-        cfg = tiny_cfg()
-        model = train(graph, series, cfg, np.random.default_rng(0)).model
-        ends = np.array([0, 7, 50, 51, 120]) + cfg.history - 1
-        return graph, model, series.values, ends
+        model = train(graph, series, tiny_cfg(), np.random.default_rng(0)).model
+        return graph, model, series
 
     @staticmethod
     def window(values, end, model):
         return values[end - model.history + 1 : end + 1]
 
+    @staticmethod
+    def directed(graph):
+        """A graph on the same nodes whose forward and backward transitions
+        differ."""
+        dist = np.random.default_rng(3).uniform(0.2, 3.0, (graph.n, graph.n))
+        directed = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
+            graph.observable, graph.missing
+        )
+        p = normalize(directed.adjacency)
+        assert abs(p - p.T).max() > 0.1
+        return directed
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_matches_per_window_forward(self, world, directed):
-        graph, model, values, ends = world
-        if directed:  # forward and backward transitions differ
-            dist = np.random.default_rng(3).uniform(0.2, 3.0, (graph.n, graph.n))
-            graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
-                graph.observable, graph.missing
-            )
-            p = normalize(graph.adjacency)
-            assert abs(p - p.T).max() > 0.1
-        ev = predict_windows(graph, values, ends, model)
-        assert ev.gamma.shape == ev.beta.shape == (len(ends), graph.n)
+        graph, model, series = world
+        if directed:
+            graph = self.directed(graph)
+        wp = collect_predictions(model, graph, series, series)
+        ends = wp.target_steps - model.horizon
+        assert ends.size > training.INFERENCE_ROWS // graph.n  # a full and a short pass
+        assert wp.gamma.shape == wp.beta.shape == (ends.size, graph.n)
         for row, end in enumerate(ends):
             np.testing.assert_allclose(
-                nig_rows(ev)[:, row],
-                per_window_forward(graph, self.window(values, end, model), model),
+                nig_rows(wp.evidential)[:, row],
+                per_window_forward(graph, self.window(series.values, end, model), model),
                 rtol=1e-12,
             )
 
@@ -651,26 +663,30 @@ class TestPredictWindows:
     def test_directed_union_equals_per_window_rows_bitwise(self, world, count):
         # One stored union serves both directions: its transpose view is the
         # backward union, with no separate path for a single window.
-        graph, model, values, ends = world
-        dist = np.random.default_rng(3).uniform(0.2, 3.0, (graph.n, graph.n))
-        graph = build_adjacency(dist, sigma=1.0, kappa=2.0).with_partition(
-            graph.observable, graph.missing
-        )
-        ev = predict_windows(graph, values, ends[:count], model)
-        for row, end in enumerate(ends[:count]):
+        graph, model, series = world
+        graph = self.directed(graph)
+        steps = model.history + model.horizon + count - 1
+        head = replace(series, timestamps=series.timestamps[:steps], values=series.values[:steps])
+        wp = collect_predictions(model, graph, head, head)
+        ends = wp.target_steps - model.horizon
+        assert ends.size == count
+        for row, end in enumerate(ends):
             np.testing.assert_array_equal(
-                nig_rows(ev)[:, row],
-                per_window_forward(graph, self.window(values, end, model), model),
+                nig_rows(wp.evidential)[:, row],
+                per_window_forward(graph, self.window(series.values, end, model), model),
             )
 
     def test_speed_units(self, world):
         # A scaler (m, s) on speed windows gives m + s * (the unit-scaler
         # prediction on standardized windows), and variances times s^2.
-        graph, model, values, ends = world
+        graph, model, series = world
         m, s = model.scaler.mean, model.scaler.std
         unit = replace(model, scaler=Scaler(mean=0.0, std=1.0))
-        speed = predict_windows(graph, values, ends, model)
-        plain = predict_windows(graph, (values - m) / s, ends, unit)
+        standard = replace(series, values=(series.values - m) / s)
+        speed = collect_predictions(model, graph, series, series)
+        plain = collect_predictions(unit, graph, standard, standard)
+        np.testing.assert_array_equal(speed.target_steps, plain.target_steps)
+        speed, plain = speed.evidential, plain.evidential
         np.testing.assert_allclose(speed.gamma, plain.gamma * s + m, rtol=1e-12)
         np.testing.assert_allclose(speed.nu, plain.nu, rtol=1e-12)
         np.testing.assert_allclose(speed.epistemic, plain.epistemic * s * s, rtol=1e-12)
@@ -679,34 +695,42 @@ class TestPredictWindows:
     @pytest.mark.parametrize(
         "take",
         [
-            lambda v, e, h: (v[:, 0], e),
-            lambda v, e, h: (v[:, 1:], e),
-            lambda v, e, h: (v, np.array([h - 2, *e])),
-            lambda v, e, h: (v, e[:0]),
-            lambda v, e, h: (v, np.array([len(v)])),
-            lambda v, e, h: (v, e.astype(float)),
-            lambda v, e, h: (v, e[:, None]),
+            lambda w: w[:, 0],
+            lambda w: w[:, 1:],
+            lambda w: w[1:],
+            lambda w: np.vstack([w, w[:1]]),
+            lambda w: w[:0],
+            lambda w: w.T,
+            lambda w: w[None],
         ],
     )
     def test_stack_shape_checked(self, world, take):
-        graph, model, values, ends = world
-        with pytest.raises(DataError, match="(values|window ends) must be"):
-            predict_windows(graph, *take(values, ends, model.history), model)
+        graph, model, series = world
+        window = self.window(series.values, model.history + 49, model)
+        with pytest.raises(DataError, match="window must be"):
+            predict_full(graph, take(window), model)
 
     def test_gap_in_any_window_rejected(self, world):
-        graph, model, values, ends = world
-        values = values.copy()
-        values[ends[-1] - 3, graph.missing] = np.nan
-        predict_windows(graph, values, ends, model)  # ignored column
-        # longer than fill_small_gaps fills, and inside the series
-        start = ends[3] - model.history + 1
-        values[start : start + MAX_FILL_GAP + 1, graph.observable[-1]] = np.nan
+        graph, model, series = world
+        end = model.history + 49
+        values = series.values.copy()
+        values[end - 3, graph.missing] = np.nan  # ignored column
+        clean = predict_full(graph, self.window(series.values, end, model), model).evidential
+        one = predict_full(graph, self.window(values, end, model), model).evidential
+        np.testing.assert_array_equal(nig_rows(one), nig_rows(clean))
+        gappy = replace(series, values=values)
+        every = collect_predictions(model, graph, series, series).target_steps
+        np.testing.assert_array_equal(
+            collect_predictions(model, graph, gappy, series).target_steps, every
+        )
+        # longer than fill_small_gaps fills, and inside the window
+        values[end - 4 : end - 4 + MAX_FILL_GAP + 1, graph.observable[-1]] = np.nan
         with pytest.raises(DataError, match="gaps at observable"):
-            predict_windows(graph, values, ends, model)
+            predict_full(graph, self.window(values, end, model), model)
 
     def test_predict_full_fills_interior_gaps_only(self, world):
-        graph, model, values, ends = world
-        window = self.window(values, ends[2], model).copy()
+        graph, model, series = world
+        window = self.window(series.values, model.history + 49, model).copy()
         window[1, graph.observable[0]] = np.nan
         filled = predict_full(graph, fill_small_gaps(window), model).evidential
         one = predict_full(graph, window, model).evidential
@@ -714,14 +738,6 @@ class TestPredictWindows:
         window[0, graph.observable[0]] = np.nan  # now a gap at the window's edge
         with pytest.raises(DataError, match="gaps at observable"):
             predict_full(graph, window, model)
-
-    def test_predict_full_is_the_one_window_row(self, world):
-        graph, model, values, ends = world
-        ev = predict_windows(graph, values, ends, model)
-        for row, end in enumerate(ends):
-            one = predict_full(graph, self.window(values, end, model), model).evidential
-            assert one.gamma.shape == one.epistemic.shape == (graph.n,)
-            np.testing.assert_allclose(nig_rows(one), nig_rows(ev)[:, row], rtol=1e-12)
 
 
 class TestModelIO:
