@@ -201,11 +201,19 @@ def _train_config(cfg: dict, resolution: float) -> TrainConfig:
     )
 
 
+def _node_indices(nodes) -> np.ndarray:
+    """A stored list of node indices, ``[]`` included; anything else, such
+    as an entry that is a fraction, a bool or a string, raises ValueError."""
+    if not isinstance(nodes, list) or any(type(i) is not int for i in nodes):
+        raise ValueError("expected a list of integer node indices")
+    return np.array(nodes, dtype=np.int64)
+
+
 # Metadata cmd_train stores with a checkpoint, and how cmd_eval reads each back.
 EVAL_META = {
     "node_ids": tuple,
-    "observable": lambda nodes: np.asarray(nodes, dtype=np.int64),
-    "missing": lambda nodes: np.asarray(nodes, dtype=np.int64),
+    "observable": _node_indices,
+    "missing": _node_indices,
     "sigma": float,
     "kappa": float,
 }
@@ -275,7 +283,7 @@ def cmd_eval(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
             ) from None
         try:
             meta[key] = build(value)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise CheckpointError(
                 f"{ns.checkpoint} metadata {key!r} is malformed: {err}"
             ) from None

@@ -489,6 +489,10 @@ def generate_synthetic(
         raise DataError(f"need at least 4 nodes, got {n_nodes}")
     if steps < 2:  # one row has no step length
         raise DataError(f"need at least 2 steps, got {steps}")
+    for name, amp in (("diurnal_amp", diurnal_amp), ("wave_amp", wave_amp),
+                      ("noise_amp", noise_amp), ("wave_het", wave_het)):
+        if not math.isfinite(amp):
+            raise DataError(f"{name} must be finite, got {amp}")
     positions = np.arange(n_nodes).astype(np.float64) * SPACING_KM
     circumference = n_nodes * SPACING_KM
     gaps = np.abs(positions[:, None] - positions[None, :])

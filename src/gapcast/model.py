@@ -135,7 +135,8 @@ class ForwardPass:
 
 
 def input_layer(x: Tensor, mask: Tensor) -> Tensor:
-    """H_0: features gated by the row mask, masked rows all-zero."""
+    """H_0: features (nodes, history) gated by the (nodes, 1) mask column,
+    masked rows all-zero."""
     return ad.hadamard(x, mask)
 
 
@@ -211,8 +212,8 @@ def forward(
 ) -> ForwardPass:
     """Run masked input -> diffusion stack -> evidential + recovery heads.
 
-    x and mask are (nodes, history); mask rows are all-ones (reserved) or
-    all-zeros (masked). Returns per-node NIG parameters with positivity
+    x is (nodes, history) and mask a (nodes, 1) column, 1.0 on reserved
+    rows and 0.0 on masked ones. Returns per-node NIG parameters with positivity
     constraints applied, plus the recovery of the input window. ``p`` is
     the forward transition matrix of :func:`gapcast.graph.normalize`; its
     transpose is built once and shared by every layer.

@@ -103,27 +103,15 @@ class Scaler:
 
 @dataclass
 class SubgraphSample:
-    """One training draw: an ordered node subset, its mask, and tensors.
-
-    ``node_indices`` are graph-level indices; ``reserved`` keep their
-    features, ``masked`` have them zeroed through the mask. ``features``
-    is (n_s, history) with columns oldest-to-newest; ``target`` is the
-    horizon-ahead value per node.
-    """
+    """One training draw, only what the rng decided: graph-level
+    ``node_indices`` in row order (the ``reserved`` nodes, then the
+    ``masked`` ones, whose features the mask zeroes) and ``t``, the last
+    step of the history window. :meth:`SampleBatch.stack` reads the series."""
 
     node_indices: np.ndarray
     reserved: np.ndarray
     masked: np.ndarray
-    mask: np.ndarray
-    features: np.ndarray
-    target: np.ndarray
     t: int
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Per-node loss weights (n_s x 1) that make the loss a plain mean."""
-        n = self.target.shape[0]
-        return np.full((n, 1), 1.0 / n)
 
 
 def _rows(samples: list[SubgraphSample]) -> int:
@@ -135,8 +123,11 @@ class SampleBatch:
     """Subgraph samples stacked into one disjoint-union graph: one Adam
     batch, or a chunk of consecutive batches that :meth:`batches` splits.
 
-    Rows follow the samples in order. ``operator`` is the block-diagonal
-    forward transition matrix P of the samples' subgraphs, gathered by one
+    Rows follow the samples in order. ``features`` is (rows, history) with
+    columns oldest-to-newest, ``target`` the horizon-ahead value per row,
+    and ``mask`` a (rows, 1) column: 1.0 on reserved rows, 0.0 on masked
+    ones. ``operator`` is the block-diagonal forward transition matrix P
+    of the samples' subgraphs, gathered by one
     :func:`gapcast.graph.subgraph` call and row-normalised by one
     :func:`gapcast.graph.normalize` call, so one forward pass serves a whole
     batch. A node of a sample with n_s nodes in a batch of B samples weighs
@@ -153,18 +144,26 @@ class SampleBatch:
     bounds: tuple[int, ...]
 
     @classmethod
-    def stack(cls, batches: list[list[SubgraphSample]], adjacency) -> "SampleBatch":
+    def stack(
+        cls, batches: list[list[SubgraphSample]], values: np.ndarray, adjacency, cfg: TrainConfig
+    ) -> "SampleBatch":
         """The ``batches`` of samples drawn from the graph with ``adjacency``,
-        stacked in order."""
+        stacked in order, with their windows of ``cfg.history`` steps and
+        targets ``cfg.horizon`` steps ahead read from ``values`` (steps x
+        nodes). The one place training reads the series."""
         samples = [s for batch in batches for s in batch]
-        rows = np.cumsum([0] + [_rows(batch) for batch in batches])
+        counts = [len(batch) for batch in batches]
+        sizes = np.array([s.node_indices.size for s in samples])
+        nodes = np.concatenate([s.node_indices for s in samples])
+        ends = np.repeat([s.t for s in samples], sizes)
+        reserved = [np.arange(s.node_indices.size) < s.reserved.size for s in samples]
         return cls(
-            features=np.vstack([s.features for s in samples]),
-            mask=np.vstack([s.mask for s in samples]),
-            target=np.vstack([s.target for s in samples]),
+            features=values[ends[:, None] + np.arange(1 - cfg.history, 1), nodes[:, None]],
+            mask=np.concatenate(reserved)[:, None].astype(np.float64),
+            target=values[ends + cfg.horizon, nodes][:, None],
             operator=normalize(subgraph(adjacency, [s.node_indices for s in samples])),
-            weights=np.vstack([s.weights / len(batch) for batch in batches for s in batch]),
-            bounds=tuple(rows.tolist()),
+            weights=np.repeat(1.0 / sizes / np.repeat(counts, counts), sizes)[:, None],
+            bounds=tuple(np.cumsum([0] + [_rows(batch) for batch in batches]).tolist()),
         )
 
     def batches(self) -> list["SampleBatch"]:
@@ -210,14 +209,13 @@ def valid_time_steps(
 
 def draw_sample(
     graph: RoadGraph,
-    values: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
     valid_steps: np.ndarray,
 ) -> SubgraphSample:
     """One draw over the observable set, at a time step drawn from
-    ``valid_steps`` (see :func:`valid_time_steps`); hidden nodes are never
-    read.
+    ``valid_steps`` (see :func:`valid_time_steps`). It reads no series
+    value, and names no hidden node.
 
     With mask_training, a random subgraph is masked: sample size n_s is
     uniform on [max(2, N_o // 3), N_o] and the masked count uniform on
@@ -234,33 +232,21 @@ def draw_sample(
         n_m = int(rng.integers(1, n_s))
         nodes = rng.permutation(nodes)[:n_s]
     reserved, masked = nodes[: nodes.size - n_m], nodes[nodes.size - n_m :]
-    mask = np.zeros((nodes.size, cfg.history))
-    mask[: reserved.size] = 1.0
-    features = values[t - cfg.history + 1 : t + 1, nodes].T.copy()
-    target = values[t + cfg.horizon, nodes][:, None].copy()
-    return SubgraphSample(
-        node_indices=nodes,
-        reserved=reserved,
-        masked=masked,
-        mask=mask,
-        features=features,
-        target=target,
-        t=t,
-    )
+    return SubgraphSample(node_indices=nodes, reserved=reserved, masked=masked, t=t)
 
 
 def compute_loss(
-    sample: SubgraphSample | SampleBatch, fwd: ForwardPass, cfg: TrainConfig
+    batch: SampleBatch, fwd: ForwardPass, cfg: TrainConfig
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """(prediction loss, recovery loss, total) for one sample or batch.
+    """(prediction loss, recovery loss, total) for one batch.
 
     The prediction loss is the NIG NLL with its evidence penalty over
     every sampled node, reserved and masked alike. Recovery reconstructs
     the masked input window. Node means are weighted by
-    ``sample.weights``, so a batch gets its samples' mean.
+    ``batch.weights``, so a batch gets its samples' mean.
     """
-    target = ad.constant(sample.target)
-    weights = ad.constant(sample.weights)
+    target = ad.constant(batch.target)
+    weights = ad.constant(batch.weights)
     j_pre = nig_nll(
         fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, target,
         evidence_reg=cfg.model.evidence_reg, weights=weights,
@@ -333,7 +319,7 @@ def train(
         for iteration in range(cfg.iterations):
             for start in range(0, cfg.samples_per_iter, cfg.batch_size):
                 size = min(cfg.batch_size, cfg.samples_per_iter - start)
-                members = [draw_sample(graph, values, cfg, rng, valid_steps) for _ in range(size)]
+                members = [draw_sample(graph, cfg, rng, valid_steps) for _ in range(size)]
                 if chunk and rows + _rows(members) > INFERENCE_ROWS:
                     yield chunk
                     chunk, rows = [], 0
@@ -343,7 +329,7 @@ def train(
 
     sums = np.zeros((cfg.iterations, 3))  # j_pre, j_rec, j_total
     for chunk in chunks():
-        stacked = SampleBatch.stack([members for _, members in chunk], graph.adjacency)
+        stacked = SampleBatch.stack([members for _, members in chunk], values, graph.adjacency, cfg)
         for (iteration, members), batch in zip(chunk, stacked.batches()):
             with Tape() as tape:
                 fwd = forward(
@@ -421,7 +407,7 @@ def _predict_observed(
     """
     t_hist, n = model.history, graph.n
     scaled = model.scaler.transform(observed)
-    mask = np.zeros((n, t_hist))
+    mask = np.zeros((n, 1))
     mask[graph.observable] = 1.0
     p = normalize(graph.adjacency)
     per_pass = min(max(1, INFERENCE_ROWS // n), ends.size)

@@ -17,10 +17,11 @@ from gapcast.autodiff import Tape
 from gapcast.cli import main as cli_main
 from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
 from gapcast.evaluate import collect_predictions, make_report, two_step_pipeline
-from gapcast.graph import chebyshev_terms, normalize, subgraph
+from gapcast.graph import chebyshev_terms, normalize
 from gapcast.model import ModelConfig, forward, nig_nll_values
 from gapcast.sensing import SensingConfig, run_episodes
 from gapcast.training import (
+    SampleBatch,
     SubgraphSample,
     TrainConfig,
     compute_loss,
@@ -65,27 +66,17 @@ def test_criterion_1_end_to_end_gradients():
     )
     graph, series = generate_synthetic(5, 120, rng)
     values = (series.values - series.values.mean()) / series.values.std()
-    t = 30
     nodes = np.arange(5)
-    mask = np.ones((5, 4))
-    mask[3:] = 0.0
-    sample = SubgraphSample(
-        node_indices=nodes,
-        reserved=nodes[:3],
-        masked=nodes[3:],
-        mask=mask,
-        features=values[t - 3 : t + 1].T.copy(),
-        target=values[t + 2, :][:, None].copy(),
-        t=t,
-    )
+    sample = SubgraphSample(node_indices=nodes, reserved=nodes[:3], masked=nodes[3:], t=30)
+    batch = SampleBatch.stack([[sample]], values, graph.adjacency, cfg)
     params = None
 
     def loss_fn():
         fwd = forward(
-            params, cfg.model, ad.constant(sample.features), ad.constant(sample.mask),
-            normalize(graph.adjacency),
+            params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
+            batch.operator,
         )
-        return compute_loss(sample, fwd, cfg)[2]
+        return compute_loss(batch, fwd, cfg)[2]
 
     from gapcast.model import init_params
 
@@ -148,20 +139,29 @@ def test_criterion_3_sampling_contracts():
     steps = valid_time_steps(series.values, cfg.history, cfg.horizon, graph.observable)
     masked_seen: set[int] = set()
     violations = 0
-    for _ in range(100_000):
-        s = draw_sample(graph, series.values, cfg, gen, steps)
-        reserved = set(s.reserved.tolist())
-        masked = set(s.masked.tolist())
-        if reserved & masked:
+    for _ in range(1000):  # 1e5 draws in stacks of 100
+        draws = [draw_sample(graph, cfg, gen, steps) for _ in range(100)]
+        mask = SampleBatch.stack([draws], series.values, graph.adjacency, cfg).mask
+        if mask.shape != (sum(s.node_indices.size for s in draws), 1):
             violations += 1
-        if not (reserved | masked) <= observable:
-            violations += 1
-        if (reserved | masked) & missing:
-            violations += 1
-        sums = s.mask.sum(axis=1)
-        if not set(np.unique(sums)) <= {0.0, float(cfg.history)}:
-            violations += 1
-        masked_seen |= masked
+            continue
+        rows = np.cumsum([0] + [s.node_indices.size for s in draws])
+        for s, start, stop in zip(draws, rows, rows[1:]):
+            reserved = set(s.reserved.tolist())
+            masked = set(s.masked.tolist())
+            if reserved & masked:
+                violations += 1
+            if not (reserved | masked) <= observable:
+                violations += 1
+            if (reserved | masked) & missing:
+                violations += 1
+            # the draw's rows: its reserved nodes, all 1.0, then its masked ones, all 0.0
+            if not np.array_equal(s.node_indices, np.concatenate([s.reserved, s.masked])):
+                violations += 1
+            want = np.r_[np.ones(s.reserved.size), np.zeros(s.masked.size)]
+            if not np.array_equal(mask[start:stop, 0], want):
+                violations += 1
+            masked_seen |= masked
     coverage = masked_seen == observable
     check(
         3,

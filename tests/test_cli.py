@@ -107,6 +107,16 @@ class TestGenerate:
         for name in ("speed.csv", "distances.csv", "graph.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("flag, name", [("--noise", "noise_amp"), ("--wave-amp", "wave_amp")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_amplitude_exits_1(self, tmp_path, capsys, flag, name, value):
+        out = tmp_path / "data"
+        code = run(["generate", "--nodes", "10", "--steps", "50", "--out", str(out), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name} must be finite" in err
+        assert not (out / "speed.csv").exists()
+
 
 class TestTrain:
     def test_smoke_and_checkpoint_loads(self, tmp_path):
@@ -336,7 +346,8 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "key, bad",
-        [("sigma", "abc"), ("kappa", "abc"), ("node_ids", 5), ("missing", None), ("sigma", [1])],
+        [("sigma", "abc"), ("kappa", "abc"), ("node_ids", 5), ("missing", None), ("sigma", [1]),
+         ("missing", [2**70])],
     )
     def test_wrong_typed_cli_metadata_names_its_key(self, tmp_path, capsys, key, bad):
         data = dataset(tmp_path)
@@ -356,6 +367,48 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key!r} is malformed" in err
+
+    def test_nothing_hidden_evaluates(self, tmp_path):
+        """A run with nothing hidden stores ``missing`` as ``[]``, which the
+        node-index reader takes as an empty list."""
+        data = dataset(tmp_path)
+        out = train_run(tmp_path, data, extra=["--hide-count", "0"])
+        assert load_model(out / "checkpoint.bin")[1]["missing"] == []
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(out / "checkpoint.bin"),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 0 and (tmp_path / "e" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("key", ["observable", "missing"])
+    @pytest.mark.parametrize(
+        "edit", [lambda i: i + 0.25, lambda i: i + 0.75, lambda i: True, lambda i: str(i)],
+        ids=["plus-0.25", "plus-0.75", "true", "string"],
+    )
+    def test_non_integer_node_index_names_its_key(self, tmp_path, capsys, key, edit):
+        data = dataset(tmp_path)
+        params, meta = load_checkpoint(train_run(tmp_path, data) / "checkpoint.bin")
+        meta["extra"][key] = [edit(i) for i in meta["extra"][key]]
+        edited = tmp_path / "edited.bin"
+        save_checkpoint(edited, params, meta)
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(edited),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key!r} is malformed" in err
+        assert "expected a list of integer node indices" in err
 
     @pytest.mark.parametrize(
         "cut, message", [(6, "preamble"), (20, "not JSON"), (-1, "runs past")]

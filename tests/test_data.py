@@ -680,3 +680,9 @@ class TestGenerateSynthetic:
     def test_wave_het_keeps_bounds(self, rng):
         _, s = generate_synthetic(16, 400, rng, wave_het=0.9)
         assert s.values.min() >= 0.0 and s.values.max() <= 80.0
+
+    @pytest.mark.parametrize("name", ["diurnal_amp", "wave_amp", "noise_amp", "wave_het"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_amplitude_named(self, rng, name, value):
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            generate_synthetic(8, 20, rng, **{name: value})

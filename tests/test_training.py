@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gapcast import autodiff as ad
 from gapcast import training
@@ -29,7 +30,6 @@ from gapcast.model import (
 from gapcast.training import (
     SampleBatch,
     Scaler,
-    SubgraphSample,
     TrainConfig,
     TrainedModel,
     TrainingDiverged,
@@ -122,9 +122,9 @@ class TestValidTimeSteps:
         drawn_from = []
         draw = training.draw_sample
 
-        def spy(graph, values, cfg, rng, valid_steps):
+        def spy(graph, cfg, rng, valid_steps):
             drawn_from.append(valid_steps)
-            return draw(graph, values, cfg, rng, valid_steps)
+            return draw(graph, cfg, rng, valid_steps)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "draw_sample", spy)
@@ -139,23 +139,37 @@ class TestValidTimeSteps:
             valid_time_steps(values, history=3, horizon=1, columns=np.array([0, 1]))
 
 
+def stack_draws(graph, values, cfg, rng, steps, sizes):
+    """Draws in batches of the given ``sizes``, and the one stack of them."""
+    batches = [[draw_sample(graph, cfg, rng, steps) for _ in range(size)] for size in sizes]
+    return batches, SampleBatch.stack(batches, values, graph.adjacency, cfg)
+
+
+def reserved_column(samples):
+    """The mask a stack of ``samples`` must hold: one row per node, 1.0 on
+    the reserved rows of each draw and 0.0 on its masked rows."""
+    return np.concatenate([
+        np.r_[np.ones(s.reserved.size), np.zeros(s.masked.size)] for s in samples
+    ])[:, None]
+
+
 class TestDrawSample:
     def test_two_observable_forces_one_and_one(self, rng):
         graph, series = generate_synthetic(6, 60, rng)
         graph = graph.with_partition(np.array([1, 4]), np.array([0, 2, 3, 5]))
         cfg = tiny_cfg()
         steps = windows(graph, series.values, cfg)
-        s = draw_sample(graph, series.values, cfg, np.random.default_rng(0), steps)
+        s = draw_sample(graph, cfg, np.random.default_rng(0), steps)
         assert s.reserved.size == 1 and s.masked.size == 1
 
     def test_fixed_seed_reproducible(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg()
         steps = windows(graph, series.values, cfg)
-        a = draw_sample(graph, series.values, cfg, np.random.default_rng(11), steps)
-        b = draw_sample(graph, series.values, cfg, np.random.default_rng(11), steps)
-        np.testing.assert_array_equal(a.node_indices, b.node_indices)
-        np.testing.assert_array_equal(a.features, b.features)
+        a = draw_sample(graph, cfg, np.random.default_rng(11), steps)
+        b = draw_sample(graph, cfg, np.random.default_rng(11), steps)
+        for name in ("node_indices", "reserved", "masked"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.t == b.t
 
     def test_contracts_over_many_draws(self, small_world):
@@ -165,37 +179,44 @@ class TestDrawSample:
         observable = set(graph.observable.tolist())
         masked_seen = set()
         steps = valid_time_steps(series.values, cfg.history, cfg.horizon, graph.observable)
-        for _ in range(2000):
-            s = draw_sample(graph, series.values, cfg, gen, steps)
-            nodes = set(s.node_indices.tolist())
-            assert nodes <= observable
-            assert set(s.reserved.tolist()) | set(s.masked.tolist()) == nodes
-            assert not (set(s.reserved.tolist()) & set(s.masked.tolist()))
-            assert s.reserved.size >= 1 and s.masked.size >= 1
-            row_sums = s.mask.sum(axis=1)
-            assert set(np.unique(row_sums)) <= {0.0, float(cfg.history)}
-            masked_seen |= set(s.masked.tolist())
+        for _ in range(20):  # 2000 draws in stacks of 100
+            (draws,), stacked = stack_draws(graph, series.values, cfg, gen, steps, [100])
+            for s in draws:
+                nodes = set(s.node_indices.tolist())
+                assert nodes <= observable
+                assert set(s.reserved.tolist()) | set(s.masked.tolist()) == nodes
+                assert not (set(s.reserved.tolist()) & set(s.masked.tolist()))
+                assert s.reserved.size >= 1 and s.masked.size >= 1
+                np.testing.assert_array_equal(
+                    s.node_indices, np.concatenate([s.reserved, s.masked])
+                )
+                masked_seen |= set(s.masked.tolist())
+            np.testing.assert_array_equal(stacked.mask, reserved_column(draws))
         assert masked_seen == observable  # every observable eventually masked
 
     def test_unmasked_mode_uses_all_nodes(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg(mask_training=False)
         steps = windows(graph, series.values, cfg)
-        s = draw_sample(graph, series.values, cfg, np.random.default_rng(0), steps)
+        ((s,),), stacked = stack_draws(
+            graph, series.values, cfg, np.random.default_rng(0), steps, [1]
+        )
         np.testing.assert_array_equal(s.node_indices, graph.observable)
         assert s.masked.size == 0
-        assert (s.mask == 1.0).all()
+        assert stacked.mask.shape == (graph.observable.size, 1) and (stacked.mask == 1.0).all()
 
     def test_features_align_with_target(self, small_world):
         graph, series = small_world
         cfg = tiny_cfg()
         steps = windows(graph, series.values, cfg)
-        s = draw_sample(graph, series.values, cfg, np.random.default_rng(3), steps)
-        np.testing.assert_array_equal(
-            s.features[:, -1], series.values[s.t, s.node_indices]
+        ((s,),), stacked = stack_draws(
+            graph, series.values, cfg, np.random.default_rng(3), steps, [1]
         )
         np.testing.assert_array_equal(
-            s.target[:, 0], series.values[s.t + cfg.horizon, s.node_indices]
+            stacked.features[:, -1], series.values[s.t, s.node_indices]
+        )
+        np.testing.assert_array_equal(
+            stacked.target[:, 0], series.values[s.t + cfg.horizon, s.node_indices]
         )
 
 
@@ -212,23 +233,23 @@ def fake_forward(gamma, recovery, h0):
     )
 
 
-def fake_sample(target, features, mask):
+def fake_batch(target, features):
+    """A one-sample batch of every node reserved, with plain-mean weights."""
     n = np.shape(target)[0]
-    return SubgraphSample(
-        node_indices=np.arange(n),
-        reserved=np.arange(n),
-        masked=np.empty(0, dtype=np.int64),
-        mask=mask,
+    return SampleBatch(
         features=features,
+        mask=np.ones((n, 1)),
         target=np.asarray(target, dtype=float),
-        t=0,
+        operator=sparse.csr_array(np.eye(n)),
+        weights=np.full((n, 1), 1.0 / n),
+        bounds=(0, n),
     )
 
 
 class TestComputeLoss:
     def test_hand_recovery_example(self):
         # recovery [[1],[2]] against an all-zero window: mean squared error 2.5
-        sample = fake_sample([[0.0], [0.0]], np.zeros((2, 1)), np.ones((2, 1)))
+        sample = fake_batch([[0.0], [0.0]], np.zeros((2, 1)))
         fwd = fake_forward(np.zeros((2, 1)), np.array([[1.0], [2.0]]), np.zeros((2, 1)))
         cfg = tiny_cfg(history=1, loss_alpha=1.0)
         j_pre, j_rec, j_total = compute_loss(sample, fwd, cfg)
@@ -240,7 +261,7 @@ class TestComputeLoss:
     def test_perfect_outputs_hit_floor(self):
         target = np.array([[1.0], [2.0]])
         window = np.array([[0.5], [0.25]])
-        sample = fake_sample(target, window, np.ones((2, 1)))
+        sample = fake_batch(target, window)
         fwd = fake_forward(target, window, window)
         cfg = tiny_cfg(history=1)
         j_pre, j_rec, _ = compute_loss(sample, fwd, cfg)
@@ -250,7 +271,7 @@ class TestComputeLoss:
         assert j_pre.item() == pytest.approx(floor, rel=1e-12)
 
     def test_alpha_zero_drops_recovery(self):
-        sample = fake_sample([[0.0]], np.zeros((1, 1)), np.ones((1, 1)))
+        sample = fake_batch([[0.0]], np.zeros((1, 1)))
         fwd = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
         cfg = tiny_cfg(history=1, loss_alpha=0.0)
         j_pre, j_rec, j_total = compute_loss(sample, fwd, cfg)
@@ -258,7 +279,7 @@ class TestComputeLoss:
         assert j_rec.item() > 0
 
     def test_total_monotone_in_alpha(self):
-        sample = fake_sample([[0.0]], np.zeros((1, 1)), np.ones((1, 1)))
+        sample = fake_batch([[0.0]], np.zeros((1, 1)))
         fwd = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
         totals = []
         for alpha in (0.1, 0.5, 2.0):
@@ -267,19 +288,24 @@ class TestComputeLoss:
         assert totals[0] < totals[1] < totals[2]
 
 
-def per_sample_mean_loss(params, samples, cfg, adjacency):
+def per_sample_mean_loss(params, samples, values, cfg, adjacency):
     """The batch loss as the mean over samples of plain per-node means,
-    one forward pass per sample: the oracle for the disjoint-union batch."""
+    one forward pass per sample on its window read from ``values`` and a
+    full (nodes, history) mask: the oracle for the disjoint-union batch."""
     total = None
     for s in samples:
+        features = values[s.t - cfg.history + 1 : s.t + 1, s.node_indices].T
+        mask = np.zeros(features.shape)
+        mask[: s.reserved.size] = 1.0
         fwd = forward(
-            params, cfg.model, ad.constant(s.features), ad.constant(s.mask),
+            params, cfg.model, ad.constant(features), ad.constant(mask),
             normalize(subgraph(adjacency, [s.node_indices])),
         )
         n = s.node_indices.size
         plain = ad.constant(np.full((n, 1), 1.0 / n))
+        target = values[s.t + cfg.horizon, s.node_indices][:, None]
         j_pre = nig_nll(
-            fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, ad.constant(s.target),
+            fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, ad.constant(target),
             evidence_reg=cfg.model.evidence_reg, weights=plain,
         )
         j_rec = weighted_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)), plain)
@@ -288,8 +314,8 @@ def per_sample_mean_loss(params, samples, cfg, adjacency):
     return ad.scale(total, 1.0 / len(samples))
 
 
-def union_loss(params, samples, cfg, adjacency):
-    batch = SampleBatch.stack([samples], adjacency)
+def union_loss(params, samples, values, cfg, adjacency):
+    batch = SampleBatch.stack([samples], values, adjacency, cfg)
     fwd = forward(
         params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
         batch.operator,
@@ -297,9 +323,9 @@ def union_loss(params, samples, cfg, adjacency):
     return compute_loss(batch, fwd, cfg)[2]
 
 
-def loss_and_grads(loss_fn, params, samples, cfg, adjacency):
+def loss_and_grads(loss_fn, params, samples, values, cfg, adjacency):
     with Tape() as tape:
-        loss = loss_fn(params, samples, cfg, adjacency)
+        loss = loss_fn(params, samples, values, cfg, adjacency)
     tape.backward(loss)
     grads = {k: p.grad.copy() for k, p in params.items()}
     for p in params.values():
@@ -316,12 +342,14 @@ class TestSampleBatch:
         rng = np.random.default_rng(7)
         steps = windows(graph, values, cfg)
         for _ in range(4):
-            samples = [draw_sample(graph, values, cfg, rng, steps) for _ in range(4)]
+            samples = [draw_sample(graph, cfg, rng, steps) for _ in range(4)]
             assert len({s.node_indices.size for s in samples}) > 1  # unequal sizes
             want, want_grads, _ = loss_and_grads(
-                per_sample_mean_loss, params, samples, cfg, graph.adjacency
+                per_sample_mean_loss, params, samples, values, cfg, graph.adjacency
             )
-            got, got_grads, _ = loss_and_grads(union_loss, params, samples, cfg, graph.adjacency)
+            got, got_grads, _ = loss_and_grads(
+                union_loss, params, samples, values, cfg, graph.adjacency
+            )
             assert abs(got - want) <= 1e-12 * abs(want)
             for name, ref in want_grads.items():
                 err = np.max(np.abs(got_grads[name] - ref))
@@ -333,22 +361,24 @@ class TestSampleBatch:
         params = init_params(cfg.model, cfg.history, np.random.default_rng(3))
         rng = np.random.default_rng(5)
         steps = windows(graph, series.values, cfg)
-        samples = [draw_sample(graph, series.values, cfg, rng, steps) for _ in range(4)]
-        a = graph.adjacency
-        ops_one = loss_and_grads(union_loss, params, samples[:1], cfg, a)[2]
-        ops_four = loss_and_grads(union_loss, params, samples, cfg, a)[2]
+        samples = [draw_sample(graph, cfg, rng, steps) for _ in range(4)]
+        a, v = graph.adjacency, series.values
+        ops_one = loss_and_grads(union_loss, params, samples[:1], v, cfg, a)[2]
+        ops_four = loss_and_grads(union_loss, params, samples, v, cfg, a)[2]
         assert ops_one == ops_four
-        assert ops_four < loss_and_grads(per_sample_mean_loss, params, samples, cfg, a)[2] / 3
+        assert ops_four < loss_and_grads(per_sample_mean_loss, params, samples, v, cfg, a)[2] / 3
 
     def test_stacked_rows_follow_sample_order(self, small_world):
         graph, series = small_world
         rng = np.random.default_rng(9)
         cfg = tiny_cfg()
         steps = windows(graph, series.values, cfg)
-        samples = [draw_sample(graph, series.values, cfg, rng, steps) for _ in range(3)]
-        batch = SampleBatch.stack([samples], graph.adjacency)
+        (samples,), batch = stack_draws(graph, series.values, cfg, rng, steps, [3])
         sizes = [s.node_indices.size for s in samples]
-        np.testing.assert_array_equal(batch.target, np.vstack([s.target for s in samples]))
+        np.testing.assert_array_equal(
+            batch.target[:, 0],
+            np.concatenate([series.values[s.t + cfg.horizon, s.node_indices] for s in samples]),
+        )
         for s, block in zip(samples, np.split(batch.weights[:, 0], np.cumsum(sizes)[:-1])):
             np.testing.assert_allclose(block, 1.0 / (3 * s.node_indices.size))
         assert batch.weights.sum() == pytest.approx(1.0)
@@ -366,12 +396,10 @@ class TestSampleBatch:
         rng = np.random.default_rng(11)
         cfg = tiny_cfg()
         steps = windows(graph, series.values, cfg)
-        groups = [[draw_sample(graph, series.values, cfg, rng, steps) for _ in range(size)]
-                  for size in (2, 3, 1, 2)]
-        chunk = SampleBatch.stack(groups, graph.adjacency)
+        groups, chunk = stack_draws(graph, series.values, cfg, rng, steps, [2, 3, 1, 2])
         assert chunk.bounds[-1] == chunk.features.shape[0] == chunk.operator.shape[0]
         for members, batch in zip(groups, chunk.batches(), strict=True):
-            alone = SampleBatch.stack([members], graph.adjacency)
+            alone = SampleBatch.stack([members], series.values, graph.adjacency, cfg)
             for name in ("features", "mask", "target", "weights"):
                 got = getattr(batch, name)
                 assert np.shares_memory(got, getattr(chunk, name))  # a view, no copy
@@ -381,6 +409,32 @@ class TestSampleBatch:
                     getattr(batch.operator, name), getattr(alone.operator, name)
                 )
             assert batch.bounds == alone.bounds
+
+
+    def test_rows_read_the_series_at_each_draws_step_and_node(self, small_world):
+        """One stack of batches of unequal sizes, drawn at different steps:
+        every row holds the window ending at its draw's step and the value
+        ``horizon`` steps later, read directly from the series at its node,
+        and the mask is a column that is 1.0 exactly on reserved rows."""
+        graph, series = small_world
+        cfg = tiny_cfg()
+        steps = windows(graph, series.values, cfg)
+        groups, chunk = stack_draws(
+            graph, series.values, cfg, np.random.default_rng(13), steps, [3, 1, 4, 2]
+        )
+        draws = [s for members in groups for s in members]
+        assert len({s.t for s in draws}) > 1 and len({s.node_indices.size for s in draws}) > 1
+        row = 0
+        for s in draws:
+            for node in s.node_indices:
+                np.testing.assert_array_equal(
+                    chunk.features[row], series.values[s.t - cfg.history + 1 : s.t + 1, node]
+                )
+                assert chunk.target[row, 0] == series.values[s.t + cfg.horizon, node]
+                row += 1
+        assert chunk.features.shape == (row, cfg.history) and chunk.target.shape == (row, 1)
+        assert chunk.mask.shape == (row, 1)
+        np.testing.assert_array_equal(chunk.mask, reserved_column(draws))
 
 
 class TestTrain:
