@@ -49,20 +49,17 @@ class DomainError(ValueError):
 
 
 class Tensor:
-    """Dense 2-D float64 array with an optional gradient buffer.
+    """Dense 2-D float64 array, marked when a gradient is wanted for it.
+    It stores no gradient: :meth:`Tape.backward` returns them keyed by
+    tensor, and :meth:`Adam.step` takes that mapping."""
 
-    ``grad`` is lazily allocated and has the same shape as ``values``.
-    Backward passes accumulate into it; :meth:`Adam.step` clears it.
-    """
-
-    __slots__ = ("values", "grad", "requires_grad")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
         if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D, got ndim={arr.ndim}")
         self.values = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
     @property
@@ -129,30 +126,23 @@ class Tape:
         _tape_stack().pop()
         return False
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate dloss/dT into every requires_grad tensor's buffer.
-
-        Intermediate (op output) gradients are reset first, so calling
-        backward twice on one tape doubles only leaf gradients, matching
-        accumulate-until-zeroed semantics for parameters.
-
-        Gradient buffers may alias arrays produced by backward rules, so
-        accumulation always allocates (never mutates in place).
-        """
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """dloss/dT, keyed by T, for every requires_grad tensor T that the
+        loss reaches and no op on this tape produced. Each op output's
+        gradient is dropped once its node has run; sums allocate, since a
+        rule may return the array it was given. The tape is not changed, so
+        a second call returns the same result."""
         if loss.values.shape != (1, 1):
             raise DimensionError(f"backward needs a 1x1 loss, got {loss.values.shape}")
-        for node in self.nodes:
-            node.output.grad = None
-        one = np.ones((1, 1))
-        loss.grad = one if loss.grad is None else loss.grad + one
+        grads = {loss: np.ones((1, 1))}
         for node in reversed(self.nodes):
-            out_grad = node.output.grad
+            out_grad = grads.pop(node.output, None)
             if out_grad is None:
                 continue
             for tensor, grad in zip(node.inputs, node.backward_rule(out_grad)):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+                if grad is not None and tensor.requires_grad:
+                    grads[tensor] = grads[tensor] + grad if tensor in grads else grad
+        return grads
 
 
 def record(values: np.ndarray, inputs: tuple[Tensor, ...], backward_rule) -> Tensor:
@@ -166,7 +156,6 @@ def record(values: np.ndarray, inputs: tuple[Tensor, ...], backward_rule) -> Ten
     """
     out = Tensor.__new__(Tensor)
     out.values = values
-    out.grad = None
     out.requires_grad = any(t.requires_grad for t in inputs)
     if out.requires_grad:
         stack = _tape_stack()
@@ -319,9 +308,10 @@ class Adam:
     once over every entry. A parameter whose ``values`` is later replaced
     by another array is no longer updated.
 
-    ``step`` applies the update and zeroes every gradient buffer; a missing
-    gradient counts as zero (moments still decay). A non-finite update
-    raises DomainError before anything changes.
+    ``step(grads)`` applies the update for gradients keyed by parameter
+    tensor, as :meth:`Tape.backward` returns them; a missing key counts as
+    zero (moments still decay). It copies them and keeps none. A
+    non-finite update raises DomainError before anything changes.
     """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float):
@@ -345,12 +335,13 @@ class Adam:
             np.empty(total) for _ in range(4)
         )
 
-    def step(self) -> None:
+    def step(self, grads: Mapping[Tensor, np.ndarray]) -> None:
         for p, view in zip(self.params.values(), self._grad_views):
-            if p.grad is None:
+            grad = grads.get(p)
+            if grad is None:
                 view.fill(0.0)
             else:
-                view[...] = p.grad
+                view[...] = grad
         t = self.t + 1
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
@@ -381,8 +372,6 @@ class Adam:
         self._m, self._m_next = m, self._m
         self._v, self._v_next = v, self._v
         self.t = t
-        for p in self.params.values():
-            p.grad = None
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

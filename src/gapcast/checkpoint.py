@@ -58,8 +58,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
 
     A truncated file, a header that is not JSON or lacks a field, a shape
     that is not a list of whole numbers >= 0, an array whose bytes disagree
-    with its shape, or a parameter that is not finite raises
-    CheckpointError.
+    with its shape, a parameter that is not finite, or a name given to two
+    arrays raises CheckpointError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -80,6 +80,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     try:
         for spec in header["arrays"]:
             name, start, nbytes = spec["name"], spec["offset"], spec["nbytes"]
+            if name in params:
+                raise CheckpointError(f"array {name!r} appears twice in the header")
             shape = spec["shape"]
             if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
                 raise CheckpointError(f"array {name!r} has a malformed shape {shape!r}")

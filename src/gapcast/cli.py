@@ -52,6 +52,10 @@ class Option:
     choices: tuple[str, ...] = ()
     repeat: bool = False  # the flag may be given several times; the value is a list
 
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
     def from_config(self, value):
         """Parse a --config value the way the flag's text would be parsed."""
         texts = value if self.repeat and not isinstance(value, str) else [value]
@@ -220,6 +224,9 @@ EVAL_META = {
 
 
 def cmd_generate(ns: argparse.Namespace, cfg: dict, out: Path) -> None:
+    # generate_synthetic calls this value noise_amp, so its error would not name the flag
+    if not math.isfinite(cfg["noise"]):
+        raise ValueError(f"{_options('generate')['noise'].flag} must be finite, got {cfg['noise']}")
     rng = np.random.default_rng(cfg["seed"])
     graph, series = generate_synthetic(
         cfg["nodes"],
@@ -336,11 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
             if command in takers:
                 cp.add_argument(f"--{name}", required=True, help=file_help)
         for opt in _options(command).values():
-            flag = "--" + opt.name.replace("_", "-")
             if opt.repeat:
-                cp.add_argument(flag, action="append", choices=opt.choices, help=opt.help)
+                cp.add_argument(opt.flag, action="append", choices=opt.choices, help=opt.help)
             else:
-                cp.add_argument(flag, type=opt.type, help=opt.help)
+                cp.add_argument(opt.flag, type=opt.type, help=opt.help)
         cp.add_argument("--config", help="JSON file with defaults for these flags")
         cp.add_argument("--out", required=True, help="output directory")
         cp.set_defaults(func=func)

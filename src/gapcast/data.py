@@ -493,6 +493,8 @@ def generate_synthetic(
                       ("noise_amp", noise_amp), ("wave_het", wave_het)):
         if not math.isfinite(amp):
             raise DataError(f"{name} must be finite, got {amp}")
+    if not kappa_hops > 0:
+        raise DataError(f"kappa_hops must be positive, got {kappa_hops}")
     positions = np.arange(n_nodes).astype(np.float64) * SPACING_KM
     circumference = n_nodes * SPACING_KM
     gaps = np.abs(positions[:, None] - positions[None, :])

@@ -290,7 +290,8 @@ def train(
 ) -> TrainResult:
     """Run the sampling/masking loop: I iterations of S subgraph draws,
     batched with gradient averaging into Adam steps. Each batch runs as
-    one forward pass over the disjoint union of its samples. The batches
+    one forward pass over the disjoint union of its samples, and Adam
+    steps on the gradients that its tape's ``backward`` returns. The batches
     are prepared in chunks of at most ``INFERENCE_ROWS`` rows (at least one
     batch): a chunk is stacked and normalised once, and each of its batches
     takes its rows and its diagonal block. The rng serves only the draws,
@@ -343,8 +344,7 @@ def train(
                 j_total = losses[2]
                 if not np.isfinite(j_total.item()):
                     raise TrainingDiverged(iteration, j_total.item())
-                tape.backward(j_total)
-            opt.step()
+            opt.step(tape.backward(j_total))
             sums[iteration] += [loss.item() * len(members) for loss in losses]
     count = cfg.samples_per_iter
     trace = [
@@ -474,9 +474,36 @@ def save_model(path, model: TrainedModel, extra_meta: dict | None = None) -> Non
     save_checkpoint(path, model.params, meta)
 
 
+def _count(value) -> int:
+    """A JSON integer >= 1; a bool or a float is refused."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _model_config(value) -> ModelConfig:
+    """A stored ModelConfig, whose sizes must be JSON integers."""
+    cfg = ModelConfig(**value)
+    for name in ("hidden_dim", "layers", "cheb_order"):
+        if type(getattr(cfg, name)) is not int:
+            raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
+    return cfg
+
+
+def _scaler(value) -> Scaler:
+    """A stored Scaler, which needs a finite mean and a finite std > 0."""
+    scaler = Scaler(**value)
+    numbers = (scaler.mean, scaler.std)
+    if not all(type(x) in (int, float) and math.isfinite(x) for x in numbers) or scaler.std <= 0:
+        raise ValueError(f"needs a finite mean and a finite std > 0, got {value!r}")
+    return scaler
+
+
 def load_model(path) -> tuple[TrainedModel, dict]:
-    """Read a :func:`save_model` file back; a meta key that is missing or
-    malformed raises CheckpointError naming it."""
+    """Read a :func:`save_model` file back. A meta key that is missing or
+    malformed, or a parameter whose name or shape is not one that
+    :func:`init_params` builds for the stored ``model_cfg`` and
+    ``history``, raises CheckpointError naming it."""
     params, meta = load_checkpoint(path)
 
     def meta_value(key, build):
@@ -489,11 +516,25 @@ def load_model(path) -> tuple[TrainedModel, dict]:
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint meta {key!r} is malformed: {err}") from None
 
+    model_cfg = meta_value("model_cfg", _model_config)
+    history = meta_value("history", _count)
+    built = init_params(model_cfg, history, np.random.default_rng(0))
+    shapes = {name: p.shape for name, p in built.items()}
+    for name in sorted(shapes.keys() | params.keys(), key=str):  # a stored name may be a number
+        if name not in params:
+            raise CheckpointError(f"checkpoint has no parameter {name!r}, which model_cfg needs")
+        if name not in shapes:
+            raise CheckpointError(f"checkpoint parameter {name!r} is not one model_cfg builds")
+        if params[name].shape != shapes[name]:
+            raise CheckpointError(
+                f"checkpoint parameter {name!r} has shape {params[name].shape}, but "
+                f"model_cfg and history build {shapes[name]}"
+            )
     model = TrainedModel(
         params=params,
-        model_cfg=meta_value("model_cfg", lambda cfg: ModelConfig(**cfg)),
-        history=meta_value("history", int),
-        horizon=meta_value("horizon", int),
-        scaler=meta_value("scaler", lambda scaler: Scaler(**scaler)),
+        model_cfg=model_cfg,
+        history=history,
+        horizon=meta_value("horizon", _count),
+        scaler=meta_value("scaler", _scaler),
     )
     return model, meta.get("extra", {})

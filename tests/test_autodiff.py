@@ -36,7 +36,7 @@ def test_matmul_gradcheck_sum(rng):
 
     with Tape() as tape:
         loss = ad.reduce_sum(ad.matmul(a, b))
-    tape.backward(loss)
+    grads = tape.backward(loss)
 
     for p in (a, b):
 
@@ -44,7 +44,7 @@ def test_matmul_gradcheck_sum(rng):
             return ad.reduce_sum(ad.matmul(a, b)).item()
 
         numeric = finite_difference_gradient(f, p.values)
-        assert relative_error(p.grad, numeric) < 1e-4
+        assert relative_error(grads[p], numeric) < 1e-4
 
 
 def test_hadamard_identity_and_annihilator(rng):
@@ -60,9 +60,9 @@ def test_hadamard_gradcheck(rng):
     b = ad.parameter(rng.uniform(-2, 2, (3, 3)))
     with Tape() as tape:
         loss = ad.reduce_sum(ad.hadamard(a, b))
-    tape.backward(loss)
+    grads = tape.backward(loss)
     numeric = finite_difference_gradient(lambda: ad.reduce_sum(ad.hadamard(a, b)).item(), a.values)
-    assert relative_error(a.grad, numeric) < 1e-4
+    assert relative_error(grads[a], numeric) < 1e-4
 
 
 def test_hadamard_column_broadcast(rng):
@@ -70,11 +70,11 @@ def test_hadamard_column_broadcast(rng):
     mask = ad.parameter(rng.uniform(0.5, 2, (4, 1)))
     with Tape() as tape:
         loss = ad.reduce_sum(ad.hadamard(a, mask))
-    tape.backward(loss)
+    grads = tape.backward(loss)
     numeric = finite_difference_gradient(
         lambda: ad.reduce_sum(ad.hadamard(a, mask)).item(), mask.values
     )
-    assert relative_error(mask.grad, numeric) < 1e-4
+    assert relative_error(grads[mask], numeric) < 1e-4
 
 
 def test_elementwise_trivials():
@@ -89,24 +89,21 @@ def test_square_derivative_at_3():
     x = ad.parameter([[3.0]])
     with Tape() as tape:
         loss = ad.reduce_sum(ad.square(x))
-    tape.backward(loss)
-    assert x.grad[0, 0] == pytest.approx(6.0)
+    assert tape.backward(loss)[x][0, 0] == pytest.approx(6.0)
 
 
 def test_backward_sum_gives_ones():
     w = ad.parameter(np.arange(4.0).reshape(2, 2))
     with Tape() as tape:
         loss = ad.reduce_sum(w)
-    tape.backward(loss)
-    np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+    np.testing.assert_array_equal(tape.backward(loss)[w], np.ones((2, 2)))
 
 
 def test_backward_hadamard_square_gives_2w():
     w = ad.parameter([[1.0, -2.0], [0.5, 3.0]])
     with Tape() as tape:
         loss = ad.reduce_sum(ad.hadamard(w, w))
-    tape.backward(loss)
-    np.testing.assert_allclose(w.grad, 2 * w.values)
+    np.testing.assert_allclose(tape.backward(loss)[w], 2 * w.values)
 
 
 def test_backward_requires_scalar():
@@ -117,13 +114,34 @@ def test_backward_requires_scalar():
         tape.backward(out)
 
 
-def test_backward_accumulates_without_zeroing():
-    w = ad.parameter(np.ones((2, 2)))
+def test_backward_returns_exactly_the_leaf_gradients(rng):
+    a = ad.parameter(rng.normal(size=(3, 2)))
+    b = ad.parameter(rng.normal(size=(2, 2)))
+    unused = ad.parameter(rng.normal(size=(2, 2)))
+    x = ad.constant(rng.normal(size=(3, 2)))
     with Tape() as tape:
-        loss = ad.reduce_sum(w)
-    tape.backward(loss)
-    tape.backward(loss)
-    np.testing.assert_array_equal(w.grad, 2 * np.ones((2, 2)))
+        hidden = ad.matmul(a, b)
+        loss = ad.reduce_sum(ad.hadamard(ad.add(hidden, hidden), x))
+        ad.scale(unused, 2.0)  # recorded, but the loss does not reach it
+    grads = tape.backward(loss)
+    assert set(grads) == {a, b}
+    assert not {node.output for node in tape.nodes} & set(grads)
+    assert x not in grads and unused not in grads
+    assert all(grads[t].shape == t.shape for t in (a, b))
+
+
+def test_backward_twice_returns_bitwise_equal_gradients(rng):
+    w = ad.parameter(rng.normal(size=(3, 3)))
+    v = ad.parameter(rng.normal(size=(3, 1)))
+    with Tape() as tape:
+        h = ad.matmul(w, w)
+        loss = ad.reduce_sum(ad.softplus(ad.hadamard(ad.add(h, w), v)))
+    first = tape.backward(loss)
+    snapshot = {t: g.copy() for t, g in first.items()}
+    second = tape.backward(loss)
+    assert set(first) == set(second) == {w, v}
+    for t in (w, v):
+        assert first[t].tobytes() == second[t].tobytes() == snapshot[t].tobytes()
 
 
 UNARY_OPS = {
@@ -155,9 +173,9 @@ def test_gradcheck_unary_ops_50_trials(name):
 
         with Tape() as tape:
             loss = ad.reduce_sum(ad.hadamard(op(x), weights))
-        tape.backward(loss)
+        grads = tape.backward(loss)
         numeric = finite_difference_gradient(f, x.values)
-        assert relative_error(x.grad, numeric) < 1e-4, name
+        assert relative_error(grads[x], numeric) < 1e-4, name
 
 
 BINARY_OPS = {
@@ -182,10 +200,10 @@ def test_gradcheck_binary_ops_50_trials(name):
 
         with Tape() as tape:
             loss = ad.reduce_sum(ad.hadamard(op(a, b), weights))
-        tape.backward(loss)
+        grads = tape.backward(loss)
         for p in (a, b):
             numeric = finite_difference_gradient(f, p.values)
-            assert relative_error(p.grad, numeric) < 1e-4, name
+            assert relative_error(grads[p], numeric) < 1e-4, name
 
 
 def test_bias_add_broadcast_gradcheck(rng):
@@ -197,10 +215,10 @@ def test_bias_add_broadcast_gradcheck(rng):
 
     with Tape() as tape:
         loss = ad.reduce_sum(ad.square(ad.add(a, bias)))
-    tape.backward(loss)
+    grads = tape.backward(loss)
     for p in (a, bias):
         numeric = finite_difference_gradient(f, p.values)
-        assert relative_error(p.grad, numeric) < 1e-4
+        assert relative_error(grads[p], numeric) < 1e-4
 
 
 def test_log_domain_error():
@@ -226,8 +244,8 @@ def test_backward_deterministic_bitwise(rng):
         b = ad.parameter(gen.normal(size=(4, 4)))
         with Tape() as tape:
             loss = ad.reduce_sum(ad.square(ad.matmul(relu(a), b)))
-        tape.backward(loss)
-        return a.grad.copy(), b.grad.copy()
+        grads = tape.backward(loss)
+        return grads[a], grads[b]
 
     g1 = run()
     g2 = run()
@@ -249,17 +267,15 @@ def test_no_nan_inf_on_finite_inputs(values):
 def test_adam_zero_gradient_is_fixed_point():
     p = ad.parameter([[1.0, -2.0]])
     opt = Adam({"p": p}, lr=0.1)
-    opt.step()
+    opt.step({})
     np.testing.assert_array_equal(p.values, [[1.0, -2.0]])
 
 
 def test_adam_first_step_magnitude():
     p = ad.parameter([[1.0]])
-    p.grad = np.array([[1.0]])
     opt = Adam({"p": p}, lr=0.1)
-    opt.step()
+    opt.step({p: np.array([[1.0]])})
     assert p.values[0, 0] == pytest.approx(1.0 - 0.1, abs=1e-6)
-    assert p.grad is None  # zeroed after the step
 
 
 def test_adam_converges_on_quadratic():
@@ -268,32 +284,66 @@ def test_adam_converges_on_quadratic():
     for _ in range(200):
         with Tape() as tape:
             loss = ad.reduce_sum(ad.square(ad.add_scalar(p, -3.0)))
-        tape.backward(loss)
-        opt.step()
+        opt.step(tape.backward(loss))
     assert abs(p.values[0, 0] - 3.0) < 0.05
+
+
+def test_adam_missing_gradient_counts_as_zero():
+    start = {"p": [[1.0, -2.0]], "q": [[0.5], [3.0]]}
+    runs = []
+    for explicit in (False, True):
+        params = {k: ad.parameter(v) for k, v in start.items()}
+        opt = Adam(params, lr=0.1)
+        opt.step({params["p"]: np.array([[0.3, -1.0]]), params["q"]: np.array([[2.0], [-1.0]])})
+        moved = params["q"].values.copy()
+        for step in range(2):
+            grads = {params["p"]: np.array([[0.3, -1.0]]) * (step + 2)}
+            if explicit:
+                grads[params["q"]] = np.zeros((2, 1))
+            opt.step(grads)
+        runs.append([p.values.tobytes() for p in params.values()])
+    assert runs[0] == runs[1]
+    assert runs[0][1] != moved.tobytes()  # the first step's moments still move q
+
+
+def test_adam_step_neither_mutates_nor_keeps_its_gradients():
+    rng = np.random.default_rng(5)
+    given = rng.normal(size=(2, 3))
+    later = rng.normal(size=(2, 3))
+    runs = []
+    for overwrite in (False, True):
+        p = ad.parameter(np.ones((2, 3)))
+        opt = Adam({"p": p}, lr=0.1)
+        grad = given.copy()
+        opt.step({p: grad})
+        assert grad.tobytes() == given.tobytes()
+        if overwrite:
+            grad[...] = np.nan
+        opt.step({p: later})
+        runs.append(p.values.tobytes())
+    assert runs[0] == runs[1]
 
 
 def test_adam_nonfinite_update_raises():
     p = ad.parameter([[1.0]])
-    p.grad = np.array([[np.inf]])
     opt = Adam({"p": p}, lr=0.1)
     with pytest.raises(DomainError):
-        opt.step()
+        opt.step({p: np.array([[np.inf]])})
 
 
 def test_adam_nonfinite_update_changes_nothing():
     rng = np.random.default_rng(0)
     params = {k: ad.parameter(rng.normal(size=(2, 3))) for k in "abc"}
     opt = Adam(params, lr=0.1)
-    for p in params.values():
-        p.grad = rng.normal(size=(2, 3))
-    opt.step()
+    opt.step({p: rng.normal(size=(2, 3)) for p in params.values()})
     before = ({k: p.values.copy() for k, p in params.items()}, opt._m.copy(), opt._v.copy())
-    params["a"].grad = np.ones((2, 3))
-    params["b"].grad = np.full((2, 3), np.nan)
-    params["c"].grad = np.full((2, 3), np.inf)
+    bad = {
+        params["a"]: np.ones((2, 3)),
+        params["b"]: np.full((2, 3), np.nan),
+        params["c"]: np.full((2, 3), np.inf),
+    }
     with pytest.raises(DomainError, match="parameter 'b'"):
-        opt.step()
+        opt.step(bad)
     for k, p in params.items():
         np.testing.assert_array_equal(p.values, before[0][k])
     np.testing.assert_array_equal(opt._m, before[1])
@@ -311,7 +361,6 @@ def test_tapes_independent_across_threads():
             with Tape() as tape:
                 loss = ad.reduce_sum(ad.square(w))
             tape.backward(loss)
-            w.grad = None
         results[name] = True
 
     threads = [threading.Thread(target=work, args=(i, i)) for i in range(4)]

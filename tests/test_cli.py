@@ -114,7 +114,19 @@ class TestGenerate:
         code = run(["generate", "--nodes", "10", "--steps", "50", "--out", str(out), flag, value])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{name} must be finite" in err
+        # --noise sets generate_synthetic's noise_amp, so the error names the flag
+        named = flag if name == "noise_amp" else name
+        assert err.startswith("error: ") and f"{named} must be finite" in err
+        assert not (out / "speed.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_kappa_hops_must_be_positive(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        code = run(["generate", "--nodes", "10", "--steps", "50", "--out", str(out),
+                    "--kappa-hops", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"kappa_hops must be positive, got {value}" in err
         assert not (out / "speed.csv").exists()
 
 
@@ -367,6 +379,42 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key!r} is malformed" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m, p: m["model_cfg"].update(layers=2), "'theta_b_l3_k1'"),
+            (lambda m, p: m["model_cfg"].update(cheb_order=1), "'theta_b_l1_k2'"),
+            (lambda m, p: m["scaler"].update(std=-m["scaler"]["std"]), "'scaler' is malformed"),
+            (lambda m, p: m.update(horizon=0), "'horizon' is malformed"),
+            (lambda m, p: m.update(horizon=-2), "'horizon' is malformed"),
+            (lambda m, p: m["scaler"].update(std="abc"), "'scaler' is malformed"),
+            (lambda m, p: p.update(head_bias=p.pop("head_b")), "'head_b'"),
+            (lambda m, p: m["scaler"].update(std=0), "'scaler' is malformed"),
+            (lambda m, p: m["scaler"].update(mean=float("nan")), "'scaler' is malformed"),
+        ],
+        ids=["layers-2", "cheb-order-1", "negated-std", "horizon-0", "horizon-minus-2",
+             "std-string", "renamed-head-b", "std-0", "mean-nan"],
+    )
+    def test_self_contradicting_checkpoint_names_its_fault(self, tmp_path, capsys, edit, message):
+        data = dataset(tmp_path)
+        params, meta = load_checkpoint(train_run(tmp_path, data) / "checkpoint.bin")
+        edit(meta, params)
+        edited = tmp_path / "edited.bin"
+        save_checkpoint(edited, params, meta)
+        code = run(
+            [
+                "eval",
+                "--checkpoint", str(edited),
+                "--data", str(data / "speed.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
 
     def test_nothing_hidden_evaluates(self, tmp_path):
         """A run with nothing hidden stores ``missing`` as ``[]``, which the

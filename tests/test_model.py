@@ -194,10 +194,10 @@ class TestForward:
 
         with Tape() as tape:
             loss = loss_value()
-        tape.backward(loss)
+        grads = tape.backward(loss)
         for name, p in params.items():
             numeric = finite_difference_gradient(lambda: loss_value().item(), p.values)
-            analytic = p.grad if p.grad is not None else np.zeros_like(p.values)
+            analytic = grads.get(p, np.zeros_like(p.values))
             assert relative_error(analytic, numeric) < 1e-3, name
 
 
@@ -430,6 +430,13 @@ class TestCorruptCheckpoint:
         path = tmp_path / "fractional_shape.bin"
         path.write_bytes(checkpoint_bytes([spec], np.zeros(3).tobytes()))
         with pytest.raises(CheckpointError, match=r"array 'w' has a malformed shape \[2.5\]"):
+            load_checkpoint(path)
+
+    def test_repeated_array_name_rejected(self, tmp_path):
+        specs = [{"name": "w", "shape": [1, 1], "offset": 8 * i, "nbytes": 8} for i in range(2)]
+        path = tmp_path / "repeated.bin"
+        path.write_bytes(checkpoint_bytes(specs, np.arange(2.0).tobytes()))
+        with pytest.raises(CheckpointError, match="array 'w' appears twice"):
             load_checkpoint(path)
 
     def test_negative_offset(self, tmp_path):

@@ -190,6 +190,14 @@ def test_inference_has_two_entries_over_one_engine():
     ]
 
 
+def test_training_has_one_gradient_step():
+    """``training.train`` holds the only ``backward(...)`` and ``step(...)``
+    calls in ``src/gapcast``, so gradients reach Adam by one path."""
+    paths = list((ROOT / "src" / "gapcast").glob("*.py"))
+    assert callers(paths, named("backward")) == ["training.train"]
+    assert callers(paths, named("step")) == ["training.train"]
+
+
 def test_benchmark_inputs_load_to_the_generated_graph(tmp_path):
     workloads = load_gapbench("workloads")
     corridor = workloads.Corridor(nodes=12, steps=40)

@@ -326,11 +326,8 @@ def union_loss(params, samples, values, cfg, adjacency):
 def loss_and_grads(loss_fn, params, samples, values, cfg, adjacency):
     with Tape() as tape:
         loss = loss_fn(params, samples, values, cfg, adjacency)
-    tape.backward(loss)
-    grads = {k: p.grad.copy() for k, p in params.items()}
-    for p in params.values():
-        p.grad = None
-    return loss.item(), grads, len(tape.nodes)
+    grads = tape.backward(loss)
+    return loss.item(), {k: grads[p] for k, p in params.items()}, len(tape.nodes)
 
 
 class TestSampleBatch:
@@ -816,15 +813,18 @@ class TestModelIO:
             ("history", None), ("history", "six"),
             ("horizon", None), ("horizon", [2]),
             ("scaler", None), ("scaler", {"mean": 0.0}),
+            ("model_cfg", {"hidden_dim": 4, "layers": 3.0}),
+            ("model_cfg", {"hidden_dim": True}),
+            ("history", True), ("history", 6.0),
+            ("horizon", 0), ("horizon", -2), ("horizon", 2.0),
+            ("scaler", {"mean": 50.0, "std": 0.0}), ("scaler", {"mean": 50.0, "std": -5.0}),
+            ("scaler", {"mean": 50.0, "std": "abc"}), ("scaler", {"mean": 50.0, "std": True}),
+            ("scaler", {"mean": float("nan"), "std": 5.0}),
+            ("scaler", {"mean": 50.0, "std": float("inf")}),
         ],
     )
     def test_missing_or_malformed_meta_names_its_key(self, tmp_path, key, bad):
-        model = TrainedModel(
-            params=init_params(ModelConfig(hidden_dim=4), 6, np.random.default_rng(0)),
-            model_cfg=ModelConfig(hidden_dim=4), history=6, horizon=2, scaler=Scaler(50.0, 5.0),
-        )
-        save_model(tmp_path / "good.bin", model)
-        params, meta = load_checkpoint(tmp_path / "good.bin")
+        params, meta = self.saved(tmp_path)
         if bad is None:
             del meta[key]
         else:
@@ -832,6 +832,50 @@ class TestModelIO:
         save_checkpoint(tmp_path / "bad.bin", params, meta)
         with pytest.raises(CheckpointError, match=f"'{key}'"):
             load_model(tmp_path / "bad.bin")
+
+    @staticmethod
+    def saved(tmp_path):
+        """The parameters and meta of a saved model: hidden width 4, 3 layers,
+        Chebyshev order 2, history 6."""
+        model = TrainedModel(
+            params=init_params(ModelConfig(hidden_dim=4), 6, np.random.default_rng(0)),
+            model_cfg=ModelConfig(hidden_dim=4), history=6, horizon=2, scaler=Scaler(50.0, 5.0),
+        )
+        save_model(tmp_path / "good.bin", model)
+        return load_checkpoint(tmp_path / "good.bin")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m, p: m["model_cfg"].update(layers=2), "'theta_b_l3_k1' is not one"),
+            (lambda m, p: m["model_cfg"].update(cheb_order=1), "'theta_b_l1_k2' is not one"),
+            (lambda m, p: m["model_cfg"].update(hidden_dim=5), r"'head_w' has shape \(4, 4\)"),
+            (lambda m, p: m.update(history=5), r"'rec_b' has shape \(1, 6\)"),
+            (lambda m, p: p.update(head_bias=p.pop("head_b")), "no parameter 'head_b'"),
+            (lambda m, p: p.pop("rec_w"), "no parameter 'rec_w'"),
+            (lambda m, p: p.update(extra=p["head_b"]), "'extra' is not one"),
+        ],
+        ids=["fewer-layers", "lower-order", "wider", "shorter-history", "renamed", "dropped",
+             "extra"],
+    )
+    def test_parameters_must_be_the_stored_layout(self, tmp_path, edit, message):
+        params, meta = self.saved(tmp_path)
+        edit(meta, params)
+        save_checkpoint(tmp_path / "bad.bin", params, meta)
+        with pytest.raises(CheckpointError, match=message):
+            load_model(tmp_path / "bad.bin")
+
+    def test_trained_checkpoint_loads_bitwise(self, small_world, tmp_path):
+        graph, series = small_world
+        cfg = tiny_cfg(model=ModelConfig(hidden_dim=8, layers=2, cheb_order=3))
+        res = train(graph, series, cfg, np.random.default_rng(0))
+        save_model(tmp_path / "ckpt.bin", res.model)
+        loaded, _ = load_model(tmp_path / "ckpt.bin")
+        assert loaded.model_cfg == res.model.model_cfg and loaded.scaler == res.model.scaler
+        assert (loaded.history, loaded.horizon) == (cfg.history, cfg.horizon)
+        assert loaded.params.keys() == res.model.params.keys()
+        for name, p in res.model.params.items():
+            assert loaded.params[name].values.tobytes() == p.values.tobytes()
 
     def test_meta_that_is_not_an_object_rejected(self, tmp_path):
         params = init_params(ModelConfig(hidden_dim=4), 6, np.random.default_rng(0))
