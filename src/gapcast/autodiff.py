@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
-Every trainable path in the forecaster (diffusion layers, output heads,
-losses) is expressed in the small op vocabulary below.  Ops record onto the
+Every trainable step of the forecaster (diffusion layers, output heads,
+losses) is one op with a hand-written backward rule, joined to the tape by
+:func:`record`; :func:`matmul` is the one generic op. Ops record onto the
 innermost active :class:`Tape`; with no tape active they only compute values,
 which is the cheap path used for inference.
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -28,15 +28,6 @@ __all__ = [
     "parameter",
     "record",
     "matmul",
-    "hadamard",
-    "add",
-    "sub",
-    "scale",
-    "add_scalar",
-    "softplus",
-    "square",
-    "reduce_sum",
-    "slice_cols",
 ]
 
 
@@ -131,9 +122,12 @@ class Tape:
         loss reaches and no op on this tape produced. Each op output's
         gradient is dropped once its node has run; sums allocate, since a
         rule may return the array it was given. The tape is not changed, so
-        a second call returns the same result."""
+        a second call returns the same result. A loss that no node on this
+        tape produced raises ValueError."""
         if loss.values.shape != (1, 1):
             raise DimensionError(f"backward needs a 1x1 loss, got {loss.values.shape}")
+        if all(node.output is not loss for node in self.nodes):
+            raise ValueError("backward needs a loss that an op on this tape produced")
         grads = {loss: np.ones((1, 1))}
         for node in reversed(self.nodes):
             out_grad = grads.pop(node.output, None)
@@ -151,8 +145,8 @@ def record(values: np.ndarray, inputs: tuple[Tensor, ...], backward_rule) -> Ten
 
     ``values`` must be a fresh 2-D float64 array; the Tensor constructor's
     coercion is skipped on this hot path. ``backward_rule`` maps the output
-    gradient to one gradient (or None) per input. The ops below and the
-    fused layers of :mod:`gapcast.model` are built on it.
+    gradient to one gradient (or None) per input. :func:`matmul` and the
+    fused ops of :mod:`gapcast.model` are built on it.
     """
     out = Tensor.__new__(Tensor)
     out.values = values
@@ -177,119 +171,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return record(av @ bv, (a, b), rule)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; b may be an nx1 column broadcast across columns."""
-    av, bv = a.values, b.values
-    if av.shape == bv.shape:
-
-        def rule(g: np.ndarray):
-            return (
-                g * bv if a.requires_grad else None,
-                g * av if b.requires_grad else None,
-            )
-
-    elif bv.shape == (av.shape[0], 1):
-
-        def rule(g: np.ndarray):
-            return (
-                g * bv if a.requires_grad else None,
-                (g * av).sum(axis=1, keepdims=True) if b.requires_grad else None,
-            )
-
-    else:
-        raise DimensionError(f"hadamard mismatch: {av.shape} vs {bv.shape}")
-    return record(av * bv, (a, b), rule)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may be a 1xm row (bias) broadcast across rows."""
-    av, bv = a.values, b.values
-    if av.shape == bv.shape:
-
-        def rule(g: np.ndarray):
-            return (g if a.requires_grad else None, g if b.requires_grad else None)
-
-    elif bv.shape == (1, av.shape[1]):
-
-        def rule(g: np.ndarray):
-            return (
-                g if a.requires_grad else None,
-                g.sum(axis=0, keepdims=True) if b.requires_grad else None,
-            )
-
-    else:
-        raise DimensionError(f"add mismatch: {av.shape} vs {bv.shape}")
-    return record(av + bv, (a, b), rule)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    if av.shape != bv.shape:
-        raise DimensionError(f"sub mismatch: {av.shape} vs {bv.shape}")
-
-    def rule(g: np.ndarray):
-        return (g if a.requires_grad else None, -g if b.requires_grad else None)
-
-    return record(av - bv, (a, b), rule)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def rule(g: np.ndarray):
-        return (g * c,)
-
-    return record(a.values * c, (a,), rule)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    def rule(g: np.ndarray):
-        return (g,)
-
-    return record(a.values + float(c), (a,), rule)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """ln(1 + e^x), overflow-safe (returns x for large x)."""
-    av = a.values
-
-    def rule(g: np.ndarray):
-        return (g * expit(av),)
-
-    return record(np.logaddexp(0.0, av), (a,), rule)
-
-
-def square(a: Tensor) -> Tensor:
-    av = a.values
-
-    def rule(g: np.ndarray):
-        return (2.0 * av * g,)
-
-    return record(av * av, (a,), rule)
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    av = a.values
-
-    def rule(g: np.ndarray):
-        return (np.full_like(av, g[0, 0]),)
-
-    return record(np.array([[av.sum()]]), (a,), rule)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    av = a.values
-    if not (0 <= start < stop <= av.shape[1]):
-        raise DimensionError(f"column slice [{start}:{stop}] out of range for {av.shape}")
-
-    def rule(g: np.ndarray):
-        full = np.zeros_like(av)
-        full[:, start:stop] = g
-        return (full,)
-
-    return record(av[:, start:stop].copy(), (a,), rule)
 
 
 # Adam's moment decay rates and denominator floor: Kingma and Ba's

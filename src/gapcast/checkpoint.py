@@ -57,7 +57,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     """Read back (params, meta); arrays come out as trainable tensors.
 
     A truncated file, a header that is not JSON or lacks a field, a shape
-    that is not a list of whole numbers >= 0, an array whose bytes disagree
+    that is not a list of at most two whole numbers >= 0, an array whose bytes disagree
     with its shape, a parameter that is not finite, or a name given to two
     arrays raises CheckpointError.
     """
@@ -83,7 +83,11 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
             if name in params:
                 raise CheckpointError(f"array {name!r} appears twice in the header")
             shape = spec["shape"]
-            if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+            if (
+                not isinstance(shape, list)
+                or len(shape) > 2
+                or any(type(d) is not int or d < 0 for d in shape)
+            ):
                 raise CheckpointError(f"array {name!r} has a malformed shape {shape!r}")
             if nbytes != 8 * math.prod(shape):
                 raise CheckpointError(

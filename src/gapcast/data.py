@@ -290,7 +290,8 @@ DISTANCE_BLOCK_ROWS = 65536
 def load_distances_csv(path, node_ids) -> np.ndarray:
     """Directed (from, to, distance) rows -> dense matrix aligned to node_ids.
 
-    Absent pairs are np.inf; omitted self pairs are 0. The body is read in
+    Absent pairs are np.inf, whether omitted or written ``inf``; omitted
+    self pairs are 0. A NaN distance is refused. The body is read in
     blocks of ``DISTANCE_BLOCK_ROWS`` lines, each one ``np.loadtxt`` pass
     whose ids are mapped by one ``np.searchsorted``. A faulty block is
     re-read row by row only to name its first faulty row.
@@ -332,7 +333,7 @@ def load_distances_csv(path, node_ids) -> np.ndarray:
             repeated = np.sort(pairs)
             if (
                 len(rows) != len(lines)  # np.loadtxt skipped a blank line
-                or (rows["dist"] < 0).any()
+                or not (rows["dist"] >= 0).all()  # a negative or NaN distance
                 or (repeated[1:] == repeated[:-1]).any()
                 or listed.flat[pairs].any()
             ):
@@ -362,6 +363,8 @@ def _distance_fault(lines, first_row, index, listed, err) -> SeriesFormatError:
             dist = float(dist_s)
         except ValueError:
             return SeriesFormatError(f"unparsable distance {dist_s!r}", row=lineno)
+        if math.isnan(dist):
+            return SeriesFormatError(f"NaN distance {dist_s!r}; an absent pair is inf", row=lineno)
         if dist < 0:
             return SeriesFormatError(f"negative distance {dist}", row=lineno)
         i, j = index[src], index[dst]

@@ -98,12 +98,15 @@ def build_adjacency(
     Entry (i, j) is exp(-dist(i,j)^2 / sigma^2), evaluated only for pairs
     with dist < kappa; the CSR adjacency stores the non-zero entries.
     ``sigma=None`` uses the standard deviation of all finite
-    off-diagonal distances. The diagonal is always 1 and every node starts
-    observable.
+    off-diagonal distances. An infinite distance marks an absent pair; a
+    NaN one raises ParameterError. The diagonal is always 1 and every node
+    starts observable.
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ParameterError("distances must be a square matrix")
+    if np.isnan(d).any():
+        raise ParameterError("distances must not be NaN; an absent pair is inf")
     finite = np.isfinite(d)
     if np.any(d < 0, where=finite):
         raise ParameterError("distances must be nonnegative")

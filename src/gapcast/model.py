@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, expit, gammaln
 
 from . import autodiff as ad
 from . import graph
@@ -26,10 +26,11 @@ __all__ = [
     "init_params",
     "input_layer",
     "dgcn_layer",
+    "nig_link",
     "forward",
     "nig_nll",
     "nig_nll_values",
-    "weighted_mean",
+    "total_loss",
 ]
 
 # Strictly positive floor added after softplus so nu > 0, alpha > 1, beta > 0
@@ -47,6 +48,9 @@ class ModelConfig:
     evidence_reg: float = 0.01
 
     def __post_init__(self):
+        for name in ("hidden_dim", "layers", "cheb_order"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.layers < 2:
@@ -124,20 +128,22 @@ class EvidentialOutput:
 
 @dataclass
 class ForwardPass:
-    """Differentiable forward results (all tape tensors, nodes x cols)."""
+    """Forward results, one row per node: ``nig`` is the (nodes, 4) record
+    ``[gamma | nu | alpha | beta]`` of :func:`nig_link`, ``hidden`` the last
+    diffusion layer's output, from which :func:`total_loss` runs the
+    recovery head, and ``h0`` the masked input window it reconstructs."""
 
-    gamma: Tensor
-    nu: Tensor
-    alpha: Tensor
-    beta: Tensor
-    recovery: Tensor
+    nig: Tensor
+    hidden: Tensor
     h0: Tensor
 
 
 def input_layer(x: Tensor, mask: Tensor) -> Tensor:
-    """H_0: features (nodes, history) gated by the (nodes, 1) mask column,
-    masked rows all-zero."""
-    return ad.hadamard(x, mask)
+    """H_0, a constant: constant features (nodes, history) gated by the
+    constant (nodes, 1) mask column, masked rows all-zero."""
+    if x.requires_grad or mask.requires_grad:
+        raise ValueError("input_layer takes constant features and mask")
+    return ad.constant(x.values * mask.values)
 
 
 def dgcn_layer(
@@ -203,6 +209,28 @@ def dgcn_layer(
     return ad.record(out, (h, *tf, *tb), rule)
 
 
+def nig_link(raw: Tensor, head_b: Tensor) -> Tensor:
+    """The (rows, 4) NIG record ``[gamma | nu | alpha | beta]`` of the
+    evidential head's product ``raw`` plus its (1, 4) bias: gamma passes
+    through; nu, alpha and beta are softplus plus ``EVIDENCE_FLOOR`` (alpha
+    plus 1 more), so nu > 0, alpha > 1 and beta > 0. One tape op, bitwise
+    the bias add, column slices, softplus and scalar adds it replaces."""
+    if raw.shape[1] != 4 or head_b.shape != (1, 4):
+        raise ad.DimensionError(f"nig_link takes (n, 4), (1, 4), got {raw.shape}, {head_b.shape}")
+    pre = raw.values + head_b.values
+    out = pre.copy()
+    floor = EVIDENCE_FLOOR
+    out[:, 1:] = np.logaddexp(0.0, pre[:, 1:]) + [floor, 1.0 + floor, floor]
+
+    def rule(g: np.ndarray):
+        d = g.copy()
+        d[:, 1:] *= expit(pre[:, 1:])
+        d += 0.0  # -0.0 to 0.0, as the sum of the four zero-padded slice gradients did
+        return (d, d.sum(axis=0, keepdims=True))
+
+    return ad.record(out, (raw, head_b), rule)
+
+
 def forward(
     params: dict[str, Tensor],
     cfg: ModelConfig,
@@ -210,40 +238,23 @@ def forward(
     mask: Tensor,
     p,
 ) -> ForwardPass:
-    """Run masked input -> diffusion stack -> evidential + recovery heads.
+    """Run masked input -> diffusion stack -> evidential head.
 
     x is (nodes, history) and mask a (nodes, 1) column, 1.0 on reserved
-    rows and 0.0 on masked ones. Returns per-node NIG parameters with positivity
-    constraints applied, plus the recovery of the input window. ``p`` is
-    the forward transition matrix of :func:`gapcast.graph.normalize`; its
-    transpose is built once and shared by every layer.
+    rows and 0.0 on masked ones. Returns the per-node NIG record with
+    positivity constraints applied, the last hidden state and the masked
+    input; the recovery head runs only in training, in
+    :func:`total_loss`. ``p`` is the forward transition matrix of
+    :func:`gapcast.graph.normalize`; its transpose is built once and shared
+    by every layer.
     """
     h0 = input_layer(x, mask)
     h = h0
     ops = (p, p.T)
     for layer in range(1, cfg.layers + 1):
         h = dgcn_layer(h, ops, layer, params, cfg)
-
-    raw = ad.add(ad.matmul(h, params["head_w"]), params["head_b"])
-    gamma = ad.slice_cols(raw, 0, 1)
-    nu = ad.add_scalar(ad.softplus(ad.slice_cols(raw, 1, 2)), EVIDENCE_FLOOR)
-    alpha = ad.add_scalar(ad.softplus(ad.slice_cols(raw, 2, 3)), 1.0 + EVIDENCE_FLOOR)
-    beta = ad.add_scalar(ad.softplus(ad.slice_cols(raw, 3, 4)), EVIDENCE_FLOOR)
-    recovery = ad.add(ad.matmul(h, params["rec_w"]), params["rec_b"])
-    return ForwardPass(
-        gamma=gamma,
-        nu=nu,
-        alpha=alpha,
-        beta=beta,
-        recovery=recovery,
-        h0=h0,
-    )
-
-
-def weighted_mean(x: Tensor, weights: Tensor) -> Tensor:
-    """Weighted mean of x over per-row weights w (rows x 1): sum_i w_i * mean_j x_ij."""
-    total = ad.reduce_sum(ad.hadamard(x, weights))
-    return total if x.shape[1] == 1 else ad.scale(total, 1.0 / x.shape[1])
+    nig = nig_link(ad.matmul(h, params["head_w"]), params["head_b"])
+    return ForwardPass(nig=nig, hidden=h, h0=h0)
 
 
 def _require_positive(x: np.ndarray, op: str) -> None:
@@ -304,32 +315,23 @@ def _nig_nll_terms(
     )
 
 
-def nig_nll(
-    gamma: Tensor,
-    nu: Tensor,
-    alpha: Tensor,
-    beta: Tensor,
-    target: Tensor,
-    evidence_reg: float,
-    weights: Tensor,
-) -> Tensor:
-    """Weighted mean of the per-element NIG NLL plus the evidence penalty
-    evidence_reg * |y - gamma| * (2 nu + alpha), weighted the same way.
+def nig_nll(nig: Tensor, target: Tensor, evidence_reg: float, weights: Tensor) -> Tensor:
+    """Sum over nodes, by ``weights``, of the per-element NIG NLL plus the
+    evidence penalty evidence_reg * |y - gamma| * (2 nu + alpha).
 
-    Every argument is a (nodes, 1) column; ``weights`` holds the per-node
-    weights of :func:`weighted_mean`. The loss is one tape op whose
-    gradients flow to gamma, nu, alpha and beta; target and weights must
-    be constants. Value and gradients are bitwise those of the same
-    formula written as separate autodiff ops.
+    ``nig`` is the (nodes, 4) record of :func:`nig_link`; ``target`` and
+    ``weights`` are constant (nodes, 1) columns. One tape op whose
+    (nodes, 4) gradient flows to the record; value and gradients are
+    bitwise those of the formula written as separate ops on its columns.
     """
-    columns = (gamma, nu, alpha, beta, target, weights)
-    shape = gamma.values.shape
-    if shape[1] != 1 or any(t.values.shape != shape for t in columns):
-        raise ad.DimensionError(f"nig_nll takes (n, 1) columns, got {[t.shape for t in columns]}")
+    if nig.shape[1] != 4 or not target.shape == weights.shape == (nig.shape[0], 1):
+        shapes = [nig.shape, target.shape, weights.shape]
+        raise ad.DimensionError(f"nig_nll takes (n, 4), (n, 1), (n, 1), got {shapes}")
     if target.requires_grad or weights.requires_grad:
-        raise ValueError("nig_nll differentiates gamma, nu, alpha and beta only")
-    nu_v, alpha_v, beta_v, w = nu.values, alpha.values, beta.values, weights.values
-    resid = target.values - gamma.values
+        raise ValueError("nig_nll differentiates the NIG record only")
+    gamma, nu_v, alpha_v, beta_v = np.hsplit(nig.values, 4)
+    w = weights.values
+    resid = target.values - gamma
     terms = _nig_nll_terms(resid, nu_v, alpha_v, beta_v)
     loss = np.array([[(terms.nll * w).sum()]])
     reg = float(evidence_reg)
@@ -363,9 +365,9 @@ def nig_nll(
         d_nu = d_nu + d_nll * -0.5 / nu_v
         d_beta_nu = d_omega * 2.0
         d_nu = d_nu + d_beta_nu * beta_v
-        return (-d_resid, d_nu, d_alpha, d_beta_nu * terms.nu_1)
+        return (np.hstack([-d_resid, d_nu, d_alpha, d_beta_nu * terms.nu_1]),)
 
-    return ad.record(loss, (gamma, nu, alpha, beta), rule)
+    return ad.record(loss, (nig,), rule)
 
 
 def nig_nll_values(
@@ -386,3 +388,31 @@ def nig_nll_values(
     if not ((nu > 0).all() and (alpha > 1).all() and (beta > 0).all()):
         raise ad.DomainError("NIG parameters violate nu>0, alpha>1, beta>0")
     return np.asarray(_nig_nll_terms(y - gamma, nu, alpha, beta).nll).reshape(gamma.shape)
+
+
+def total_loss(
+    j_pre: Tensor, fwd: ForwardPass, params: dict[str, Tensor], weights: Tensor, loss_alpha: float
+) -> tuple[Tensor, Tensor]:
+    """(j_pre + loss_alpha * j_rec, j_rec), with j_rec a constant for the
+    trace: the recovery loss, the sum over nodes, by the (nodes, 1)
+    ``weights``, of the mean squared error between the recovery head's
+    ``fwd.hidden @ rec_w + rec_b`` and the masked input ``fwd.h0``.
+
+    One tape op over j_pre, ``fwd.hidden``, ``rec_w`` and ``rec_b``; value
+    and gradients are bitwise those of the separate ops it replaces (the
+    head's matmul and bias add, sub, square, weighted sum, the scale by
+    1/history, the scale by loss_alpha and the add). A scale by 1.0 changes
+    no bits, so a one-step history needs no branch.
+    """
+    hidden, rec_w, rec_b, w = fwd.hidden.values, params["rec_w"], params["rec_b"], weights.values
+    diff = (hidden @ rec_w.values + rec_b.values) - fwd.h0.values
+    inv_history, alpha = 1.0 / diff.shape[1], float(loss_alpha)
+    j_rec = np.array([[(diff * diff * w).sum()]]) * inv_history
+
+    def rule(g: np.ndarray):
+        g_rec = g * alpha * inv_history
+        d_diff = 2.0 * diff * (np.full_like(diff, g_rec[0, 0]) * w)
+        return (g, d_diff @ rec_w.values.T, hidden.T @ d_diff, d_diff.sum(axis=0, keepdims=True))
+
+    total = ad.record(j_pre.values + j_rec * alpha, (j_pre, fwd.hidden, rec_w, rec_b), rule)
+    return total, ad.constant(j_rec)

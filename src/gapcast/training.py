@@ -23,7 +23,7 @@ from .model import (
     forward,
     init_params,
     nig_nll,
-    weighted_mean,
+    total_loss,
 )
 
 __all__ = [
@@ -236,23 +236,21 @@ def draw_sample(
 
 
 def compute_loss(
-    batch: SampleBatch, fwd: ForwardPass, cfg: TrainConfig
+    batch: SampleBatch, fwd: ForwardPass, params: dict[str, Tensor], cfg: TrainConfig
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """(prediction loss, recovery loss, total) for one batch.
+    """(prediction loss, recovery loss, total) for one batch: two tape ops,
+    :func:`gapcast.model.nig_nll` and :func:`gapcast.model.total_loss`,
+    which runs the recovery head of ``params``. The recovery loss is a
+    constant, for the trace.
 
     The prediction loss is the NIG NLL with its evidence penalty over
     every sampled node, reserved and masked alike. Recovery reconstructs
     the masked input window. Node means are weighted by
     ``batch.weights``, so a batch gets its samples' mean.
     """
-    target = ad.constant(batch.target)
     weights = ad.constant(batch.weights)
-    j_pre = nig_nll(
-        fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, target,
-        evidence_reg=cfg.model.evidence_reg, weights=weights,
-    )
-    j_rec = weighted_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)), weights)
-    j_total = ad.add(j_pre, ad.scale(j_rec, cfg.loss_alpha))
+    j_pre = nig_nll(fwd.nig, ad.constant(batch.target), cfg.model.evidence_reg, weights)
+    j_total, j_rec = total_loss(j_pre, fwd, params, weights, cfg.loss_alpha)
     return j_pre, j_rec, j_total
 
 
@@ -340,7 +338,7 @@ def train(
                     ad.constant(batch.mask),
                     batch.operator,
                 )
-                losses = compute_loss(batch, fwd, cfg)
+                losses = compute_loss(batch, fwd, params, cfg)
                 j_total = losses[2]
                 if not np.isfinite(j_total.item()):
                     raise TrainingDiverged(iteration, j_total.item())
@@ -420,22 +418,21 @@ def _predict_observed(
         count = chunk.size
         x = np.zeros((count, n, t_hist))
         x[:, graph.observable] = scaled[chunk[:, None] + offsets].transpose(0, 2, 1)
-        fwd = forward(
+        nig = forward(
             model.params,
             model.model_cfg,
             ad.constant(x.reshape(count * n, t_hist)),
             ad.constant(np.tile(mask, (count, 1))),
             full if count == per_pass else diagonal_block(full, 0, count * n),
-        )
+        ).nig.values
+        # Copied: a column view would keep the pass's whole record alive.
         parts.append((
-            model.scaler.inverse(fwd.gamma.values).reshape(count, n),
-            fwd.nu.values.reshape(count, n),
-            fwd.alpha.values.reshape(count, n),
-            (fwd.beta.values * std * std).reshape(count, n),
+            model.scaler.inverse(nig[:, 0]), nig[:, 1].copy(), nig[:, 2].copy(),
+            nig[:, 3] * std * std,
         ))
     # Joined after the passes: output arrays allocated before them raised
     # the peak RSS of a 40-node sensing episode by about 0.4 MB.
-    gamma, nu, alpha, beta = (np.concatenate(p) for p in zip(*parts))
+    gamma, nu, alpha, beta = (np.concatenate(p).reshape(-1, n) for p in zip(*parts))
     return EvidentialOutput(gamma=gamma, nu=nu, alpha_nig=alpha, beta=beta)
 
 
@@ -481,15 +478,6 @@ def _count(value) -> int:
     return value
 
 
-def _model_config(value) -> ModelConfig:
-    """A stored ModelConfig, whose sizes must be JSON integers."""
-    cfg = ModelConfig(**value)
-    for name in ("hidden_dim", "layers", "cheb_order"):
-        if type(getattr(cfg, name)) is not int:
-            raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
-    return cfg
-
-
 def _scaler(value) -> Scaler:
     """A stored Scaler, which needs a finite mean and a finite std > 0."""
     scaler = Scaler(**value)
@@ -516,7 +504,7 @@ def load_model(path) -> tuple[TrainedModel, dict]:
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint meta {key!r} is malformed: {err}") from None
 
-    model_cfg = meta_value("model_cfg", _model_config)
+    model_cfg = meta_value("model_cfg", lambda value: ModelConfig(**value))
     history = meta_value("history", _count)
     built = init_params(model_cfg, history, np.random.default_rng(0))
     shapes = {name: p.shape for name, p in built.items()}

@@ -76,7 +76,7 @@ def test_criterion_1_end_to_end_gradients():
             params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
             batch.operator,
         )
-        return compute_loss(batch, fwd, cfg)[2]
+        return compute_loss(batch, fwd, params, cfg)[2]
 
     from gapcast.model import init_params
 

@@ -161,6 +161,25 @@ class TestDistanceCsv:
         with pytest.raises(SeriesFormatError):
             load_distances_csv(p, ("a", "b"))
 
+    @pytest.mark.parametrize("block", [1, 65536])
+    @pytest.mark.parametrize(
+        "rows", ["a,b,1\nb,a,nan\n", "a,b,1\nb,a,NaN\n", "a,b,1\nb,a,-nan\nb,b,1e\n"],
+        ids=["nan", "NaN", "-nan-then-unparsable"],
+    )
+    def test_nan_distance_names_its_row(self, tmp_path, rows, block):
+        # the bulk check, and the row-by-row search it and np.loadtxt's
+        # failures fall back to, both refuse it
+        p = write(tmp_path / "d.csv", "from,to,distance\n" + rows)
+        with mock.patch.object(data, "DISTANCE_BLOCK_ROWS", block):
+            with pytest.raises(SeriesFormatError, match="NaN distance") as err:
+                load_distances_csv(p, ("a", "b"))
+        assert err.value.row == 3
+
+    def test_inf_distance_is_an_absent_pair(self, tmp_path):
+        p = write(tmp_path / "d.csv", "from,to,distance\na,b,inf\nb,a,2\n")
+        d = load_distances_csv(p, ("a", "b"))
+        np.testing.assert_array_equal(d, [[0.0, np.inf], [2.0, 0.0]])
+
     def test_unknown_id_rejected(self, tmp_path):
         p = write(tmp_path / "d.csv", "from,to,distance\na,z,1\n")
         with pytest.raises(SeriesFormatError):
@@ -259,6 +278,10 @@ def reference_distances(path, node_ids):
                 dist = float(dist_s)
             except ValueError:
                 raise SeriesFormatError(f"unparsable distance {dist_s!r}", row=lineno) from None
+            if math.isnan(dist):
+                raise SeriesFormatError(
+                    f"NaN distance {dist_s!r}; an absent pair is inf", row=lineno
+                )
             if dist < 0:
                 raise SeriesFormatError(f"negative distance {dist}", row=lineno)
             i, j = index[src], index[dst]
@@ -303,7 +326,7 @@ value_cells = st.one_of(
     st.just(""), st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity"]), number_cells
 )
 distance_cells = st.one_of(
-    st.sampled_from(["inf", "Infinity", "nan", "0", "-0", "-0.0"]),
+    st.sampled_from(["inf", "Infinity", "0", "-0", "-0.0"]),
     st.builds(
         lambda x, fmt: fmt(x),
         st.floats(min_value=0, max_value=1e300),
@@ -313,7 +336,7 @@ distance_cells = st.one_of(
 terminators = st.sampled_from(["\n", "\r\n"])
 quotings = st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
 SPEED_FAULTS = ("ragged", "blank", "timestamp", "nonfinite", "value", "order")
-DISTANCE_FAULTS = ("ragged", "blank", "unknown", "distance", "negative", "duplicate")
+DISTANCE_FAULTS = ("ragged", "blank", "unknown", "distance", "negative", "nan", "duplicate")
 PATCHED = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -366,6 +389,8 @@ def inject(rows, at, kind, ids=()):
         row[2] = "1e"
     elif kind == "negative":
         row[2] = "-inf" if at % 2 else "-2.5"
+    elif kind == "nan":
+        row[2] = ("nan", "NaN", "-nan")[at % 3]
     elif kind == "duplicate":  # the pair of the previous row (or the header)
         row[:2] = rows[at - 1][:2]
     rows[at] = row

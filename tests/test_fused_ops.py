@@ -1,10 +1,11 @@
 """Bitwise oracles for the fused training ops.
 
-``model.dgcn_layer`` and ``model.nig_nll`` are single tape ops with
-hand-written backward passes, and ``Adam`` updates one flat buffer. Each
-must give the same bits as the composite form it replaces: the reference
-versions below are built from ``gapcast.autodiff`` ops (and, for Adam, a
-per-parameter loop), and every value and gradient is compared with
+``model.dgcn_layer``, ``model.nig_link``, ``model.nig_nll`` and
+``model.total_loss`` are single tape ops with hand-written backward
+passes, and ``Adam`` updates one flat buffer. Each must give the same bits
+as the composite form it replaces: the reference versions below are built
+from generic tape ops (``ad.matmul`` and those of ``oracle_ops``; for Adam,
+a per-parameter loop), and every value and gradient is compared with
 ``tobytes()``.
 """
 
@@ -17,9 +18,33 @@ from scipy import sparse
 from gapcast import autodiff as ad
 from gapcast.autodiff import Adam, DomainError, Tape
 from gapcast.graph import normalize
-from gapcast.model import ModelConfig, dgcn_layer, init_params, nig_nll, weighted_mean
+from gapcast.model import (
+    EVIDENCE_FLOOR,
+    ForwardPass,
+    ModelConfig,
+    dgcn_layer,
+    init_params,
+    nig_link,
+    nig_nll,
+    total_loss,
+)
 
-from oracle_ops import absval, lgamma, log, relu
+from oracle_ops import (
+    absval,
+    add,
+    add_scalar,
+    hadamard,
+    lgamma,
+    log,
+    reduce_sum,
+    relu,
+    scale,
+    slice_cols,
+    softplus,
+    square,
+    sub,
+    weighted_mean,
+)
 
 
 def same_bits(a, b):
@@ -32,26 +57,26 @@ def same_bits(a, b):
 
 def composite_nig_nll(gamma, nu, alpha, beta, target, evidence_reg, weights):
     """The NIG loss as separate tape ops, one op per arithmetic step."""
-    resid = ad.sub(target, gamma)
-    omega = ad.scale(ad.hadamard(beta, ad.add_scalar(nu, 1.0)), 2.0)
-    nll = ad.add(
-        ad.add(
-            ad.sub(
-                ad.scale(log(nu), -0.5),
-                ad.hadamard(alpha, log(omega)),
+    resid = sub(target, gamma)
+    omega = scale(hadamard(beta, add_scalar(nu, 1.0)), 2.0)
+    nll = add(
+        add(
+            sub(
+                scale(log(nu), -0.5),
+                hadamard(alpha, log(omega)),
             ),
-            ad.hadamard(
-                ad.add_scalar(alpha, 0.5),
-                log(ad.add(ad.hadamard(nu, ad.square(resid)), omega)),
+            hadamard(
+                add_scalar(alpha, 0.5),
+                log(add(hadamard(nu, square(resid)), omega)),
             ),
         ),
-        ad.sub(lgamma(alpha), lgamma(ad.add_scalar(alpha, 0.5))),
+        sub(lgamma(alpha), lgamma(add_scalar(alpha, 0.5))),
     )
-    nll = ad.add_scalar(nll, 0.5 * math.log(math.pi))
+    nll = add_scalar(nll, 0.5 * math.log(math.pi))
     loss = weighted_mean(nll, weights)
     if evidence_reg:
-        penalty = ad.hadamard(absval(resid), ad.add(ad.scale(nu, 2.0), alpha))
-        loss = ad.add(loss, ad.scale(weighted_mean(penalty, weights), evidence_reg))
+        penalty = hadamard(absval(resid), add(scale(nu, 2.0), alpha))
+        loss = add(loss, scale(weighted_mean(penalty, weights), evidence_reg))
     return loss
 
 
@@ -65,15 +90,27 @@ def nig_inputs(rng, n):
     return gamma, nu, alpha, beta, target, weights / weights.sum()
 
 
-def nig_run(loss_fn, arrays, evidence_reg, upstream):
-    """Loss value and the gradients of gamma, nu, alpha and beta, with the
-    loss scaled by ``upstream`` so the op sees that upstream gradient."""
+def composite_run(arrays, evidence_reg, upstream):
+    """Loss value and the gradients of gamma, nu, alpha and beta of the
+    composite loss, with the loss scaled by ``upstream`` so that its last
+    op sees that upstream gradient."""
     gamma, nu, alpha, beta = (ad.parameter(a.copy()) for a in arrays[:4])
     target, weights = (ad.constant(a) for a in arrays[4:])
     with Tape() as tape:
-        loss = loss_fn(gamma, nu, alpha, beta, target, evidence_reg, weights)
-        grads = tape.backward(ad.scale(loss, upstream))
-    return loss.values, [grads.get(t) for t in (gamma, nu, alpha, beta)]
+        loss = composite_nig_nll(gamma, nu, alpha, beta, target, evidence_reg, weights)
+        grads = tape.backward(scale(loss, upstream))
+    return loss.values, [grads[t] for t in (gamma, nu, alpha, beta)]
+
+
+def fused_run(arrays, evidence_reg, upstream):
+    """As ``composite_run``, for ``nig_nll`` on the (n, 4) record: its
+    gradient's columns are those of gamma, nu, alpha and beta."""
+    nig = ad.parameter(np.hstack(arrays[:4]))
+    target, weights = (ad.constant(a) for a in arrays[4:])
+    with Tape() as tape:
+        loss = nig_nll(nig, target, evidence_reg, weights)
+        grads = tape.backward(scale(loss, upstream))
+    return loss.values, [grads[nig][:, j : j + 1] for j in range(4)]
 
 
 @pytest.mark.parametrize("evidence_reg", [0.0, 0.01, 0.7])
@@ -82,8 +119,8 @@ def test_nig_nll_matches_composite_bitwise(evidence_reg):
     for _ in range(60):
         arrays = nig_inputs(rng, int(rng.integers(1, 40)))
         upstream = float(rng.choice([1.0, -0.37, 2.5e3]))
-        want = nig_run(composite_nig_nll, arrays, evidence_reg, upstream)
-        got = nig_run(nig_nll, arrays, evidence_reg, upstream)
+        want = composite_run(arrays, evidence_reg, upstream)
+        got = fused_run(arrays, evidence_reg, upstream)
         assert same_bits(got[0], want[0])
         for g, w in zip(got[1], want[1]):
             assert same_bits(g, w)
@@ -92,26 +129,191 @@ def test_nig_nll_matches_composite_bitwise(evidence_reg):
 def test_nig_nll_is_one_tape_op():
     arrays = nig_inputs(np.random.default_rng(0), 5)
     with Tape() as tape:
-        nig_nll(*(ad.parameter(a) for a in arrays[:4]), ad.constant(arrays[4]), 0.01,
+        nig_nll(ad.parameter(np.hstack(arrays[:4])), ad.constant(arrays[4]), 0.01,
                 ad.constant(arrays[5]))
     assert len(tape.nodes) == 1
 
 
 def test_nig_nll_keeps_the_domain_checks():
-    arrays = [ad.constant(a) for a in nig_inputs(np.random.default_rng(0), 3)]
-    gamma, nu, alpha, beta, target, weights = arrays
+    arrays = nig_inputs(np.random.default_rng(0), 3)
     for bad, message in ((1, "log"), (2, "lgamma")):
-        args = list(arrays)
-        args[bad] = ad.constant(np.array([[1.0], [-1.0], [1.0]]))
+        nig = np.hstack(arrays[:4])
+        nig[1, bad] = -1.0
         with pytest.raises(DomainError, match=message):
-            nig_nll(*args[:5], 0.01, args[5])
+            nig_nll(ad.constant(nig), ad.constant(arrays[4]), 0.01, ad.constant(arrays[5]))
 
 
 def test_nig_nll_refuses_a_differentiable_target():
     arrays = nig_inputs(np.random.default_rng(0), 3)
-    with pytest.raises(ValueError, match="gamma, nu, alpha and beta only"):
-        nig_nll(*(ad.constant(a) for a in arrays[:4]), ad.parameter(arrays[4]), 0.01,
+    with pytest.raises(ValueError, match="the NIG record only"):
+        nig_nll(ad.constant(np.hstack(arrays[:4])), ad.parameter(arrays[4]), 0.01,
                 ad.constant(arrays[5]))
+
+
+def test_nig_nll_refuses_a_record_of_other_width():
+    arrays = nig_inputs(np.random.default_rng(0), 3)
+    with pytest.raises(ad.DimensionError, match="nig_nll takes"):
+        nig_nll(ad.constant(np.hstack(arrays[:3])), ad.constant(arrays[4]), 0.01,
+                ad.constant(arrays[5]))
+
+
+# -- NIG link ------------------------------------------------------------
+
+
+def composite_nig_link(raw, head_b):
+    """The bias add, column slices, softplus and floors as separate tape
+    ops: the four columns gamma, nu, alpha, beta."""
+    pre = add(raw, head_b)
+    floors = (EVIDENCE_FLOOR, 1.0 + EVIDENCE_FLOOR, EVIDENCE_FLOOR)
+    return [slice_cols(pre, 0, 1)] + [
+        add_scalar(softplus(slice_cols(pre, j, j + 1)), floor)
+        for j, floor in zip((1, 2, 3), floors)
+    ]
+
+
+def link_run(fused, raw_values, bias_values, probe):
+    """The four columns and the gradients of raw and bias under the linear
+    loss ``probe``, whose entries reach each column as its gradient."""
+    raw, head_b = ad.parameter(raw_values.copy()), ad.parameter(bias_values.copy())
+    with Tape() as tape:
+        if fused:
+            out = nig_link(raw, head_b)
+            columns = [out.values[:, j : j + 1] for j in range(4)]
+            loss = reduce_sum(hadamard(out, ad.constant(probe)))
+        else:
+            out = composite_nig_link(raw, head_b)
+            columns = [c.values for c in out]
+            terms = [reduce_sum(hadamard(c, ad.constant(probe[:, j : j + 1])))
+                     for j, c in enumerate(out)]
+            loss = add(add(terms[0], terms[1]), add(terms[2], terms[3]))
+    grads = tape.backward(loss)
+    return columns, grads[raw], grads[head_b]
+
+
+def test_nig_link_matches_composite_bitwise():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        raw = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-2, 3)
+        raw[rng.uniform(size=raw.shape) < 0.1] = rng.choice([-800.0, 0.0, 800.0])
+        probe = rng.normal(size=(n, 4))
+        probe[rng.uniform(size=probe.shape) < 0.3] = -0.0  # a signed zero gradient
+        bias = rng.normal(size=(1, 4))
+        want = link_run(False, raw, bias, probe)
+        got = link_run(True, raw, bias, probe)
+        for g, w in zip(got[0], want[0]):
+            assert same_bits(g, w), trial
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2]), trial
+
+
+def test_nig_link_is_one_tape_op_with_the_constraints():
+    rng = np.random.default_rng(0)
+    with Tape() as tape:
+        out = nig_link(ad.parameter(rng.normal(size=(5, 4)) * 1e3), ad.parameter(np.zeros((1, 4))))
+    assert len(tape.nodes) == 1
+    assert (out.values[:, 1] > 0).all() and (out.values[:, 2] > 1).all()
+    assert (out.values[:, 3] > 0).all()
+
+
+# -- recovery and total loss ---------------------------------------------
+
+
+def composite_total_loss(j_pre, fwd, params, weights, loss_alpha):
+    """The recovery head and loss as separate tape ops."""
+    recovery = add(ad.matmul(fwd.hidden, params["rec_w"]), params["rec_b"])
+    j_rec = weighted_mean(square(sub(recovery, fwd.h0)), weights)
+    return add(j_pre, scale(j_rec, loss_alpha)), j_rec
+
+
+def total_run(total_fn, seed, history, loss_alpha, upstream):
+    """Total and recovery loss values, and the gradients of j_pre, the
+    hidden state, rec_w and rec_b."""
+    rng = np.random.default_rng(seed)
+    n, hidden_dim = int(rng.integers(1, 12)), 5
+    params = init_params(ModelConfig(hidden_dim=hidden_dim), history, rng)
+    j_pre = ad.parameter(rng.normal(size=(1, 1)))
+    hidden = ad.parameter(rng.normal(size=(n, hidden_dim)))
+    h0 = rng.normal(size=(n, history)) * (rng.uniform(size=(n, 1)) < 0.7)
+    weights = ad.constant(rng.uniform(0.0, 1.0, (n, 1)) / n)
+    fwd = ForwardPass(nig=ad.constant(np.zeros((n, 4))), hidden=hidden, h0=ad.constant(h0))
+    with Tape() as tape:
+        total, j_rec = total_fn(j_pre, fwd, params, weights, loss_alpha)
+        grads = tape.backward(scale(total, upstream))
+    wanted = (j_pre, hidden, params["rec_w"], params["rec_b"])
+    return [total.values, j_rec.values], [grads.get(t) for t in wanted]
+
+
+@pytest.mark.parametrize("history", [1, 3, 24])
+@pytest.mark.parametrize("loss_alpha", [0.0, 0.7, 1.0])
+def test_total_loss_matches_composite_bitwise(history, loss_alpha):
+    for seed in range(20):
+        upstream = (1.0, -0.37, 2.5e3)[seed % 3]
+        want = total_run(composite_total_loss, seed, history, loss_alpha, upstream)
+        got = total_run(total_loss, seed, history, loss_alpha, upstream)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert same_bits(g, w), seed
+
+
+def test_total_loss_is_one_tape_op_and_reports_a_constant_recovery_loss():
+    rng = np.random.default_rng(0)
+    params = init_params(ModelConfig(hidden_dim=3), 2, rng)
+    fwd = ForwardPass(
+        nig=ad.constant(np.zeros((4, 4))),
+        hidden=ad.parameter(rng.normal(size=(4, 3))),
+        h0=ad.constant(rng.normal(size=(4, 2))),
+    )
+    with Tape() as tape:
+        _, j_rec = total_loss(
+            ad.parameter([[1.0]]), fwd, params, ad.constant(np.full((4, 1), 0.25)), 0.5
+        )
+    assert len(tape.nodes) == 1 and not j_rec.requires_grad
+
+
+# -- model tail ----------------------------------------------------------
+
+
+def tail_run(fused, seed, evidence_reg, loss_alpha):
+    """The evidential head, NIG loss, recovery head and total loss after the
+    last diffusion layer, as the fused ops or as the generic ops they
+    replace: values of j_pre, j_rec and the total, and the gradients of the
+    hidden state and of every head parameter."""
+    rng = np.random.default_rng(seed)
+    n, history, hidden_dim = int(rng.integers(1, 25)), 4, 6
+    params = init_params(ModelConfig(hidden_dim=hidden_dim), history, rng)
+    params["head_b"].values[...] = rng.normal(size=(1, 4))
+    hidden = ad.parameter(rng.normal(size=(n, hidden_dim)))
+    h0 = ad.constant(rng.normal(size=(n, history)))
+    target = ad.constant(rng.normal(size=(n, 1)))
+    weights = ad.constant(np.full((n, 1), 1.0 / n))
+    with Tape() as tape:
+        raw = ad.matmul(hidden, params["head_w"])
+        if fused:
+            fwd = ForwardPass(nig=nig_link(raw, params["head_b"]), hidden=hidden, h0=h0)
+            j_pre = nig_nll(fwd.nig, target, evidence_reg, weights)
+            total, j_rec = total_loss(j_pre, fwd, params, weights, loss_alpha)
+        else:
+            columns = composite_nig_link(raw, params["head_b"])
+            j_pre = composite_nig_nll(*columns, target, evidence_reg, weights)
+            fwd = ForwardPass(nig=None, hidden=hidden, h0=h0)
+            total, j_rec = composite_total_loss(j_pre, fwd, params, weights, loss_alpha)
+    grads = tape.backward(total)
+    names = ("head_w", "head_b", "rec_w", "rec_b")
+    return (
+        [j_pre.values, j_rec.values, total.values],
+        [grads[hidden], *(grads[params[k]] for k in names)],
+        len(tape.nodes),
+    )
+
+
+@pytest.mark.parametrize("evidence_reg", [0.0, 0.01])
+@pytest.mark.parametrize("loss_alpha", [0.0, 1.0])
+def test_model_tail_matches_composite_bitwise(evidence_reg, loss_alpha):
+    for seed in range(20):
+        want = tail_run(False, seed, evidence_reg, loss_alpha)
+        got = tail_run(True, seed, evidence_reg, loss_alpha)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert same_bits(g, w), seed
+        assert got[2] == 4  # matmul, link, NIG loss, total
 
 
 # -- diffusion layer -----------------------------------------------------
@@ -128,7 +330,7 @@ def composite_chebyshev_terms(op, op_t, h, order):
     z_prev, z_cur = h, operator_product(op, op_t, h)
     terms = [z_cur]
     for _ in range(2, order + 1):
-        z_next = ad.sub(ad.scale(operator_product(op, op_t, z_cur), 2.0), z_prev)
+        z_next = sub(scale(operator_product(op, op_t, z_cur), 2.0), z_prev)
         terms.append(z_next)
         z_prev, z_cur = z_cur, z_next
     return terms
@@ -143,13 +345,13 @@ def composite_dgcn_layer(h, ops, layer, params, cfg):
     terms_b = composite_chebyshev_terms(p_t, p, h, cfg.cheb_order)
     total = None
     for k in range(1, cfg.cheb_order + 1):
-        part = ad.add(
+        part = add(
             ad.matmul(terms_f[k - 1], params[f"theta_f_l{layer}_k{k}"]),
             ad.matmul(terms_b[k - 1], params[f"theta_b_l{layer}_k{k}"]),
         )
-        total = part if total is None else ad.add(total, part)
+        total = part if total is None else add(total, part)
     if layer == 2:
-        return ad.add(relu(total), h)
+        return add(relu(total), h)
     return total
 
 
@@ -175,7 +377,7 @@ def layer_run(layer_fn, rng_seed, order, layer, h_grad):
     probe = ad.constant(rng.normal(size=(n, hidden)))
     with Tape() as tape:
         out = layer_fn(h, (p, p.T), layer, params, cfg)
-        grads = tape.backward(ad.reduce_sum(ad.hadamard(out, probe)))
+        grads = tape.backward(reduce_sum(hadamard(out, probe)))
     return out.values, [grads.get(t) for t in [h, *params.values()]]
 
 
@@ -215,7 +417,7 @@ def test_dgcn_layer_dense_operator_matches_composite():
         h = ad.parameter(h_values.copy())
         with Tape() as tape:
             out = fn(h, (a, a.T), 3, params, cfg)
-            grads = tape.backward(ad.reduce_sum(out))
+            grads = tape.backward(reduce_sum(out))
         runs.append((out.values, grads[h], grads[params["theta_b_l3_k2"]]))
     for got, want in zip(*runs):
         assert same_bits(got, want)

@@ -72,11 +72,18 @@ class TestBuildAdjacency:
         with pytest.raises(ParameterError):
             build_adjacency(d, sigma=1.0)
 
-    @pytest.mark.parametrize("odd", [-np.inf, np.nan])
+    @pytest.mark.parametrize("odd", [-np.inf])
     def test_nonfinite_distance_is_no_edge_not_negative(self, odd):
         d = np.array([[0.0, odd, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         g = build_adjacency(d, sigma=1.0)
         assert g.adjacency[0, 1] == 0.0 and g.adjacency[0, 2] > 0.0
+
+    @pytest.mark.parametrize("sigma", [1.0, None])
+    def test_nan_distance_rejected(self, sigma):
+        # it used to be dropped as "no edge", and left out of sigma
+        d = np.array([[0.0, np.nan, 1.0], [1.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
+        with pytest.raises(ParameterError, match="NaN"):
+            build_adjacency(d, sigma=sigma)
 
     def test_partition_validation(self):
         g = build_adjacency(ring_distances(5), sigma=2.0)

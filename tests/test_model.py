@@ -21,7 +21,7 @@ from gapcast.model import (
     input_layer,
     nig_nll,
     nig_nll_values,
-    weighted_mean,
+    total_loss,
 )
 
 from conftest import finite_difference_gradient, relative_error
@@ -136,8 +136,8 @@ class TestForward:
         abar = normalize(a)
         f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
         f2 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
-        assert np.array_equal(f1.gamma.values, f2.gamma.values)
-        assert np.array_equal(f1.recovery.values, f2.recovery.values)
+        assert np.array_equal(f1.nig.values, f2.nig.values)
+        assert np.array_equal(f1.hidden.values, f2.hidden.values)
 
     def test_isolated_zero_mask_output_is_bias_only(self, rng):
         cfg = ModelConfig(hidden_dim=5, layers=3, cheb_order=2)
@@ -146,7 +146,7 @@ class TestForward:
         mask = ad.constant(np.zeros((1, 4)))
         out1 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, abar)
         out2 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, abar)
-        assert np.array_equal(out1.gamma.values, out2.gamma.values)
+        assert np.array_equal(out1.nig.values, out2.nig.values)
 
     def test_masked_node_own_features_ignored(self, rng):
         cfg, params, x, mask, a = small_setup(rng)
@@ -155,8 +155,8 @@ class TestForward:
         x2[-1] = rng.normal(size=x.shape[1]) * 10  # masked row perturbed
         f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
         f2 = forward(params, cfg, ad.constant(x2), ad.constant(mask), abar)
-        assert np.array_equal(f1.gamma.values, f2.gamma.values)
-        assert np.array_equal(f1.recovery.values, f2.recovery.values)
+        assert np.array_equal(f1.nig.values, f2.nig.values)
+        assert np.array_equal(f1.hidden.values, f2.hidden.values)
 
     def test_node_permutation_equivariance(self, rng):
         cfg, params, x, mask, a = small_setup(rng, n=6)
@@ -169,16 +169,16 @@ class TestForward:
             ad.constant(mask[perm]),
             normalize(sparse.csr_array(a.toarray()[np.ix_(perm, perm)])),
         )
-        np.testing.assert_allclose(f2.gamma.values, f1.gamma.values[perm], atol=1e-10)
-        np.testing.assert_allclose(f2.nu.values, f1.nu.values[perm], atol=1e-10)
+        np.testing.assert_allclose(f2.nig.values, f1.nig.values[perm], atol=1e-10)
 
     def test_constraints_hold_under_extreme_heads(self, rng):
         cfg, params, x, mask, a = small_setup(rng)
         for extreme in (-1000.0, 0.0, 1000.0):
             params["head_b"].values[:] = extreme
             fp = forward(params, cfg, ad.constant(x), ad.constant(mask), normalize(a))
-            assert (fp.nu.values > 0).all() and (fp.beta.values > 0).all()
-            assert (fp.alpha.values > 1).all()
+            nu, alpha, beta = fp.nig.values[:, 1:].T
+            assert (nu > 0).all() and (beta > 0).all()
+            assert (alpha > 1).all()
 
     def test_full_model_gradcheck(self, rng):
         cfg, params, x, mask, a = small_setup(rng, n=4, history=3, hidden=4)
@@ -188,9 +188,8 @@ class TestForward:
 
         def loss_value():
             fp = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
-            pre = nig_nll(fp.gamma, fp.nu, fp.alpha, fp.beta, y, evidence_reg=0.01, weights=w)
-            rec = weighted_mean(ad.square(ad.sub(fp.recovery, fp.h0)), w)
-            return ad.add(pre, rec)
+            pre = nig_nll(fp.nig, y, evidence_reg=0.01, weights=w)
+            return total_loss(pre, fp, params, w, 1.0)[0]
 
         with Tape() as tape:
             loss = loss_value()
@@ -249,8 +248,8 @@ class TestNigNll:
         y = rng.normal(size=(n, 1))
         w = np.full((n, 1), 1.0 / n)
         loss = nig_nll(
-            ad.constant(gamma), ad.constant(nu), ad.constant(alpha), ad.constant(beta),
-            ad.constant(y), evidence_reg=0.0, weights=ad.constant(w),
+            ad.constant(np.hstack([gamma, nu, alpha, beta])), ad.constant(y),
+            evidence_reg=0.0, weights=ad.constant(w),
         )
         # one formula behind both paths, and the weighted sum taken as the
         # op takes it, so the values agree exactly
@@ -273,8 +272,8 @@ class TestNigNll:
         y = np.full((3, 1), 2.0)
         base = nig_nll_values(gamma, nu, alpha, beta, y).mean()
         loss = nig_nll(
-            ad.constant(gamma), ad.constant(nu), ad.constant(alpha), ad.constant(beta),
-            ad.constant(y), evidence_reg=0.01, weights=ad.constant(np.full((3, 1), 1.0 / 3)),
+            ad.constant(np.hstack([gamma, nu, alpha, beta])), ad.constant(y),
+            evidence_reg=0.01, weights=ad.constant(np.full((3, 1), 1.0 / 3)),
         )
         reg = 0.01 * np.mean(np.abs(y - gamma) * (2 * nu + alpha))
         assert loss.item() == pytest.approx(base + reg, rel=1e-12)
@@ -432,6 +431,21 @@ class TestCorruptCheckpoint:
         with pytest.raises(CheckpointError, match=r"array 'w' has a malformed shape \[2.5\]"):
             load_checkpoint(path)
 
+    def test_shape_of_three_entries_names_the_array(self, tmp_path):
+        # tensors are 2-D: three entries used to surface as DimensionError
+        spec = {"name": "w", "shape": [2, 1, 2], "offset": 0, "nbytes": 32}
+        path = tmp_path / "three_entries.bin"
+        path.write_bytes(checkpoint_bytes([spec], np.zeros(4).tobytes()))
+        with pytest.raises(CheckpointError, match=r"array 'w' has a malformed shape \[2, 1, 2\]"):
+            load_checkpoint(path)
+
+    def test_shape_of_one_entry_loads_as_one_row(self, tmp_path):
+        spec = {"name": "w", "shape": [3], "offset": 0, "nbytes": 24}
+        path = tmp_path / "one_entry.bin"
+        path.write_bytes(checkpoint_bytes([spec], np.arange(3.0).tobytes()))
+        params, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(params["w"].values, [[0.0, 1.0, 2.0]])
+
     def test_repeated_array_name_rejected(self, tmp_path):
         specs = [{"name": "w", "shape": [1, 1], "offset": 8 * i, "nbytes": 8} for i in range(2)]
         path = tmp_path / "repeated.bin"
@@ -457,6 +471,11 @@ class TestCorruptCheckpoint:
 
 
 class TestModelConfig:
+    @pytest.mark.parametrize("field", ["hidden_dim", "layers", "cheb_order"])
+    @pytest.mark.parametrize("value", [3.0, True, "3"])
+    def test_size_must_be_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelConfig(**{field: value})
     @pytest.mark.parametrize("hidden", [0, -3])
     def test_hidden_dim_below_one_rejected(self, hidden):
         with pytest.raises(ValueError, match="hidden_dim"):

@@ -88,8 +88,9 @@ def test_every_export_resolves():
 def test_traced_run_sees_every_fused_call():
     """A fused op must not hide a call the benchmark's spans and counters
     read: every diffusion layer, the Chebyshev terms, the batch operator's
-    gather and normalisation, the loss, Adam, the heads' matmul work and
-    the inference normalisation stay visible to the tracer. Training
+    gather and normalisation, the loss, Adam, the evidential head's matmul
+    work and the inference normalisation stay visible to the tracer, and
+    a training batch records 7 tape ops. Training
     gathers the operators of a chunk of batches with one ``subgraph`` call
     and normalises them with one ``normalize`` call; this run's two
     batches fit one chunk. A sensing episode fires the spans sense-n40
@@ -116,6 +117,9 @@ def test_traced_run_sees_every_fused_call():
     ):
         assert tracer.stats[name].calls > 0, name
     assert tracer.tape.batches == 2 and tracer.tape.matmul_flop > 0
+    # per batch: three diffusion layers, the evidential head's matmul, the
+    # NIG link, the NIG loss and the recovery-and-total loss
+    assert sum(tracer.tape.ops.values()) == 7 * 2 and tracer.tape.ops["matmul"] == 2
     assert per_chunk == [1, 1]  # one of each per chunk: both batches fit one
     assert tracer.inference_normalize_calls == 2  # once per inference call
     sensing = importlib.import_module("gapcast.sensing")
@@ -137,6 +141,33 @@ def test_graph_imports_nothing_from_autodiff():
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
     assert names and not [name for name in names if "autodiff" in name]
+
+
+def test_package_uses_only_the_kept_autodiff_names():
+    """``src/gapcast`` takes from ``autodiff`` only the tensor, the tape,
+    Adam, the op hook ``record``, ``matmul`` and their helpers: every other
+    trainable step is a fused op, and the generic elementwise ops live in
+    ``tests/oracle_ops.py``."""
+    kept = {
+        "Tensor", "Tape", "Adam", "record", "constant", "parameter", "matmul",
+        "glorot_uniform", "DimensionError", "DomainError",
+    }
+    used = set()
+    for path in (ROOT / "src" / "gapcast").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == "autodiff":
+                    used |= {alias.name for alias in node.names}
+                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        used |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+        }
+    assert {"record", "matmul", "Tape", "Adam"} <= used <= kept, sorted(used - kept)
+    assert set(importlib.import_module("gapcast.autodiff").__all__) <= kept
 
 
 def callers(paths, is_target):

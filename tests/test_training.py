@@ -25,7 +25,7 @@ from gapcast.model import (
     init_params,
     nig_nll,
     nig_nll_values,
-    weighted_mean,
+    total_loss,
 )
 from gapcast.training import (
     SampleBatch,
@@ -41,6 +41,8 @@ from gapcast.training import (
     train,
     valid_time_steps,
 )
+
+from oracle_ops import add, scale
 
 
 def tiny_cfg(**kw):
@@ -221,16 +223,16 @@ class TestDrawSample:
 
 
 def fake_forward(gamma, recovery, h0):
-    shape = np.shape(gamma)
-    ones = ad.constant(np.ones(shape))
-    return ForwardPass(
-        gamma=ad.constant(gamma),
-        nu=ones,
-        alpha=ad.constant(np.full(shape, 2.0)),
-        beta=ones,
-        recovery=ad.constant(recovery),
-        h0=ad.constant(h0),
-    )
+    """A forward pass with nu = 1, alpha = 2 and beta = 1, and recovery
+    head parameters whose output is ``recovery``: the hidden state is the
+    identity, rec_w is ``recovery`` and rec_b is zero."""
+    gamma = np.asarray(gamma, dtype=float)
+    recovery = np.asarray(recovery, dtype=float)
+    n, history = recovery.shape
+    nig = np.hstack([gamma, np.ones((n, 1)), np.full((n, 1), 2.0), np.ones((n, 1))])
+    fwd = ForwardPass(nig=ad.constant(nig), hidden=ad.constant(np.eye(n)), h0=ad.constant(h0))
+    params = {"rec_w": ad.parameter(recovery), "rec_b": ad.parameter(np.zeros((1, history)))}
+    return fwd, params
 
 
 def fake_batch(target, features):
@@ -250,9 +252,9 @@ class TestComputeLoss:
     def test_hand_recovery_example(self):
         # recovery [[1],[2]] against an all-zero window: mean squared error 2.5
         sample = fake_batch([[0.0], [0.0]], np.zeros((2, 1)))
-        fwd = fake_forward(np.zeros((2, 1)), np.array([[1.0], [2.0]]), np.zeros((2, 1)))
+        fwd, params = fake_forward(np.zeros((2, 1)), np.array([[1.0], [2.0]]), np.zeros((2, 1)))
         cfg = tiny_cfg(history=1, loss_alpha=1.0)
-        j_pre, j_rec, j_total = compute_loss(sample, fwd, cfg)
+        j_pre, j_rec, j_total = compute_loss(sample, fwd, params, cfg)
         assert j_rec.item() == pytest.approx(2.5)
         # zero residual: the NLL at nu=1, alpha=2, beta=1 and no penalty
         assert j_pre.item() == pytest.approx(nig_nll_values(0.0, 1.0, 2.0, 1.0, 0.0))
@@ -262,9 +264,9 @@ class TestComputeLoss:
         target = np.array([[1.0], [2.0]])
         window = np.array([[0.5], [0.25]])
         sample = fake_batch(target, window)
-        fwd = fake_forward(target, window, window)
+        fwd, params = fake_forward(target, window, window)
         cfg = tiny_cfg(history=1)
-        j_pre, j_rec, _ = compute_loss(sample, fwd, cfg)
+        j_pre, j_rec, _ = compute_loss(sample, fwd, params, cfg)
         assert j_rec.item() == 0.0
         # gamma = y is the NLL's minimum over gamma, and the penalty vanishes
         floor = nig_nll_values(target, 1.0, 2.0, 1.0, target).mean()
@@ -272,19 +274,19 @@ class TestComputeLoss:
 
     def test_alpha_zero_drops_recovery(self):
         sample = fake_batch([[0.0]], np.zeros((1, 1)))
-        fwd = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
+        fwd, params = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
         cfg = tiny_cfg(history=1, loss_alpha=0.0)
-        j_pre, j_rec, j_total = compute_loss(sample, fwd, cfg)
+        j_pre, j_rec, j_total = compute_loss(sample, fwd, params, cfg)
         assert j_total.item() == pytest.approx(j_pre.item())
         assert j_rec.item() > 0
 
     def test_total_monotone_in_alpha(self):
         sample = fake_batch([[0.0]], np.zeros((1, 1)))
-        fwd = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
+        fwd, params = fake_forward([[0.5]], [[3.0]], np.zeros((1, 1)))
         totals = []
         for alpha in (0.1, 0.5, 2.0):
             cfg = tiny_cfg(history=1, loss_alpha=alpha)
-            totals.append(compute_loss(sample, fwd, cfg)[2].item())
+            totals.append(compute_loss(sample, fwd, params, cfg)[2].item())
         assert totals[0] < totals[1] < totals[2]
 
 
@@ -305,13 +307,11 @@ def per_sample_mean_loss(params, samples, values, cfg, adjacency):
         plain = ad.constant(np.full((n, 1), 1.0 / n))
         target = values[s.t + cfg.horizon, s.node_indices][:, None]
         j_pre = nig_nll(
-            fwd.gamma, fwd.nu, fwd.alpha, fwd.beta, ad.constant(target),
-            evidence_reg=cfg.model.evidence_reg, weights=plain,
+            fwd.nig, ad.constant(target), evidence_reg=cfg.model.evidence_reg, weights=plain
         )
-        j_rec = weighted_mean(ad.square(ad.sub(fwd.recovery, fwd.h0)), plain)
-        j = ad.add(j_pre, ad.scale(j_rec, cfg.loss_alpha))
-        total = j if total is None else ad.add(total, j)
-    return ad.scale(total, 1.0 / len(samples))
+        j = total_loss(j_pre, fwd, params, plain, cfg.loss_alpha)[0]
+        total = j if total is None else add(total, j)
+    return scale(total, 1.0 / len(samples))
 
 
 def union_loss(params, samples, values, cfg, adjacency):
@@ -320,7 +320,7 @@ def union_loss(params, samples, values, cfg, adjacency):
         params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
         batch.operator,
     )
-    return compute_loss(batch, fwd, cfg)[2]
+    return compute_loss(batch, fwd, params, cfg)[2]
 
 
 def loss_and_grads(loss_fn, params, samples, values, cfg, adjacency):
@@ -589,12 +589,8 @@ def per_window_forward(graph, window, model):
         normalize(graph.adjacency),
     )
     mean, std = model.scaler.mean, model.scaler.std
-    return np.stack([
-        fwd.gamma.values[:, 0] * std + mean,
-        fwd.nu.values[:, 0],
-        fwd.alpha.values[:, 0],
-        fwd.beta.values[:, 0] * std * std,
-    ])
+    gamma, nu, alpha, beta = fwd.nig.values.T
+    return np.stack([gamma * std + mean, nu, alpha, beta * std * std])
 
 
 def nig_rows(ev):
