@@ -98,18 +98,19 @@ def build_adjacency(
     Entry (i, j) is exp(-dist(i,j)^2 / sigma^2), evaluated only for pairs
     with dist < kappa; the CSR adjacency stores the non-zero entries.
     ``sigma=None`` uses the standard deviation of all finite
-    off-diagonal distances. An infinite distance marks an absent pair; a
-    NaN one raises ParameterError. The diagonal is always 1 and every node
-    starts observable.
+    off-diagonal distances. A distance of +inf marks an absent pair; a NaN
+    or negative one, -inf included, raises ParameterError, as
+    :func:`gapcast.data.load_distances_csv` refuses it. The diagonal is
+    always 1 and every node starts observable.
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ParameterError("distances must be a square matrix")
     if np.isnan(d).any():
         raise ParameterError("distances must not be NaN; an absent pair is inf")
-    finite = np.isfinite(d)
-    if np.any(d < 0, where=finite):
+    if (d < 0).any():
         raise ParameterError("distances must be nonnegative")
+    finite = np.isfinite(d)
     if sigma is None:
         off = finite & ~np.eye(d.shape[0], dtype=bool)
         if not off.any():
@@ -186,7 +187,8 @@ def subgraph(adjacency: sparse.csr_array, node_lists) -> sparse.csr_array:
 
     A node may appear in several lists but only once in each. Gathers the
     CSR rows of every chosen node and keeps the entries whose column is
-    chosen in the same list: O(nodes * degree), with no dense copy.
+    chosen in the same list, found in a table of each (list, node) pair's
+    row: O(nodes * degree + lists * n), with no dense copy.
     """
     a = _require_csr(adjacency, "adjacency")
     n = a.shape[0]
@@ -194,26 +196,21 @@ def subgraph(adjacency: sparse.csr_array, node_lists) -> sparse.csr_array:
     idx = np.concatenate([np.empty(0, dtype=np.int64), *lists])
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"subgraph index out of range for {n} nodes")
-    # (list, node) keys, sorted: a repeat within one list is a repeated key
     offsets = np.repeat(np.arange(len(lists)) * n, [nodes.size for nodes in lists])
-    keys = offsets + idx
-    order = np.argsort(keys, kind="stable")
-    chosen = keys[order]
-    if (np.diff(chosen) == 0).any():
+    keys, rows = offsets + idx, np.arange(idx.size)
+    row_of = np.full(len(lists) * n, -1)  # (list, node) -> row, -1 where not chosen
+    row_of[keys] = rows
+    if (row_of[keys] != rows).any():  # a repeated key keeps only one of its rows
         raise ParameterError("a node repeats within one subgraph node list")
     starts = a.indptr[idx]
     counts = a.indptr[idx + 1] - starts
     # Position in a.data of every entry of the gathered rows, row by row.
     pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    cols = np.repeat(offsets, counts) + a.indices[pos]
-    slot = np.minimum(np.searchsorted(chosen, cols), idx.size - 1)
-    keep = chosen[slot] == cols
-    rows = np.repeat(np.arange(idx.size), counts)[keep]
+    cols = row_of[np.repeat(offsets, counts) + a.indices[pos]]
+    keep = cols >= 0
     indptr = np.zeros(idx.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
-    return sparse.csr_array(
-        (a.data[pos[keep]], order[slot[keep]], indptr), shape=(idx.size, idx.size)
-    )
+    np.cumsum(np.bincount(np.repeat(rows, counts)[keep], minlength=idx.size), out=indptr[1:])
+    return sparse.csr_array((a.data[pos[keep]], cols[keep], indptr), shape=(idx.size, idx.size))
 
 
 def diagonal_block(matrix: sparse.csr_array, start: int, stop: int) -> sparse.csr_array:

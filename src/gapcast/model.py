@@ -36,6 +36,9 @@ __all__ = [
 # Strictly positive floor added after softplus so nu > 0, alpha > 1, beta > 0
 # hold even when the raw activation underflows.
 EVIDENCE_FLOOR = 1e-10
+# Weight lambda of the evidence penalty |y - gamma| (2 nu + alpha) in the
+# prediction loss (Amini et al. 2020, arXiv 1910.02600).
+EVIDENCE_REG = 0.01
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class ModelConfig:
     hidden_dim: int = 100
     layers: int = 3
     cheb_order: int = 2
-    evidence_reg: float = 0.01
 
     def __post_init__(self):
         for name in ("hidden_dim", "layers", "cheb_order"):
@@ -138,12 +140,11 @@ class ForwardPass:
     h0: Tensor
 
 
-def input_layer(x: Tensor, mask: Tensor) -> Tensor:
-    """H_0, a constant: constant features (nodes, history) gated by the
-    constant (nodes, 1) mask column, masked rows all-zero."""
-    if x.requires_grad or mask.requires_grad:
-        raise ValueError("input_layer takes constant features and mask")
-    return ad.constant(x.values * mask.values)
+def input_layer(x: np.ndarray, mask: np.ndarray) -> Tensor:
+    """H_0, the constant tensor layer 1 records as its input: features
+    (nodes, history) gated by the (nodes, 1) mask column, masked rows
+    all-zero."""
+    return ad.constant(x * mask)
 
 
 def dgcn_layer(
@@ -234,13 +235,13 @@ def nig_link(raw: Tensor, head_b: Tensor) -> Tensor:
 def forward(
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    x: Tensor,
-    mask: Tensor,
+    x: np.ndarray,
+    mask: np.ndarray,
     p,
 ) -> ForwardPass:
     """Run masked input -> diffusion stack -> evidential head.
 
-    x is (nodes, history) and mask a (nodes, 1) column, 1.0 on reserved
+    x is a (nodes, history) array and mask a (nodes, 1) one, 1.0 on reserved
     rows and 0.0 on masked ones. Returns the per-node NIG record with
     positivity constraints applied, the last hidden state and the masked
     input; the recovery head runs only in training, in
@@ -315,50 +316,37 @@ def _nig_nll_terms(
     )
 
 
-def nig_nll(nig: Tensor, target: Tensor, evidence_reg: float, weights: Tensor) -> Tensor:
+def nig_nll(nig: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
     """Sum over nodes, by ``weights``, of the per-element NIG NLL plus the
-    evidence penalty evidence_reg * |y - gamma| * (2 nu + alpha).
+    evidence penalty EVIDENCE_REG * |y - gamma| * (2 nu + alpha).
 
     ``nig`` is the (nodes, 4) record of :func:`nig_link`; ``target`` and
-    ``weights`` are constant (nodes, 1) columns. One tape op whose
-    (nodes, 4) gradient flows to the record; value and gradients are
-    bitwise those of the formula written as separate ops on its columns.
+    ``weights`` are (nodes, 1) arrays. One tape op whose (nodes, 4)
+    gradient flows to the record; value and gradients are bitwise those of
+    the formula written as separate ops on its columns.
     """
     if nig.shape[1] != 4 or not target.shape == weights.shape == (nig.shape[0], 1):
         shapes = [nig.shape, target.shape, weights.shape]
         raise ad.DimensionError(f"nig_nll takes (n, 4), (n, 1), (n, 1), got {shapes}")
-    if target.requires_grad or weights.requires_grad:
-        raise ValueError("nig_nll differentiates the NIG record only")
     gamma, nu_v, alpha_v, beta_v = np.hsplit(nig.values, 4)
-    w = weights.values
-    resid = target.values - gamma
+    resid = target - gamma
     terms = _nig_nll_terms(resid, nu_v, alpha_v, beta_v)
-    loss = np.array([[(terms.nll * w).sum()]])
-    reg = float(evidence_reg)
-    if evidence_reg:
-        abs_resid = np.abs(resid)
-        evidence = nu_v * 2.0 + alpha_v
-        loss = loss + np.array([[(abs_resid * evidence * w).sum()]]) * reg
+    abs_resid = np.abs(resid)
+    evidence = nu_v * 2.0 + alpha_v
+    penalty = np.array([[(abs_resid * evidence * weights).sum()]]) * EVIDENCE_REG
+    loss = np.array([[(terms.nll * weights).sum()]]) + penalty
 
     def rule(g: np.ndarray):
         # Gradients are summed in the order a tape of the separate ops
         # would sum them, the penalty's first.
-        d_alpha = d_nu = d_resid = None
-        if evidence_reg:
-            d_pen = np.full_like(resid, (g * reg)[0, 0]) * w
-            d_evidence = d_pen * abs_resid
-            d_alpha = d_evidence
-            d_nu = d_evidence * 2.0
-            d_resid = d_pen * evidence * np.sign(resid)
-        d_nll = np.full_like(resid, g[0, 0]) * w
-        d_alpha_half = -d_nll * digamma(terms.alpha_half)
-        d_alpha = d_alpha_half if d_alpha is None else d_alpha + d_alpha_half
+        d_pen = np.full_like(resid, (g * EVIDENCE_REG)[0, 0]) * weights
+        d_evidence = d_pen * abs_resid
+        d_nll = np.full_like(resid, g[0, 0]) * weights
+        d_alpha = d_evidence + -d_nll * digamma(terms.alpha_half)
         d_alpha = d_alpha + d_nll * digamma(alpha_v)
         d_spread = d_nll * terms.alpha_half / terms.spread
-        d_nu_sq = d_spread * terms.resid_sq
-        d_nu = d_nu_sq if d_nu is None else d_nu + d_nu_sq
-        d_resid_sq = 2.0 * resid * (d_spread * nu_v)
-        d_resid = d_resid_sq if d_resid is None else d_resid + d_resid_sq
+        d_nu = d_evidence * 2.0 + d_spread * terms.resid_sq
+        d_resid = d_pen * evidence * np.sign(resid) + 2.0 * resid * (d_spread * nu_v)
         d_alpha = d_alpha + d_nll * terms.log_spread
         d_alpha = d_alpha + -d_nll * terms.log_omega
         d_omega = d_spread + -d_nll * alpha_v / terms.omega
@@ -391,10 +379,14 @@ def nig_nll_values(
 
 
 def total_loss(
-    j_pre: Tensor, fwd: ForwardPass, params: dict[str, Tensor], weights: Tensor, loss_alpha: float
-) -> tuple[Tensor, Tensor]:
-    """(j_pre + loss_alpha * j_rec, j_rec), with j_rec a constant for the
-    trace: the recovery loss, the sum over nodes, by the (nodes, 1)
+    j_pre: Tensor,
+    fwd: ForwardPass,
+    params: dict[str, Tensor],
+    weights: np.ndarray,
+    loss_alpha: float,
+) -> tuple[Tensor, np.ndarray]:
+    """(j_pre + loss_alpha * j_rec, j_rec), with j_rec a (1, 1) array for
+    the trace: the recovery loss, the sum over nodes, by the (nodes, 1)
     ``weights``, of the mean squared error between the recovery head's
     ``fwd.hidden @ rec_w + rec_b`` and the masked input ``fwd.h0``.
 
@@ -404,15 +396,15 @@ def total_loss(
     1/history, the scale by loss_alpha and the add). A scale by 1.0 changes
     no bits, so a one-step history needs no branch.
     """
-    hidden, rec_w, rec_b, w = fwd.hidden.values, params["rec_w"], params["rec_b"], weights.values
+    hidden, rec_w, rec_b = fwd.hidden.values, params["rec_w"], params["rec_b"]
     diff = (hidden @ rec_w.values + rec_b.values) - fwd.h0.values
     inv_history, alpha = 1.0 / diff.shape[1], float(loss_alpha)
-    j_rec = np.array([[(diff * diff * w).sum()]]) * inv_history
+    j_rec = np.array([[(diff * diff * weights).sum()]]) * inv_history
 
     def rule(g: np.ndarray):
         g_rec = g * alpha * inv_history
-        d_diff = 2.0 * diff * (np.full_like(diff, g_rec[0, 0]) * w)
+        d_diff = 2.0 * diff * (np.full_like(diff, g_rec[0, 0]) * weights)
         return (g, d_diff @ rec_w.values.T, hidden.T @ d_diff, d_diff.sum(axis=0, keepdims=True))
 
     total = ad.record(j_pre.values + j_rec * alpha, (j_pre, fwd.hidden, rec_w, rec_b), rule)
-    return total, ad.constant(j_rec)
+    return total, j_rec

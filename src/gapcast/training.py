@@ -11,7 +11,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import sparse
 
-from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, SpeedSeries, check_node_ids, fill_small_gaps
@@ -237,20 +236,19 @@ def draw_sample(
 
 def compute_loss(
     batch: SampleBatch, fwd: ForwardPass, params: dict[str, Tensor], cfg: TrainConfig
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray, Tensor]:
     """(prediction loss, recovery loss, total) for one batch: two tape ops,
     :func:`gapcast.model.nig_nll` and :func:`gapcast.model.total_loss`,
     which runs the recovery head of ``params``. The recovery loss is a
-    constant, for the trace.
+    (1, 1) array, for the trace.
 
     The prediction loss is the NIG NLL with its evidence penalty over
     every sampled node, reserved and masked alike. Recovery reconstructs
     the masked input window. Node means are weighted by
     ``batch.weights``, so a batch gets its samples' mean.
     """
-    weights = ad.constant(batch.weights)
-    j_pre = nig_nll(fwd.nig, ad.constant(batch.target), cfg.model.evidence_reg, weights)
-    j_total, j_rec = total_loss(j_pre, fwd, params, weights, cfg.loss_alpha)
+    j_pre = nig_nll(fwd.nig, batch.target, batch.weights)
+    j_total, j_rec = total_loss(j_pre, fwd, params, batch.weights, cfg.loss_alpha)
     return j_pre, j_rec, j_total
 
 
@@ -331,13 +329,7 @@ def train(
         stacked = SampleBatch.stack([members for _, members in chunk], values, graph.adjacency, cfg)
         for (iteration, members), batch in zip(chunk, stacked.batches()):
             with Tape() as tape:
-                fwd = forward(
-                    params,
-                    cfg.model,
-                    ad.constant(batch.features),
-                    ad.constant(batch.mask),
-                    batch.operator,
-                )
+                fwd = forward(params, cfg.model, batch.features, batch.mask, batch.operator)
                 losses = compute_loss(batch, fwd, params, cfg)
                 j_total = losses[2]
                 if not np.isfinite(j_total.item()):
@@ -421,8 +413,8 @@ def _predict_observed(
         nig = forward(
             model.params,
             model.model_cfg,
-            ad.constant(x.reshape(count * n, t_hist)),
-            ad.constant(np.tile(mask, (count, 1))),
+            x.reshape(count * n, t_hist),
+            np.tile(mask, (count, 1)),
             full if count == per_pass else diagonal_block(full, 0, count * n),
         ).nig.values
         # Copied: a column view would keep the pass's whole record alive.

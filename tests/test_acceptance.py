@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from gapcast import autodiff as ad
 from gapcast.autodiff import Tape
 from gapcast.cli import main as cli_main
 from gapcast.data import SplitSpec, generate_synthetic, hide_locations, split
@@ -72,10 +71,7 @@ def test_criterion_1_end_to_end_gradients():
     params = None
 
     def loss_fn():
-        fwd = forward(
-            params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
-            batch.operator,
-        )
+        fwd = forward(params, cfg.model, batch.features, batch.mask, batch.operator)
         return compute_loss(batch, fwd, params, cfg)[2]
 
     from gapcast.model import init_params
@@ -340,8 +336,8 @@ def test_criterion_9_complexity_direction():
 
     params = init_params(cfg, history, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    x = ad.constant(rng.normal(size=(200, history)))
-    mask = ad.constant(np.ones((200, history)))
+    x = rng.normal(size=(200, history))
+    mask = np.ones((200, history))
 
     def timed_forward(kappa_hops):
         graph, _ = generate_synthetic(200, 10, np.random.default_rng(0), kappa_hops=kappa_hops)

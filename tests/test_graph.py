@@ -72,11 +72,11 @@ class TestBuildAdjacency:
         with pytest.raises(ParameterError):
             build_adjacency(d, sigma=1.0)
 
-    @pytest.mark.parametrize("odd", [-np.inf])
-    def test_nonfinite_distance_is_no_edge_not_negative(self, odd):
-        d = np.array([[0.0, odd, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        g = build_adjacency(d, sigma=1.0)
-        assert g.adjacency[0, 1] == 0.0 and g.adjacency[0, 2] > 0.0
+    def test_minus_inf_distance_rejected(self):
+        # it used to be dropped as "no edge"; load_distances_csv refuses it too
+        d = np.array([[0.0, -np.inf, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ParameterError, match="nonnegative"):
+            build_adjacency(d, sigma=1.0)
 
     @pytest.mark.parametrize("sigma", [1.0, None])
     def test_nan_distance_rejected(self, sigma):
@@ -259,6 +259,35 @@ def dense_union(a, lists):
     return out
 
 
+def loop_union(a, lists):
+    """The oracle for ``subgraph``'s CSR arrays: list by list, node by node,
+    the entries of the node's row of ``a`` whose column is in the same list,
+    in ``a.indices`` order, each column renumbered to that node's row."""
+    data, indices, indptr, start = [], [], [0], 0
+    for nodes in lists:
+        row_of = {node: start + i for i, node in enumerate(nodes)}
+        for node in nodes:
+            for pos in range(a.indptr[node], a.indptr[node + 1]):
+                if a.indices[pos] in row_of:
+                    data.append(a.data[pos])
+                    indices.append(row_of[a.indices[pos]])
+            indptr.append(len(data))
+        start += len(nodes)
+    return data, indices, indptr
+
+
+UNION_CASES = {
+    "node-in-two-lists": [[2, 3, 4], [4, 5, 2]],
+    "empty-list": [[1, 4], [], [5, 0, 2]],
+    "only-empty": [[]],
+    "no-lists": [],
+    "permuted-lists": [[7, 0, 3, 11], [11, 3, 0, 7], [5, 9]],
+    "single-list": [[8, 1, 6, 2, 0]],
+    "repeat-across-lists": [[0, 1, 2], [0, 1, 2], [2, 1, 0]],
+    "one-node-list": [[6], [10, 6, 1], [9]],
+}
+
+
 class TestSubgraph:
     def test_full_selection_is_identity(self):
         g = build_adjacency(ring_distances(6), sigma=2.0)
@@ -289,26 +318,26 @@ class TestSubgraph:
             assert got.format == "csr" and got.shape == (size, size)
             np.testing.assert_array_equal(got.toarray(), g.adjacency.toarray()[np.ix_(idx, idx)])
 
-    @pytest.mark.parametrize(
-        "lists",
-        [
-            [[2, 3, 4], [4, 5, 2]],
-            [[1, 4], [], [5, 0, 2]],
-            [[]],
-            [],
-            [[7, 0, 3, 11], [11, 3, 0, 7], [5, 9]],
-            [[8, 1, 6, 2, 0]],
-            [[0, 1, 2], [0, 1, 2], [2, 1, 0]],
-        ],
-        ids=["node-in-two-lists", "empty-list", "only-empty", "no-lists", "permuted-lists",
-             "single-list", "repeat-across-lists"],
-    )
+    @pytest.mark.parametrize("lists", UNION_CASES.values(), ids=UNION_CASES.keys())
     def test_union_matches_dense_block_oracle(self, lists):
         rng = np.random.default_rng(4)
         a = rng.uniform(0, 1, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.4)
         got = subgraph(csr(a), lists)
         assert got.format == "csr"
         np.testing.assert_array_equal(got.toarray(), dense_union(a, lists))
+
+    @pytest.mark.parametrize("lists", UNION_CASES.values(), ids=UNION_CASES.keys())
+    def test_union_csr_arrays_match_per_list_loop_oracle(self, lists):
+        rng = np.random.default_rng(4)
+        a = csr(rng.uniform(0, 1, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.4))
+        # each row's entries in descending column order, so that the order
+        # the union keeps is the input's own and not a sorted one
+        rows = zip(a.indptr[:-1], a.indptr[1:])
+        flip = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in rows])
+        a = sparse.csr_array((a.data[flip], a.indices[flip], a.indptr), shape=a.shape)
+        got = subgraph(a, lists)
+        for name, want in zip(("data", "indices", "indptr"), loop_union(a, lists)):
+            np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):

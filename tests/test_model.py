@@ -13,6 +13,7 @@ from gapcast.autodiff import Tape
 from gapcast.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from gapcast.graph import normalize
 from gapcast.model import (
+    EVIDENCE_REG,
     EvidentialOutput,
     ModelConfig,
     dgcn_layer,
@@ -29,22 +30,23 @@ from conftest import finite_difference_gradient, relative_error
 
 class TestInputLayer:
     def test_all_ones_mask(self, rng):
-        x = ad.constant(rng.normal(size=(4, 6)))
-        out = input_layer(x, ad.constant(np.ones((4, 6))))
-        np.testing.assert_array_equal(out.values, x.values)
+        x = rng.normal(size=(4, 6))
+        out = input_layer(x, np.ones((4, 6)))
+        np.testing.assert_array_equal(out.values, x)
+        assert not out.requires_grad
 
     def test_all_zeros_mask(self, rng):
-        x = ad.constant(rng.normal(size=(4, 6)))
-        out = input_layer(x, ad.constant(np.zeros((4, 6))))
+        x = rng.normal(size=(4, 6))
+        out = input_layer(x, np.zeros((4, 6)))
         np.testing.assert_array_equal(out.values, np.zeros((4, 6)))
 
     def test_single_masked_row(self, rng):
-        x = ad.constant(rng.normal(size=(3, 5)))
+        x = rng.normal(size=(3, 5))
         mask = np.ones((3, 5))
         mask[1] = 0.0
-        out = input_layer(x, ad.constant(mask))
+        out = input_layer(x, mask)
         np.testing.assert_array_equal(out.values[1], np.zeros(5))
-        np.testing.assert_array_equal(out.values[0], x.values[0])
+        np.testing.assert_array_equal(out.values[0], x[0])
 
 
 def custom_params(cfg, history, fill):
@@ -134,8 +136,8 @@ class TestForward:
     def test_deterministic_bitwise(self, rng):
         cfg, params, x, mask, a = small_setup(rng)
         abar = normalize(a)
-        f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
-        f2 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
+        f1 = forward(params, cfg, x, mask, abar)
+        f2 = forward(params, cfg, x, mask, abar)
         assert np.array_equal(f1.nig.values, f2.nig.values)
         assert np.array_equal(f1.hidden.values, f2.hidden.values)
 
@@ -143,9 +145,9 @@ class TestForward:
         cfg = ModelConfig(hidden_dim=5, layers=3, cheb_order=2)
         params = init_params(cfg, 4, rng)
         abar = np.eye(1)
-        mask = ad.constant(np.zeros((1, 4)))
-        out1 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, abar)
-        out2 = forward(params, cfg, ad.constant(rng.normal(size=(1, 4))), mask, abar)
+        mask = np.zeros((1, 4))
+        out1 = forward(params, cfg, rng.normal(size=(1, 4)), mask, abar)
+        out2 = forward(params, cfg, rng.normal(size=(1, 4)), mask, abar)
         assert np.array_equal(out1.nig.values, out2.nig.values)
 
     def test_masked_node_own_features_ignored(self, rng):
@@ -153,20 +155,20 @@ class TestForward:
         abar = normalize(a)
         x2 = x.copy()
         x2[-1] = rng.normal(size=x.shape[1]) * 10  # masked row perturbed
-        f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
-        f2 = forward(params, cfg, ad.constant(x2), ad.constant(mask), abar)
+        f1 = forward(params, cfg, x, mask, abar)
+        f2 = forward(params, cfg, x2, mask, abar)
         assert np.array_equal(f1.nig.values, f2.nig.values)
         assert np.array_equal(f1.hidden.values, f2.hidden.values)
 
     def test_node_permutation_equivariance(self, rng):
         cfg, params, x, mask, a = small_setup(rng, n=6)
         perm = rng.permutation(6)
-        f1 = forward(params, cfg, ad.constant(x), ad.constant(mask), normalize(a))
+        f1 = forward(params, cfg, x, mask, normalize(a))
         f2 = forward(
             params,
             cfg,
-            ad.constant(x[perm]),
-            ad.constant(mask[perm]),
+            x[perm],
+            mask[perm],
             normalize(sparse.csr_array(a.toarray()[np.ix_(perm, perm)])),
         )
         np.testing.assert_allclose(f2.nig.values, f1.nig.values[perm], atol=1e-10)
@@ -175,20 +177,31 @@ class TestForward:
         cfg, params, x, mask, a = small_setup(rng)
         for extreme in (-1000.0, 0.0, 1000.0):
             params["head_b"].values[:] = extreme
-            fp = forward(params, cfg, ad.constant(x), ad.constant(mask), normalize(a))
+            fp = forward(params, cfg, x, mask, normalize(a))
             nu, alpha, beta = fp.nig.values[:, 1:].T
             assert (nu > 0).all() and (beta > 0).all()
             assert (alpha > 1).all()
 
+    def test_layer_one_input_needs_no_gradient(self, rng):
+        # what lets layer 1 take an operator whose transpose no gradient reads
+        cfg, params, x, mask, a = small_setup(rng)
+        with Tape() as tape:
+            forward(params, cfg, x, mask, normalize(a))
+        layer1 = tape.nodes[0]
+        assert layer1.inputs[1] is params["theta_f_l1_k1"]
+        assert not layer1.inputs[0].requires_grad
+        np.testing.assert_array_equal(layer1.inputs[0].values, x * mask)
+        assert layer1.backward_rule(np.ones_like(layer1.output.values))[0] is None
+
     def test_full_model_gradcheck(self, rng):
         cfg, params, x, mask, a = small_setup(rng, n=4, history=3, hidden=4)
         abar = normalize(a)
-        y = ad.constant(rng.normal(size=(4, 1)))
-        w = ad.constant(np.full((4, 1), 0.25))
+        y = rng.normal(size=(4, 1))
+        w = np.full((4, 1), 0.25)
 
         def loss_value():
-            fp = forward(params, cfg, ad.constant(x), ad.constant(mask), abar)
-            pre = nig_nll(fp.nig, y, evidence_reg=0.01, weights=w)
+            fp = forward(params, cfg, x, mask, abar)
+            pre = nig_nll(fp.nig, y, w)
             return total_loss(pre, fp, params, w, 1.0)[0]
 
         with Tape() as tape:
@@ -247,13 +260,11 @@ class TestNigNll:
         beta = rng.uniform(0.5, 2, (n, 1))
         y = rng.normal(size=(n, 1))
         w = np.full((n, 1), 1.0 / n)
-        loss = nig_nll(
-            ad.constant(np.hstack([gamma, nu, alpha, beta])), ad.constant(y),
-            evidence_reg=0.0, weights=ad.constant(w),
-        )
-        # one formula behind both paths, and the weighted sum taken as the
-        # op takes it, so the values agree exactly
-        assert loss.item() == (nig_nll_values(gamma, nu, alpha, beta, y) * w).sum()
+        loss = nig_nll(ad.constant(np.hstack([gamma, nu, alpha, beta])), y, w)
+        # one formula behind both paths, and the weighted sums and the
+        # penalty taken as the op takes them, so the values agree exactly
+        penalty = (np.abs(y - gamma) * (nu * 2.0 + alpha) * w).sum() * EVIDENCE_REG
+        assert loss.item() == (nig_nll_values(gamma, nu, alpha, beta, y) * w).sum() + penalty
 
     def test_values_keep_the_broadcast_shape(self, rng):
         gamma = rng.normal(size=(3, 4))
@@ -271,11 +282,8 @@ class TestNigNll:
         beta = np.full((3, 1), 1.0)
         y = np.full((3, 1), 2.0)
         base = nig_nll_values(gamma, nu, alpha, beta, y).mean()
-        loss = nig_nll(
-            ad.constant(np.hstack([gamma, nu, alpha, beta])), ad.constant(y),
-            evidence_reg=0.01, weights=ad.constant(np.full((3, 1), 1.0 / 3)),
-        )
-        reg = 0.01 * np.mean(np.abs(y - gamma) * (2 * nu + alpha))
+        loss = nig_nll(ad.constant(np.hstack([gamma, nu, alpha, beta])), y, np.full((3, 1), 1.0 / 3))
+        reg = EVIDENCE_REG * np.mean(np.abs(y - gamma) * (2 * nu + alpha))
         assert loss.item() == pytest.approx(base + reg, rel=1e-12)
 
     def test_constraint_violation_raises(self):

@@ -18,6 +18,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,23 @@ def test_package_uses_only_the_kept_autodiff_names():
         }
     assert {"record", "matmul", "Tape", "Adam"} <= used <= kept, sorted(used - kept)
     assert set(importlib.import_module("gapcast.autodiff").__all__) <= kept
+
+
+def test_every_config_field_is_set_outside_the_tests():
+    """Each field of ``ModelConfig``, ``TrainConfig`` and ``SensingConfig``
+    is set by name where a command, script or benchmark reaches it: as a
+    keyword argument in ``src/gapcast``, ``scripts/`` or ``gapbench/``, or as
+    a value of ``cli.TRAIN_FIELDS`` or ``cli.MODEL_FIELDS``. A field that
+    only its default sets is a constant, not an option."""
+    cli = importlib.import_module("gapcast.cli")
+    names = set(cli.TRAIN_FIELDS.values()) | set(cli.MODEL_FIELDS.values())
+    for folder in (ROOT / "src" / "gapcast", ROOT / "scripts", GAPBENCH):
+        for path in folder.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
+    configs = (ModelConfig, TrainConfig, SensingConfig)
+    unset = [f"{c.__name__}.{f.name}" for c in configs for f in fields(c) if f.name not in names]
+    assert not unset, unset
 
 
 def callers(paths, is_target):

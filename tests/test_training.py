@@ -300,15 +300,12 @@ def per_sample_mean_loss(params, samples, values, cfg, adjacency):
         mask = np.zeros(features.shape)
         mask[: s.reserved.size] = 1.0
         fwd = forward(
-            params, cfg.model, ad.constant(features), ad.constant(mask),
-            normalize(subgraph(adjacency, [s.node_indices])),
+            params, cfg.model, features, mask, normalize(subgraph(adjacency, [s.node_indices]))
         )
         n = s.node_indices.size
-        plain = ad.constant(np.full((n, 1), 1.0 / n))
+        plain = np.full((n, 1), 1.0 / n)
         target = values[s.t + cfg.horizon, s.node_indices][:, None]
-        j_pre = nig_nll(
-            fwd.nig, ad.constant(target), evidence_reg=cfg.model.evidence_reg, weights=plain
-        )
+        j_pre = nig_nll(fwd.nig, target, plain)
         j = total_loss(j_pre, fwd, params, plain, cfg.loss_alpha)[0]
         total = j if total is None else add(total, j)
     return scale(total, 1.0 / len(samples))
@@ -316,10 +313,7 @@ def per_sample_mean_loss(params, samples, values, cfg, adjacency):
 
 def union_loss(params, samples, values, cfg, adjacency):
     batch = SampleBatch.stack([samples], values, adjacency, cfg)
-    fwd = forward(
-        params, cfg.model, ad.constant(batch.features), ad.constant(batch.mask),
-        batch.operator,
-    )
+    fwd = forward(params, cfg.model, batch.features, batch.mask, batch.operator)
     return compute_loss(batch, fwd, params, cfg)[2]
 
 
@@ -584,10 +578,7 @@ def per_window_forward(graph, window, model):
     x[graph.observable] = model.scaler.transform(window[:, graph.observable]).T
     mask = np.zeros((graph.n, model.history))
     mask[graph.observable] = 1.0
-    fwd = forward(
-        model.params, model.model_cfg, ad.constant(x), ad.constant(mask),
-        normalize(graph.adjacency),
-    )
+    fwd = forward(model.params, model.model_cfg, x, mask, normalize(graph.adjacency))
     mean, std = model.scaler.mean, model.scaler.std
     gamma, nu, alpha, beta = fwd.nig.values.T
     return np.stack([gamma * std + mean, nu, alpha, beta * std * std])
@@ -817,6 +808,8 @@ class TestModelIO:
             ("scaler", {"mean": 50.0, "std": "abc"}), ("scaler", {"mean": 50.0, "std": True}),
             ("scaler", {"mean": float("nan"), "std": 5.0}),
             ("scaler", {"mean": 50.0, "std": float("inf")}),
+            # as written while the evidence-penalty weight was a ModelConfig field
+            ("model_cfg", {"hidden_dim": 4, "layers": 3, "cheb_order": 2, "evidence_reg": 0.01}),
         ],
     )
     def test_missing_or_malformed_meta_names_its_key(self, tmp_path, key, bad):
